@@ -6,8 +6,7 @@ scored into a single document attribution score.
 """
 
 from .backend import (BackendConfig, ChatBackend, MockBackend, PromptBundle,
-                      build_datagen_prompt, build_verification_prompt, complete,
-                      mock_complete, prompt_digest)
+                      build_datagen_prompt, build_verification_prompt, prompt_digest)
 from .errors import (BackendAuthError, BackendError, ClaimverError, KgLoadError,
                      PipelineError, PromptError, ResponseParseError,
                      UnknownNodeError, UnknownPromptError)
@@ -18,8 +17,7 @@ from .parsing import (ClaimResult, PredictionLabel, RawClaim, format_response,
 from .pipeline import iter_datagen_records, run_pipeline
 from .render import render
 from .report import VerificationReport
-from .retrieval import (KgPath, RetrievalConfig, RetrievedTriplets,
-                        enumerate_paths_oracle, retrieve)
+from .retrieval import KgPath, RetrievalConfig, RetrievedTriplets, retrieve
 from .scoring import (AttributionResult, FallbackEmbedder, HashedBagEmbedder,
                       HttpEmbedder, ScoredClaim, ScoringConfig, claim_score,
                       entity_presence_ratio, kg_attribution_score,
@@ -38,9 +36,8 @@ __all__ = [
     "ScoringConfig", "TextChunk", "Triplet", "UnknownNodeError",
     "UnknownPromptError", "VerificationReport", "build_datagen_prompt",
     "build_graph", "build_verification_prompt", "chunk_text", "claim_score",
-    "complete", "entity_presence_ratio", "enumerate_paths_oracle",
-    "format_response", "iter_datagen_records", "kg_attribution_score",
-    "link_entities", "load_kg", "mock_complete", "modified_sigmoid",
+    "entity_presence_ratio", "format_response", "iter_datagen_records",
+    "kg_attribution_score", "link_entities", "load_kg", "modified_sigmoid",
     "parse_response", "preprocess", "prompt_digest", "render", "retrieve",
     "run_pipeline", "score_claims", "semantic_similarity", "triplets_match_score",
     "validate_claims",

@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 import logging
 import os
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
@@ -15,7 +14,7 @@ import requests
 from .errors import BackendAuthError, BackendError, PromptError, UnknownPromptError
 from .kg import KnowledgeGraph, Triplet
 from .retrieval import RetrievedTriplets
-from .text import normalized_find
+from .text import format_triplet, normalized_find
 
 logger = logging.getLogger(__name__)
 
@@ -160,16 +159,9 @@ def _render(template: str, slots: list[tuple[str, str]]) -> str:
     return "".join(parts)
 
 
-def triplet_labels(kg: KnowledgeGraph,
-                   triplets: RetrievedTriplets | Iterable[Triplet]) -> list[tuple[str, str, str]]:
-    """Resolve stored triplets to (subject label, predicate, object label)."""
-    items = triplets.triplets if isinstance(triplets, RetrievedTriplets) else triplets
-    return [(kg.label_of(t.subject), t.predicate, kg.label_of(t.object)) for t in items]
-
-
 def serialize_triplets(labeled: Iterable[tuple[str, str, str]]) -> str:
     """One (s, p, o) line per triplet, in the given order."""
-    return "\n".join(f"({s}, {p}, {o})" for s, p, o in labeled)
+    return "\n".join(format_triplet(*t) for t in labeled)
 
 
 def _quote(s: str) -> str:
@@ -189,7 +181,7 @@ def build_verification_prompt(text: str, triplets: RetrievedTriplets,
     Triplets appear once each, in retrieval order, as (subject label,
     predicate, object label) lines.
     """
-    serialized = serialize_triplets(triplet_labels(kg, triplets))
+    serialized = serialize_triplets(kg.triplet_labels(t) for t in triplets.triplets)
     filled = _render(VERIFICATION_TEMPLATE,
                      [("{Input Text}", text), ("{Retrieved Triplets}", serialized)])
     instruction, _, rendered_input = filled.partition(_VERIFICATION_SPLIT)
@@ -217,7 +209,8 @@ def build_datagen_prompt(full_text: str, text_span: str,
     """
     if not _span_in_text(full_text, text_span):
         raise PromptError("text_span must be a substring of full_text")
-    serialized = serialize_triplets_bracketed(triplet_labels(kg, triplets))
+    items = triplets.triplets if isinstance(triplets, RetrievedTriplets) else triplets
+    serialized = serialize_triplets_bracketed(kg.triplet_labels(t) for t in items)
     filled = _render(DATAGEN_TEMPLATE,
                      [("{full_text}", full_text), ("{text_span}", text_span),
                       ("{triplets}", serialized)])
@@ -240,7 +233,6 @@ class BackendConfig:
     max_retries: int = 2
     temperature: float = 0.0
     backoff_base: float = 0.5
-    concurrency: int = 4
 
     def __post_init__(self):
         if not self.base_url:
@@ -255,21 +247,29 @@ class BackendConfig:
             raise ValueError(f"temperature must be >= 0, got {self.temperature}")
         if self.backoff_base <= 0:
             raise ValueError(f"backoff_base must be > 0, got {self.backoff_base}")
-        if self.concurrency < 1:
-            raise ValueError(f"concurrency must be >= 1, got {self.concurrency}")
+
+
+def _retry_after(resp: requests.Response, cap: float) -> float | None:
+    """Seconds asked for by a numeric Retry-After header, at most cap."""
+    try:
+        seconds = float(resp.headers.get("Retry-After", ""))
+    except ValueError:
+        return None
+    return min(seconds, cap) if seconds >= 0 else None
 
 
 class ChatBackend:
     """Thread-safe client for a chat-completion endpoint.
 
-    In-flight requests are capped by config.concurrency; 5xx responses and
-    timeouts are retried with exponential backoff, 4xx never.
+    The client does not cap concurrent requests itself; run_pipeline bounds
+    them with its chunk worker pool (pipeline._PARALLEL_CHUNKS). 5xx, 429
+    and timeouts are retried with exponential backoff, or after a 429's
+    numeric Retry-After (at most config.timeout); other 4xx never.
     """
 
     def __init__(self, config: BackendConfig):
         self.config = config
         self._session = requests.Session()
-        self._slots = threading.Semaphore(config.concurrency)
 
     def complete(self, prompt: PromptBundle | str) -> str:
         text = prompt.text if isinstance(prompt, PromptBundle) else prompt
@@ -284,24 +284,27 @@ class ChatBackend:
         if cfg.api_key:
             headers["Authorization"] = f"Bearer {cfg.api_key}"
         last_error = "exhausted retries"
+        wait = None
         for attempt in range(cfg.max_retries + 1):
             if attempt:
-                time.sleep(cfg.backoff_base * 2 ** (attempt - 1))
-            with self._slots:
-                try:
-                    resp = self._session.post(url, json=body, headers=headers,
-                                              timeout=cfg.timeout)
-                except requests.Timeout:
-                    last_error = "request timed out"
-                    logger.warning("completion attempt %d timed out", attempt + 1)
-                    continue
-                except requests.RequestException as exc:
-                    last_error = f"connection failed: {exc}"
-                    logger.warning("completion attempt %d failed: %s", attempt + 1, exc)
-                    continue
+                time.sleep(cfg.backoff_base * 2 ** (attempt - 1) if wait is None else wait)
+            wait = None
+            try:
+                resp = self._session.post(url, json=body, headers=headers,
+                                          timeout=cfg.timeout)
+            except requests.Timeout:
+                last_error = "request timed out"
+                logger.warning("completion attempt %d timed out", attempt + 1)
+                continue
+            except requests.RequestException as exc:
+                last_error = f"connection failed: {exc}"
+                logger.warning("completion attempt %d failed: %s", attempt + 1, exc)
+                continue
             if resp.status_code in (401, 403):
                 raise BackendAuthError(f"endpoint rejected credentials (HTTP {resp.status_code})")
-            if 400 <= resp.status_code < 500:
+            if resp.status_code == 429:
+                wait = _retry_after(resp, cfg.timeout)
+            elif 400 <= resp.status_code < 500:
                 raise BackendError(f"request rejected (HTTP {resp.status_code}): {resp.text[:200]}")
             if resp.status_code != 200:
                 last_error = f"HTTP {resp.status_code}"
@@ -322,23 +325,10 @@ def _extract_content(resp: requests.Response) -> str:
     return content
 
 
-def complete(config: BackendConfig, prompt: PromptBundle | str) -> str:
-    """One-shot completion with a throwaway client."""
-    return ChatBackend(config).complete(prompt)
-
-
 def prompt_digest(prompt: PromptBundle | str) -> str:
     """Stable identity of a prompt: sha256 over its full text."""
     text = prompt.text if isinstance(prompt, PromptBundle) else prompt
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def mock_complete(fixture_table: Mapping[str, str], prompt: PromptBundle | str) -> str:
-    """Return the canned response for a prompt, keyed by its digest."""
-    digest = prompt_digest(prompt)
-    if digest not in fixture_table:
-        raise UnknownPromptError(f"no canned response for prompt digest {digest[:12]}")
-    return fixture_table[digest]
 
 
 class MockBackend:

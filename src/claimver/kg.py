@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional
 
 from .errors import KgLoadError, UnknownNodeError
-from .text import normalize
+from .text import format_triplet, normalize
 
 logger = logging.getLogger(__name__)
 
@@ -47,6 +47,11 @@ class Triplet:
     subject: NodeId
     predicate: str
     object: NodeId
+
+
+def triplet_key(subject_label: str, predicate: str, object_label: str) -> tuple[str, str, str]:
+    """Normalized (s, p, o) label triple under which triplets are matched."""
+    return normalize(subject_label), normalize(predicate), normalize(object_label)
 
 
 class KnowledgeGraph:
@@ -93,9 +98,7 @@ class KnowledgeGraph:
 
         triplet_index: dict[tuple[str, str, str], Triplet] = {}
         for t in edges:
-            key = (normalize(nodes[t.subject].label), normalize(t.predicate),
-                   normalize(nodes[t.object].label))
-            triplet_index.setdefault(key, t)
+            triplet_index.setdefault(triplet_key(*self.triplet_labels(t)), t)
         self._triplet_index = triplet_index
 
     def __contains__(self, node_id: NodeId) -> bool:
@@ -106,6 +109,10 @@ class KnowledgeGraph:
         if node is None:
             raise UnknownNodeError(node_id)
         return node.label
+
+    def triplet_labels(self, t: Triplet) -> tuple[str, str, str]:
+        """A stored triplet as (subject label, predicate, object label)."""
+        return self.label_of(t.subject), t.predicate, self.label_of(t.object)
 
     def neighbors(self, node_id: NodeId) -> tuple[NodeId, ...]:
         """Sorted distinct neighbors of a node, both edge directions."""
@@ -127,8 +134,7 @@ class KnowledgeGraph:
     def contains_triplet(self, subject_label: str, predicate: str,
                          object_label: str) -> Optional[Triplet]:
         """The stored triplet whose labels match the candidate, if any."""
-        key = (normalize(subject_label), normalize(predicate), normalize(object_label))
-        return self._triplet_index.get(key)
+        return self._triplet_index.get(triplet_key(subject_label, predicate, object_label))
 
 
 def build_graph(nodes: Iterable[KgNode], triplets: Iterable[Triplet],
@@ -151,7 +157,8 @@ def build_graph(nodes: Iterable[KgNode], triplets: Iterable[Triplet],
             continue
         seen.add(t)
         if t.subject == t.object:
-            report.append(f"self-loop triplet kept: ({t.subject}, {t.predicate}, {t.object})")
+            loop = format_triplet(t.subject, t.predicate, t.object)
+            report.append(f"self-loop triplet kept: {loop}")
         kept.append(t)
     return KnowledgeGraph(node_map, tuple(kept), tuple(report))
 

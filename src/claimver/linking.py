@@ -5,16 +5,16 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
-from .kg import KgNode, KnowledgeGraph, NodeId
+from .kg import KnowledgeGraph, NodeId
 from .text import normalize, word_spans
 
 logger = logging.getLogger(__name__)
 
 # A sentence ends at terminal punctuation followed by whitespace and an
-# upper-case letter; the boundary sits after the whitespace.
-_SENTENCE_BOUNDARY = re.compile(r"[.?!]+\s+(?=[A-Z])")
+# upper-case letter (str.isupper); the boundary sits after the whitespace.
+_SENTENCE_END = re.compile(r"[.?!]+\s+")
 
 PreprocessHook = Callable[[str], str]
 
@@ -80,9 +80,10 @@ def split_sentences(text: str) -> list[str]:
     """Split text at sentence boundaries; concatenation reproduces the input."""
     pieces: list[str] = []
     last = 0
-    for m in _SENTENCE_BOUNDARY.finditer(text):
-        pieces.append(text[last:m.end()])
-        last = m.end()
+    for m in _SENTENCE_END.finditer(text):
+        if text[m.end():m.end() + 1].isupper():
+            pieces.append(text[last:m.end()])
+            last = m.end()
     if last < len(text):
         pieces.append(text[last:])
     return [p for p in pieces if p]
@@ -123,24 +124,12 @@ def chunk_text(text: str, max_chars: int) -> list[TextChunk]:
     return chunks
 
 
-def apply_hooks(text: str, hooks: Iterable[PreprocessHook]) -> str:
-    """Run user preprocessing hooks in order; hook errors propagate."""
-    for hook in hooks:
-        text = hook(text)
-    return text
-
-
 def preprocess(kg: KnowledgeGraph, text: str,
                hooks: Sequence[PreprocessHook] = ()) -> tuple[str, list[LinkedEntity]]:
-    """Apply hooks, then link entities in the transformed text."""
-    text = apply_hooks(text, hooks)
+    """Apply hooks in order, then link entities in the transformed text.
+
+    Hook errors propagate.
+    """
+    for hook in hooks:
+        text = hook(text)
     return text, link_entities(kg, text)
-
-
-def entity_nodes(entities: Iterable[LinkedEntity]) -> list[NodeId]:
-    """Distinct linked node ids in first-appearance order."""
-    return list(dict.fromkeys(e.node for e in entities))
-
-
-def describe_entity(kg: KnowledgeGraph, entity: LinkedEntity) -> KgNode:
-    return kg.nodes[entity.node]

@@ -18,9 +18,9 @@ from enum import Enum
 from typing import Optional
 
 from .errors import ResponseParseError
-from .kg import KnowledgeGraph, Triplet
+from .kg import KnowledgeGraph, Triplet, triplet_key
 from .retrieval import RetrievedTriplets
-from .text import normalize, normalized_find
+from .text import format_triplet, normalize, normalized_find
 
 logger = logging.getLogger(__name__)
 
@@ -213,26 +213,22 @@ def _locate_span(input_text: str, span: str) -> tuple[Optional[int], Optional[in
     return None, None, [f"span not found in input: {span[:60]!r}"]
 
 
-def _match_triplets(candidates: list[tuple[str, str, str]], retrieved: RetrievedTriplets,
+def _match_triplets(candidates: list[tuple[str, str, str]],
+                    by_labels: dict[tuple[str, str, str], Triplet],
                     kg: KnowledgeGraph, diagnostics: list[str]) -> tuple[Triplet, ...]:
-    by_labels: dict[tuple[str, str, str], Triplet] = {}
-    for t in retrieved.triplets:
-        key = (normalize(kg.label_of(t.subject)), normalize(t.predicate),
-               normalize(kg.label_of(t.object)))
-        by_labels.setdefault(key, t)
     kept: dict[Triplet, None] = {}
-    for s, p, o in candidates:
-        key = (normalize(s), normalize(p), normalize(o))
-        hit = by_labels.get(key)
+    for candidate in candidates:
+        text = format_triplet(*candidate)
+        hit = by_labels.get(triplet_key(*candidate))
         if hit is None:
-            hit = kg.contains_triplet(s, p, o)
+            hit = kg.contains_triplet(*candidate)
             if hit is not None:
-                diagnostics.append(f"triplet ({s}, {p}, {o}) not among retrieved; matched in graph")
+                diagnostics.append(f"triplet {text} not among retrieved; matched in graph")
         if hit is None:
-            diagnostics.append(f"triplet ({s}, {p}, {o}) not found; dropped")
+            diagnostics.append(f"triplet {text} not found; dropped")
             continue
         if hit in kept:
-            diagnostics.append(f"duplicate triplet ({s}, {p}, {o}) ignored")
+            diagnostics.append(f"duplicate triplet {text} ignored")
         else:
             kept[hit] = None
     return tuple(kept)
@@ -247,6 +243,9 @@ def validate_claims(raws: list[RawClaim], input_text: str, retrieved: RetrievedT
     Attributable/Contradictory claims with no surviving triplet are downgraded
     to NoAttribution. Claims stay in model order; overlaps are flagged.
     """
+    by_labels: dict[tuple[str, str, str], Triplet] = {}
+    for t in retrieved.triplets:
+        by_labels.setdefault(triplet_key(*kg.triplet_labels(t)), t)
     results: list[ClaimResult] = []
     located: list[tuple[int, int]] = []
     for raw in raws:
@@ -263,7 +262,7 @@ def validate_claims(raws: list[RawClaim], input_text: str, retrieved: RetrievedT
 
         candidates, problems = parse_triplet_field(raw.triplets_field)
         diagnostics.extend(problems)
-        rel = _match_triplets(candidates, retrieved, kg, diagnostics)
+        rel = _match_triplets(candidates, by_labels, kg, diagnostics)
 
         if label in (PredictionLabel.ATTRIBUTABLE, PredictionLabel.CONTRADICTORY) and not rel:
             diagnostics.append(f"{label.value} claim has no validated triplets; downgraded")

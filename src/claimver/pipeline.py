@@ -17,7 +17,7 @@ from typing import Any, Callable, Iterator, Optional, Sequence
 from .backend import (BackendConfig, ChatBackend, PromptBundle,
                       build_datagen_prompt, build_verification_prompt)
 from .errors import BackendError, ClaimverError, PipelineError, ResponseParseError
-from .kg import KnowledgeGraph
+from .kg import KnowledgeGraph, NodeId
 from .linking import (LinkedEntity, PreprocessHook, TextChunk, chunk_text,
                       preprocess, split_sentences)
 from .parsing import ClaimResult, parse_response, validate_claims
@@ -29,6 +29,7 @@ logger = logging.getLogger(__name__)
 
 Completer = Callable[[PromptBundle], str]
 
+# The one cap on concurrent chunk work, and so on in-flight backend requests.
 _PARALLEL_CHUNKS = 4
 
 
@@ -49,20 +50,18 @@ class _ChunkOutcome:
     diagnostics: list[str]
 
 
-def _chunk_entities(chunk: TextChunk, entities: Sequence[LinkedEntity]) -> list[LinkedEntity]:
+def _chunk_seeds(chunk: TextChunk, entities: Sequence[LinkedEntity]) -> list[NodeId]:
+    """Distinct nodes linked inside the chunk, in first-appearance order."""
     lo, hi = chunk.offset, chunk.offset + len(chunk.text)
-    return [e for e in entities if lo <= e.start and e.end <= hi]
+    return list(dict.fromkeys(e.node for e in entities if lo <= e.start and e.end <= hi))
 
 
 def _process_chunk(kg: KnowledgeGraph, chunk: TextChunk,
                    entities: Sequence[LinkedEntity], completer: Completer,
                    retrieval_cfg: RetrievalConfig) -> _ChunkOutcome:
     diagnostics: list[str] = []
-    inside = _chunk_entities(chunk, entities)
-    seeds = list(dict.fromkeys(e.node for e in inside))
-
     try:
-        retrieved = retrieve(kg, seeds, retrieval_cfg)
+        retrieved = retrieve(kg, _chunk_seeds(chunk, entities), retrieval_cfg)
     except ClaimverError as exc:
         raise PipelineError("triplet-retrieval", str(exc), diagnostics) from exc
 
@@ -197,17 +196,12 @@ def iter_datagen_records(kg: KnowledgeGraph, text: str,
         span = sentence.strip()
         if not span:
             continue
-        seeds = list(dict.fromkeys(e.node for e in _chunk_entities(chunk, entities)))
-        retrieved = retrieve(kg, seeds, retrieval_cfg)
-        labeled = [
-            (kg.label_of(t.subject), t.predicate, kg.label_of(t.object))
-            for t in retrieved.triplets
-        ]
+        retrieved = retrieve(kg, _chunk_seeds(chunk, entities), retrieval_cfg)
         prompt = build_datagen_prompt(text, span, retrieved, kg)
         record: dict[str, Any] = {
             "full_text": text,
             "text_span": span,
-            "triplets": [list(t) for t in labeled],
+            "triplets": [list(kg.triplet_labels(t)) for t in retrieved.triplets],
             "prompt": prompt.text,
         }
         if completer is not None:

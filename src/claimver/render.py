@@ -12,7 +12,8 @@ import html
 import json
 from typing import Optional
 
-from .report import ClaimRecord, VerificationReport
+from .report import ClaimRecord, TripletRecord, VerificationReport
+from .text import format_triplet
 
 _ANSI = {
     "Attributable": "\x1b[32m",
@@ -72,8 +73,8 @@ def render_json(report: VerificationReport) -> str:
     return json.dumps(report.to_dict(), indent=2, ensure_ascii=False) + "\n"
 
 
-def _triplet_line(t) -> str:
-    return f"({t.s_label}, {t.p}, {t.o_label})"
+def _triplet_line(t: TripletRecord) -> str:
+    return format_triplet(t.s_label, t.p, t.o_label)
 
 
 def _claim_heading(i: int, claim: ClaimRecord) -> str:

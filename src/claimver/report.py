@@ -8,53 +8,77 @@ of the report object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional, Sequence
+import functools
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Any, Iterable, Optional, Sequence, get_args, get_origin, get_type_hints
 
 from .kg import KnowledgeGraph, Triplet
 from .linking import LinkedEntity
 from .retrieval import KgPath, RetrievedTriplets
 from .scoring import ScoredClaim
 
+@functools.cache
+def _spec(cls: type) -> tuple[tuple[str, Any, bool], ...]:
+    """(field name, resolved type, has a default) per field, in field order."""
+    hints = get_type_hints(cls)
+    return tuple((f.name, hints[f.name],
+                  f.default is not MISSING or f.default_factory is not MISSING)
+                 for f in fields(cls))
+
+
+def _encode(value: Any) -> Any:
+    if isinstance(value, _Record):
+        return value.to_dict()
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    return value
+
+
+def _decode(hint: Any, value: Any) -> Any:
+    origin = get_origin(hint)
+    if origin is tuple:
+        item = get_args(hint)[0]
+        return tuple(_decode(item, v) for v in value)
+    if origin is dict:
+        return dict(value)
+    if isinstance(hint, type) and issubclass(hint, _Record):
+        return hint.from_dict(value)
+    return value
+
+
+class _Record:
+    """Dict conversion for the record dataclasses below.
+
+    Keys follow field order and tuples become lists. from_dict needs every
+    field without a default and ignores unknown keys.
+    """
+
+    def to_dict(self) -> dict[str, Any]:
+        return {name: _encode(getattr(self, name)) for name, _, _ in _spec(type(self))}
+
+    @classmethod
+    def from_dict(cls, d: dict[str, Any]):
+        return cls(**{name: _decode(hint, d[name])
+                      for name, hint, optional in _spec(cls) if not optional or name in d})
+
 
 @dataclass(frozen=True)
-class TripletRecord:
+class TripletRecord(_Record):
     s_id: str
     s_label: str
     p: str
     o_id: str
     o_label: str
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"s_id": self.s_id, "s_label": self.s_label, "p": self.p,
-                "o_id": self.o_id, "o_label": self.o_label}
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "TripletRecord":
-        return cls(s_id=d["s_id"], s_label=d["s_label"], p=d["p"],
-                   o_id=d["o_id"], o_label=d["o_label"])
-
 
 @dataclass(frozen=True)
-class PathRecord:
+class PathRecord(_Record):
     nodes: tuple[str, ...]
     edges: tuple[TripletRecord, ...]
 
-    @property
-    def endpoints(self) -> tuple[str, str]:
-        return self.nodes[0], self.nodes[-1]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"nodes": list(self.nodes), "edges": [e.to_dict() for e in self.edges]}
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "PathRecord":
-        return cls(nodes=tuple(d["nodes"]),
-                   edges=tuple(TripletRecord.from_dict(e) for e in d["edges"]))
-
 
 @dataclass(frozen=True)
-class EntityRecord:
+class EntityRecord(_Record):
     mention: str
     start: int
     end: int
@@ -63,21 +87,9 @@ class EntityRecord:
     description: str = ""
     alternates: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"mention": self.mention, "start": self.start, "end": self.end,
-                "node": self.node, "label": self.label,
-                "description": self.description, "alternates": list(self.alternates)}
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "EntityRecord":
-        return cls(mention=d["mention"], start=d["start"], end=d["end"],
-                   node=d["node"], label=d["label"],
-                   description=d.get("description", ""),
-                   alternates=tuple(d.get("alternates", ())))
-
 
 @dataclass(frozen=True)
-class ClaimRecord:
+class ClaimRecord(_Record):
     span: str
     start: Optional[int]
     end: Optional[int]
@@ -90,35 +102,15 @@ class ClaimRecord:
     claim_score: int
     diagnostics: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "span": self.span, "start": self.start, "end": self.end,
-            "prediction": self.prediction,
-            "triplets": [t.to_dict() for t in self.triplets],
-            "rationale": self.rationale,
-            "ss": self.ss, "epr": self.epr, "tms": self.tms,
-            "claim_score": self.claim_score,
-            "diagnostics": list(self.diagnostics),
-        }
 
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "ClaimRecord":
-        return cls(span=d["span"], start=d["start"], end=d["end"],
-                   prediction=d["prediction"],
-                   triplets=tuple(TripletRecord.from_dict(t) for t in d["triplets"]),
-                   rationale=d["rationale"], ss=d["ss"], epr=d["epr"], tms=d["tms"],
-                   claim_score=d["claim_score"],
-                   diagnostics=tuple(d.get("diagnostics", ())))
-
-
-@dataclass(frozen=True)
-class VerificationReport:
+@dataclass(frozen=True, kw_only=True)
+class VerificationReport(_Record):
     """Everything produced for one input: entities, evidence, claims, scores."""
 
     input_text: str
     entities: tuple[EntityRecord, ...]
-    retrieved_paths: tuple[PathRecord, ...]
     retrieved_triplets: tuple[TripletRecord, ...]
+    retrieved_paths: tuple[PathRecord, ...] = ()
     claims: tuple[ClaimRecord, ...]
     n: int
     kas: float
@@ -129,35 +121,10 @@ class VerificationReport:
         if self.n != len(self.claims):
             raise ValueError(f"n={self.n} does not match {len(self.claims)} claims")
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "input_text": self.input_text,
-            "entities": [e.to_dict() for e in self.entities],
-            "retrieved_triplets": [t.to_dict() for t in self.retrieved_triplets],
-            "retrieved_paths": [p.to_dict() for p in self.retrieved_paths],
-            "claims": [c.to_dict() for c in self.claims],
-            "n": self.n,
-            "kas": self.kas,
-            "config": self.config,
-            "diagnostics": list(self.diagnostics),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "VerificationReport":
-        return cls(
-            input_text=d["input_text"],
-            entities=tuple(EntityRecord.from_dict(e) for e in d["entities"]),
-            retrieved_paths=tuple(PathRecord.from_dict(p) for p in d.get("retrieved_paths", ())),
-            retrieved_triplets=tuple(TripletRecord.from_dict(t) for t in d["retrieved_triplets"]),
-            claims=tuple(ClaimRecord.from_dict(c) for c in d["claims"]),
-            n=d["n"], kas=d["kas"], config=dict(d.get("config", {})),
-            diagnostics=tuple(d.get("diagnostics", ())),
-        )
-
 
 def triplet_record(kg: KnowledgeGraph, t: Triplet) -> TripletRecord:
-    return TripletRecord(s_id=t.subject, s_label=kg.label_of(t.subject), p=t.predicate,
-                         o_id=t.object, o_label=kg.label_of(t.object))
+    s_label, p, o_label = kg.triplet_labels(t)
+    return TripletRecord(s_id=t.subject, s_label=s_label, p=p, o_id=t.object, o_label=o_label)
 
 
 def path_record(kg: KnowledgeGraph, path: KgPath) -> PathRecord:

@@ -139,37 +139,3 @@ def retrieve(kg: KnowledgeGraph, seeds: Iterable[NodeId],
         paths.extend(_materialize(kg, p) for p in _pair_paths(kg, u, v, config))
     return RetrievedTriplets(paths=tuple(paths))
 
-
-def enumerate_paths_oracle(kg: KnowledgeGraph, source: NodeId, target: NodeId,
-                           max_hops: int) -> list[tuple[NodeId, ...]]:
-    """Exhaustively enumerate all simple source-target paths within max_hops.
-
-    Recursive depth-first reference implementation, sorted by (length, node
-    sequence) after the fact. Intended for cross-checking retrieve(); it does
-    no pruning and no truncation.
-    """
-    if source == target:
-        return []
-    if source not in kg:
-        raise UnknownNodeError(source)
-    if target not in kg:
-        raise UnknownNodeError(target)
-    out: list[tuple[NodeId, ...]] = []
-
-    def walk(path: list[NodeId], seen: set[NodeId]):
-        tail = path[-1]
-        if tail == target:
-            out.append(tuple(path))
-            return
-        if len(path) - 1 >= max_hops:
-            return
-        for nbr in kg.neighbors(tail):
-            if nbr not in seen:
-                path.append(nbr)
-                seen.add(nbr)
-                walk(path, seen)
-                path.pop()
-                seen.remove(nbr)
-
-    walk([source], {source})
-    return sorted(out, key=lambda p: (len(p), p))

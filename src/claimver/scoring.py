@@ -20,11 +20,11 @@ from typing import Iterable, Optional, Protocol, Sequence
 import numpy as np
 import requests
 
-from .errors import BackendError
+from .errors import BackendError, ClaimverError
 from .kg import KnowledgeGraph, NodeId, Triplet
 from .linking import LinkedEntity
 from .parsing import ClaimResult, PredictionLabel
-from .text import tokens
+from .text import format_triplet, tokens
 
 __all__ = [
     "ScoringConfig", "ScoredClaim", "AttributionResult", "Embedder",
@@ -131,10 +131,9 @@ class HttpEmbedder:
         if resp.status_code != 200:
             raise BackendError(f"embedding request rejected (HTTP {resp.status_code})")
         try:
-            vector = resp.json()["data"][0]["embedding"]
+            return np.asarray(resp.json()["data"][0]["embedding"], dtype=np.float64)
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise BackendError(f"malformed embedding response: {exc}") from exc
-        return np.asarray(vector, dtype=np.float64)
 
 
 class FallbackEmbedder:
@@ -158,20 +157,50 @@ class FallbackEmbedder:
         return self.fallback.embed(text)
 
 
+_NORM_MIN, _NORM_MAX = 1e-150, 1e150
+
+
 def cosine(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray) -> float:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
+    with np.errstate(over="ignore"):
+        na = float(np.linalg.norm(a))
+        nb = float(np.linalg.norm(b))
+    if not (_NORM_MIN < na < _NORM_MAX and _NORM_MIN < nb < _NORM_MAX):
+        # Zero, or so small or large that the products would leave the float
+        # range: scale each vector to unit max first.
+        ma = float(np.abs(a).max(initial=0.0))
+        mb = float(np.abs(b).max(initial=0.0))
+        if ma == 0.0 or mb == 0.0:
+            return 0.0
+        a, b = a / ma, b / mb
+        na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
     return float(np.dot(a, b) / (na * nb))
 
 
+def _embedding(embedder: Embedder, text: str) -> np.ndarray:
+    try:
+        vec = np.asarray(embedder.embed(text), dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ClaimverError(f"embedding is not a numeric vector: {exc}") from exc
+    if vec.ndim != 1 or vec.size == 0:
+        raise ClaimverError(f"embedding must be a non-empty 1-D vector, got shape {vec.shape}")
+    if not np.isfinite(vec).all():
+        raise ClaimverError("embedding contains NaN or infinite values")
+    return vec
+
+
 def semantic_similarity(embedder: Embedder, claim_text: str, triplets_text: str) -> float:
-    """Cosine similarity of the two texts' embeddings, clamped to [0, 1]."""
-    value = cosine(embedder.embed(claim_text), embedder.embed(triplets_text))
-    return max(0.0, min(1.0, value))
+    """Cosine similarity of the two texts' embeddings, clamped to [0, 1].
+
+    Empty, multi-dimensional, non-finite or differently sized embeddings
+    raise ClaimverError.
+    """
+    a = _embedding(embedder, claim_text)
+    b = _embedding(embedder, triplets_text)
+    if a.shape != b.shape:
+        raise ClaimverError(f"embedding sizes differ: {a.size} and {b.size}")
+    return max(0.0, min(1.0, cosine(a, b)))
 
 
 def triplets_match_score(cfg: ScoringConfig, ss: float, epr: float, n_triplets: int) -> float:
@@ -224,9 +253,7 @@ def kg_attribution_score(claims: Iterable[ScoredClaim],
 
 
 def _triplets_text(kg: KnowledgeGraph, triplets: Sequence[Triplet]) -> str:
-    return "; ".join(
-        f"({kg.label_of(t.subject)}, {t.predicate}, {kg.label_of(t.object)})"
-        for t in triplets)
+    return "; ".join(format_triplet(*kg.triplet_labels(t)) for t in triplets)
 
 
 def _claim_entity_ids(claim: ClaimResult, entities: Sequence[LinkedEntity]) -> set[NodeId]:

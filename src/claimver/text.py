@@ -1,4 +1,4 @@
-"""Text normalization helpers used by matching, linking, and validation."""
+"""Text normalization and formatting helpers shared across the package."""
 
 from __future__ import annotations
 
@@ -10,6 +10,11 @@ _WORD_RE = re.compile(r"\w+")
 def normalize(s: str) -> str:
     """Case-fold, collapse whitespace runs to single spaces, and trim."""
     return " ".join(s.casefold().split())
+
+
+def format_triplet(s: str, p: str, o: str) -> str:
+    """The "(s, p, o)" form used in prompts, scoring text, and reports."""
+    return f"({s}, {p}, {o})"
 
 
 def tokens(s: str) -> list[str]:

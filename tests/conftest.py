@@ -98,11 +98,12 @@ def chat_payload(content: str) -> dict:
 
 
 class ScriptedServer:
-    """Local HTTP server that replays a scripted list of (status, payload).
+    """Local HTTP server that replays a scripted list of (status, payload)
+    or (status, payload, headers).
 
     Records every request (path, headers, parsed JSON body). Dict payloads
-    are sent as JSON, strings verbatim. An exhausted script repeats its last
-    entry.
+    are sent as JSON, strings verbatim; headers is a dict of extra response
+    headers. An exhausted script repeats its last entry.
     """
 
     def __init__(self, script):
@@ -110,7 +111,9 @@ class ScriptedServer:
         self.requests: list[dict] = []
         self._lock = threading.Lock()
         self.httpd = ThreadingHTTPServer(("127.0.0.1", 0), self._handler())
-        self._thread = threading.Thread(target=self.httpd.serve_forever, daemon=True)
+        # A short poll lets shutdown() return promptly instead of after 0.5 s.
+        self._thread = threading.Thread(target=self.httpd.serve_forever,
+                                        kwargs={"poll_interval": 0.01}, daemon=True)
         self._thread.start()
 
     @property
@@ -143,12 +146,14 @@ class ScriptedServer:
                     "headers": {k.lower(): v for k, v in self.headers.items()},
                     "body": body,
                 })
-                status, payload = server._next()
+                status, payload, *extra = server._next()
                 data = (json.dumps(payload) if isinstance(payload, dict) else str(payload))
                 encoded = data.encode("utf-8")
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(encoded)))
+                for name, value in (extra[0] if extra else {}).items():
+                    self.send_header(name, value)
                 self.end_headers()
                 self.wfile.write(encoded)
 

@@ -1,8 +1,10 @@
-"""Random graph generation for cross-checking retrieval against the oracle."""
+"""Random graph generation and the exhaustive path oracle for cross-checking
+retrieval."""
 
 import random
 
-from claimver.kg import KgNode, KnowledgeGraph, Triplet, build_graph
+from claimver.errors import UnknownNodeError
+from claimver.kg import KgNode, KnowledgeGraph, NodeId, Triplet, build_graph
 
 PREDICATES = ("rel_a", "rel_b", "rel_c")
 
@@ -26,3 +28,38 @@ def random_graph(rng: random.Random, max_nodes: int = 50,
 def random_seeds(rng: random.Random, kg: KnowledgeGraph, max_seeds: int = 5) -> list[str]:
     ids = list(kg.nodes)
     return rng.sample(ids, rng.randint(0, min(max_seeds, len(ids))))
+
+
+def enumerate_paths_oracle(kg: KnowledgeGraph, source: NodeId, target: NodeId,
+                           max_hops: int) -> list[tuple[NodeId, ...]]:
+    """Exhaustively enumerate all simple source-target paths within max_hops.
+
+    Recursive depth-first reference implementation, sorted by (length, node
+    sequence) after the fact. Intended for cross-checking retrieve(); it does
+    no pruning and no truncation.
+    """
+    if source == target:
+        return []
+    if source not in kg:
+        raise UnknownNodeError(source)
+    if target not in kg:
+        raise UnknownNodeError(target)
+    out: list[tuple[NodeId, ...]] = []
+
+    def walk(path: list[NodeId], seen: set[NodeId]):
+        tail = path[-1]
+        if tail == target:
+            out.append(tuple(path))
+            return
+        if len(path) - 1 >= max_hops:
+            return
+        for nbr in kg.neighbors(tail):
+            if nbr not in seen:
+                path.append(nbr)
+                seen.add(nbr)
+                walk(path, seen)
+                path.pop()
+                seen.remove(nbr)
+
+    walk([source], {source})
+    return sorted(out, key=lambda p: (len(p), p))

@@ -28,13 +28,13 @@ from claimver.parsing import (ClaimResult, PredictionLabel, RawClaim,
                               format_response, parse_response, validate_claims)
 from claimver.pipeline import run_pipeline
 from claimver.render import render_json
-from claimver.retrieval import RetrievalConfig, enumerate_paths_oracle, retrieve
+from claimver.retrieval import RetrievalConfig, retrieve
 from claimver.scoring import (ScoredClaim, ScoringConfig, claim_score,
                               kg_attribution_score, modified_sigmoid,
                               triplets_match_score)
 
 from conftest import APOLLO_NODES, APOLLO_RESPONSE, APOLLO_TEXT, APOLLO_TRIPLETS
-from graphgen import random_graph, random_seeds
+from graphgen import enumerate_paths_oracle, random_graph, random_seeds
 
 
 @contextlib.contextmanager

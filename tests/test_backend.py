@@ -1,13 +1,13 @@
 """Prompt building and the chat-completion clients."""
 
 import socket
+import time
 
 import pytest
 
 from claimver.backend import (BackendConfig, ChatBackend, MockBackend,
                               VERIFICATION_TEMPLATE, build_datagen_prompt,
-                              build_verification_prompt, complete,
-                              mock_complete, prompt_digest)
+                              build_verification_prompt, prompt_digest)
 from claimver.errors import (BackendAuthError, BackendError, PromptError,
                              UnknownPromptError)
 from claimver.kg import KgNode, Triplet, build_graph
@@ -102,7 +102,7 @@ class TestBackendConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"timeout": 0}, {"max_retries": -1}, {"temperature": -0.1},
-        {"concurrency": 0}, {"base_url": ""}, {"model": ""},
+        {"backoff_base": 0}, {"base_url": ""}, {"model": ""},
     ])
     def test_validation(self, kwargs):
         base = {"base_url": "http://x", "model": "m"}
@@ -160,6 +160,28 @@ class TestChatBackend:
         with pytest.raises(BackendError):
             ChatBackend(cfg).complete("p")
 
+    def test_429_retried_then_succeeds(self, scripted_server):
+        server = scripted_server([(429, "slow down"), (200, chat_payload("ok"))])
+        cfg = BackendConfig(base_url=server.url, model="m", backoff_base=0.01)
+        assert ChatBackend(cfg).complete("p") == "ok"
+        assert len(server.requests) == 2
+
+    def test_429_retry_after_capped_by_timeout(self, scripted_server):
+        server = scripted_server([(429, "slow down", {"Retry-After": "3600"}),
+                                  (200, chat_payload("ok"))])
+        cfg = BackendConfig(base_url=server.url, model="m", timeout=0.5)
+        started = time.monotonic()
+        assert ChatBackend(cfg).complete("p") == "ok"
+        assert time.monotonic() - started < 2.0
+        assert len(server.requests) == 2
+
+    def test_429_retries_exhausted(self, scripted_server):
+        server = scripted_server([(429, "slow down", {"Retry-After": "0"})])
+        cfg = BackendConfig(base_url=server.url, model="m", max_retries=1)
+        with pytest.raises(BackendError, match="HTTP 429"):
+            ChatBackend(cfg).complete("p")
+        assert len(server.requests) == 2
+
     def test_connection_refused_retries_then_fails(self):
         sock = socket.socket()
         sock.bind(("127.0.0.1", 0))
@@ -170,11 +192,6 @@ class TestChatBackend:
         with pytest.raises(BackendError):
             ChatBackend(cfg).complete("p")
 
-    def test_one_shot_helper(self, scripted_server):
-        server = scripted_server([(200, chat_payload("ok"))])
-        cfg = BackendConfig(base_url=server.url, model="m")
-        assert complete(cfg, "p") == "ok"
-
 
 class TestMock:
     def test_digest_stable(self):
@@ -183,15 +200,15 @@ class TestMock:
 
     def test_mock_complete_hit(self):
         table = {prompt_digest("p"): "canned"}
-        assert mock_complete(table, "p") == "canned"
+        assert MockBackend(table).complete("p") == "canned"
 
     def test_mock_complete_miss(self):
         with pytest.raises(UnknownPromptError):
-            mock_complete({prompt_digest("other"): "x"}, "p")
+            MockBackend({prompt_digest("other"): "x"}).complete("p")
 
     def test_mock_complete_empty_table(self):
         with pytest.raises(UnknownPromptError):
-            mock_complete({}, "p")
+            MockBackend({}).complete("p")
 
     def test_mock_backend_add_and_default(self):
         mock = MockBackend(default="fallback")

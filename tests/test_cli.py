@@ -116,6 +116,15 @@ class TestVerify:
         assert json.loads(captured.out)["n"] == 2
         assert "built-in embedder" in captured.err
 
+    def test_nan_embedding_is_scoring_error(self, tsv_kg_path, input_file,
+                                            scripted_server, capsys):
+        chat = scripted_server([(200, chat_payload(APOLLO_RESPONSE))])
+        embed = scripted_server([(200, {"data": [{"embedding": [float("nan"), 1.0]}]})])
+        code = main(_verify_args(tsv_kg_path, input_file, chat.url,
+                                 "--embed-url", embed.url, "--embed-model", "e"))
+        assert code == 2
+        assert "[scoring]" in capsys.readouterr().err
+
 
 class TestDatagen:
     def test_emits_jsonl(self, tsv_kg_path, tmp_path, capsys):

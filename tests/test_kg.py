@@ -90,6 +90,12 @@ class TestLookups:
         with pytest.raises(UnknownNodeError):
             apollo_kg.label_of("Q999")
 
+    def test_triplet_labels(self, apollo_kg):
+        assert apollo_kg.triplet_labels(Triplet("Q43653", "landing site", "Q405")) == (
+            "Apollo 11", "landing site", "Moon")
+        with pytest.raises(UnknownNodeError):
+            apollo_kg.triplet_labels(Triplet("Q405", "orbits", "Q999"))
+
 
 class TestLoadTsv:
     def test_roundtrip_against_programmatic_graph(self, tsv_kg_path, apollo_kg):

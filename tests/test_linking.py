@@ -1,7 +1,7 @@
 """Text helpers, entity linking, and chunking."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from claimver.kg import KgNode, Triplet, build_graph
@@ -107,13 +107,21 @@ class TestSplitSentences:
     def test_boundary_requires_capital(self):
         parts = split_sentences("One ends. Two ends? three continues. Four.")
         assert parts == ["One ends. ", "Two ends? three continues. ", "Four."]
+        assert split_sentences("Él vino. Ärger folgt.") == ["Él vino. ", "Ärger folgt."]
 
     def test_no_boundary(self):
         assert split_sentences("no terminal punctuation") == ["no terminal punctuation"]
 
-    def test_concatenation_identity(self):
-        text = "A. B! C? Done. trailing"
-        assert "".join(split_sentences(text)) == text
+    @given(st.text(alphabet=st.sampled_from("aZÉß ñÄ.?!\n\t"), max_size=60))
+    @example("A. B! C? Done. trailing")
+    @settings(max_examples=200, deadline=None)
+    def test_concatenation_identity(self, text):
+        pieces = split_sentences(text)
+        assert "".join(pieces) == text
+        assert all(pieces)
+        for before, after in zip(pieces, pieces[1:]):
+            assert before[-1].isspace() and before.rstrip()[-1] in ".?!"
+            assert after[0].isupper()
 
 
 class TestChunkText:

@@ -67,9 +67,35 @@ class TestReportModel:
                               "rationale", "ss", "epr", "tms", "claim_score",
                               "diagnostics"]
 
+    def test_missing_optional_keys_take_defaults(self, apollo_report):
+        d = json.loads(json.dumps(apollo_report.to_dict()))
+        for key in ("retrieved_paths", "config", "diagnostics"):
+            del d[key]
+        for key in ("description", "alternates"):
+            del d["entities"][0][key]
+        del d["claims"][0]["diagnostics"]
+        again = VerificationReport.from_dict(d)
+        assert again.retrieved_paths == () and again.config == {} and again.diagnostics == ()
+        assert again.entities[0].description == "" and again.entities[0].alternates == ()
+        assert again.claims[0].diagnostics == ()
+        del d["kas"]
+        with pytest.raises(KeyError):
+            VerificationReport.from_dict(d)
+
+    def test_round_trip_with_unplaced_claim_and_non_ascii(self):
+        claim = ClaimRecord(span="Ärger — 月", start=None, end=None, prediction="NoAttribution",
+                            triplets=(TripletRecord("a", "É", "p", "b", "ß"),), rationale="",
+                            ss=0.0, epr=0.0, tms=0.0, claim_score=0, diagnostics=("x",))
+        report = VerificationReport(input_text="Ärger — 月", entities=(), retrieved_triplets=(),
+                                    claims=(claim,), n=1, kas=0.5)
+        assert list(report.to_dict()["claims"][0]["triplets"][0]) == [
+            "s_id", "s_label", "p", "o_id", "o_label"]
+        out = render_json(report)
+        assert '"start": null' in out and "Ärger — 月" in out
+        assert VerificationReport.from_dict(json.loads(out)) == report
+
     def test_paths_carry_labels(self, apollo_report):
         path = apollo_report.retrieved_paths[0]
-        assert path.endpoints == (path.nodes[0], path.nodes[-1])
         assert all(e.s_label and e.o_label for e in path.edges)
 
 

@@ -7,10 +7,9 @@ import pytest
 
 from claimver.errors import UnknownNodeError
 from claimver.kg import KgNode, Triplet, build_graph
-from claimver.retrieval import (KgPath, RetrievalConfig, RetrievedTriplets,
-                                enumerate_paths_oracle, retrieve)
+from claimver.retrieval import KgPath, RetrievalConfig, RetrievedTriplets, retrieve
 
-from graphgen import random_graph, random_seeds
+from graphgen import enumerate_paths_oracle, random_graph, random_seeds
 
 
 class TestConfig:

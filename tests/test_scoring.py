@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from claimver.errors import BackendError
+from claimver.errors import BackendError, ClaimverError
 from claimver.kg import Triplet
 from claimver.linking import link_entities
 from claimver.parsing import ClaimResult, PredictionLabel, RawClaim, validate_claims
@@ -130,6 +130,46 @@ class TestSemanticSimilarity:
         assert cosine([1, 0], [0, 1]) == 0.0
         assert cosine([1, 1], [1, 1]) == pytest.approx(1.0)
         assert cosine([0, 0], [1, 1]) == 0.0
+
+    def test_cosine_outside_float_range_of_products(self):
+        assert cosine([1e200, 1e200], [1e200, 1e200]) == pytest.approx(1.0)
+        assert cosine([1e-200, 0.0], [1e-200, 1e-200]) == pytest.approx(0.5 ** 0.5)
+        assert cosine([1e300, -1e300], [1e300, 1e300]) == pytest.approx(0.0)
+
+    @pytest.mark.parametrize("a, b", [
+        ([float("nan"), 1.0], [1.0, 1.0]),
+        ([1.0, 1.0], [float("inf"), 1.0]),
+        ([1.0, 2.0], [1.0, 2.0, 3.0]),
+        ([], []),
+        ([[1.0, 2.0]], [[1.0, 2.0]]),
+        (1.0, 1.0),
+        (["x"], ["y"]),
+    ])
+    def test_bad_embeddings_rejected(self, a, b):
+        vectors = {"a": a, "b": b}
+
+        class Fixed:
+            def embed(self, text):
+                return vectors[text]
+        with pytest.raises(ClaimverError):
+            semantic_similarity(Fixed(), "a", "b")
+
+    @given(st.lists(st.floats(width=64), max_size=6), st.lists(st.floats(width=64), max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_in_unit_interval_or_rejected(self, a, b):
+        vectors = {"a": np.array(a, dtype=np.float64), "b": np.array(b, dtype=np.float64)}
+
+        class Fixed:
+            def embed(self, text):
+                return vectors[text]
+        try:
+            value = semantic_similarity(Fixed(), "a", "b")
+        except ClaimverError:
+            assert len(a) != len(b) or not a or not np.isfinite(a + b).all()
+            return
+        assert 0.0 <= value <= 1.0
+        if a == b and any(a):
+            assert value == pytest.approx(1.0)
 
 
 class TestTripletsMatchScore:
@@ -276,6 +316,11 @@ class TestHttpEmbedder:
 
     def test_malformed_body(self, scripted_server):
         server = scripted_server([(200, {"data": []})])
+        with pytest.raises(BackendError):
+            HttpEmbedder(server.url, "m", api_key="").embed("hello")
+
+    def test_non_numeric_embedding(self, scripted_server):
+        server = scripted_server([(200, {"data": [{"embedding": ["a", "b"]}]})])
         with pytest.raises(BackendError):
             HttpEmbedder(server.url, "m", api_key="").embed("hello")
 
