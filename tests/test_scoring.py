@@ -101,6 +101,16 @@ class TestHashedBagEmbedder:
             HashedBagEmbedder(dim=0)
 
 
+class _FixedEmbedder:
+    """Returns the vector stored under the text."""
+
+    def __init__(self, **vectors):
+        self.vectors = vectors
+
+    def embed(self, text):
+        return self.vectors[text]
+
+
 class TestSemanticSimilarity:
     def test_identical_strings(self):
         e = HashedBagEmbedder()
@@ -146,24 +156,15 @@ class TestSemanticSimilarity:
         (["x"], ["y"]),
     ])
     def test_bad_embeddings_rejected(self, a, b):
-        vectors = {"a": a, "b": b}
-
-        class Fixed:
-            def embed(self, text):
-                return vectors[text]
         with pytest.raises(ClaimverError):
-            semantic_similarity(Fixed(), "a", "b")
+            semantic_similarity(_FixedEmbedder(a=a, b=b), "a", "b")
 
     @given(st.lists(st.floats(width=64), max_size=6), st.lists(st.floats(width=64), max_size=6))
     @settings(max_examples=300, deadline=None)
     def test_in_unit_interval_or_rejected(self, a, b):
-        vectors = {"a": np.array(a, dtype=np.float64), "b": np.array(b, dtype=np.float64)}
-
-        class Fixed:
-            def embed(self, text):
-                return vectors[text]
+        embedder = _FixedEmbedder(a=np.array(a, dtype=np.float64), b=np.array(b, dtype=np.float64))
         try:
-            value = semantic_similarity(Fixed(), "a", "b")
+            value = semantic_similarity(embedder, "a", "b")
         except ClaimverError:
             assert len(a) != len(b) or not a or not np.isfinite(a + b).all()
             return
