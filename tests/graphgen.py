@@ -1,10 +1,11 @@
-"""Random graph generation and the exhaustive path oracle for cross-checking
-retrieval."""
+"""Random graph generation, the exhaustive path oracle for cross-checking
+retrieval, and brute-force oracles for the graph store's lookups."""
 
 import random
+from typing import Optional
 
 from claimver.errors import UnknownNodeError
-from claimver.kg import KgNode, KnowledgeGraph, NodeId, Triplet, build_graph
+from claimver.kg import KgNode, KnowledgeGraph, NodeId, Triplet, build_graph, triplet_key
 
 PREDICATES = ("rel_a", "rel_b", "rel_c")
 
@@ -63,3 +64,22 @@ def enumerate_paths_oracle(kg: KnowledgeGraph, source: NodeId, target: NodeId,
 
     walk([source], {source})
     return sorted(out, key=lambda p: (len(p), p))
+
+
+def neighbors_oracle(kg: KnowledgeGraph, node: NodeId) -> tuple[NodeId, ...]:
+    """Sorted distinct other endpoints of the edges touching node, by a scan of
+    every edge; a self-loop makes the node its own neighbor."""
+    return tuple(sorted({t.object if t.subject == node else t.subject
+                         for t in kg.edges if node in (t.subject, t.object)}))
+
+
+def edge_between_oracle(kg: KnowledgeGraph, a: NodeId, b: NodeId) -> Optional[Triplet]:
+    """First edge in file order joining a and b in either direction, or None."""
+    return next((t for t in kg.edges if (t.subject, t.object) in ((a, b), (b, a))), None)
+
+
+def contains_triplet_oracle(kg: KnowledgeGraph, subject_label: str, predicate: str,
+                            object_label: str) -> Optional[Triplet]:
+    """First edge in file order whose normalized labels match the candidate."""
+    key = triplet_key(subject_label, predicate, object_label)
+    return next((t for t in kg.edges if triplet_key(*kg.triplet_labels(t)) == key), None)

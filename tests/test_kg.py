@@ -1,9 +1,28 @@
 """Knowledge-graph store: construction, indexing, loading, error reporting."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from claimver.errors import KgLoadError, UnknownNodeError
 from claimver.kg import KgNode, Triplet, build_graph, load_kg
+
+from graphgen import contains_triplet_oracle, edge_between_oracle, neighbors_oracle
+
+# Labels and predicates that collide after normalization, so the triplet
+# index sees several edges under one key.
+_LABELS = ("Alpha", "alpha", " ALPHA", "Beta", "beta  two", "Beta Two", "gamma")
+_PREDICATES = ("rel", "REL", " rel ", "rel a", "Rel  A", "other")
+
+
+@st.composite
+def small_graphs(draw):
+    nodes = [KgNode(f"N{i}", draw(st.sampled_from(_LABELS)))
+             for i in range(draw(st.integers(1, 8)))]
+    ids = st.sampled_from([n.id for n in nodes])
+    triplets = draw(st.lists(st.builds(Triplet, ids, st.sampled_from(_PREDICATES), ids),
+                             max_size=30))
+    return build_graph(nodes, triplets)
 
 
 class TestNodeAndTriplet:
@@ -95,6 +114,25 @@ class TestLookups:
             "Apollo 11", "landing site", "Moon")
         with pytest.raises(UnknownNodeError):
             apollo_kg.triplet_labels(Triplet("Q405", "orbits", "Q999"))
+
+
+class TestStoreAgainstOracle:
+    @given(small_graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_lookups_match_brute_force(self, kg):
+        for a in kg.nodes:
+            assert kg.neighbors(a) == neighbors_oracle(kg, a)
+            for b in kg.nodes:
+                expected = edge_between_oracle(kg, a, b)
+                if expected is None:
+                    with pytest.raises(KeyError):
+                        kg.edge_between(a, b)
+                else:
+                    assert kg.edge_between(a, b) == expected
+        for t in kg.edges:
+            labels = kg.triplet_labels(t)
+            assert kg.contains_triplet(*labels) is not None
+            assert kg.contains_triplet(*labels) == contains_triplet_oracle(kg, *labels)
 
 
 class TestLoadTsv:
