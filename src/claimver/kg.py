@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import json
 import logging
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional
+from sys import intern
+from typing import Iterable, Iterator, Optional, Union
 
 from .errors import KgLoadError, UnknownNodeError
 from .text import format_triplet, normalize
@@ -68,37 +70,34 @@ class KnowledgeGraph:
         self.edges = edges
         self.load_report = load_report
 
-        adjacency: dict[NodeId, list[tuple[NodeId, int]]] = {nid: [] for nid in nodes}
-        pair_edge: dict[tuple[NodeId, NodeId], int] = {}
-        for idx, t in enumerate(edges):
-            adjacency[t.subject].append((t.object, idx))
-            if t.object != t.subject:
-                adjacency[t.object].append((t.subject, idx))
-            pair_edge.setdefault((t.subject, t.object), idx)
-            pair_edge.setdefault((t.object, t.subject), idx)
-        self.adjacency: dict[NodeId, tuple[tuple[NodeId, int], ...]] = {
-            nid: tuple(entries) for nid, entries in adjacency.items()
-        }
-        self._pair_edge = pair_edge
-        self._neighbor_sets: dict[NodeId, tuple[NodeId, ...]] = {
-            nid: tuple(sorted({nbr for nbr, _ in entries}))
-            for nid, entries in self.adjacency.items()
-        }
+        first_edge: dict[NodeId, dict[NodeId, Triplet]] = {nid: {} for nid in nodes}
+        for t in edges:
+            first_edge[t.subject].setdefault(t.object, t)
+            first_edge[t.object].setdefault(t.subject, t)
+        # node -> (sorted distinct neighbors, first edge in file order to each)
+        self._adjacency: dict[NodeId, tuple[tuple[NodeId, ...], tuple[Triplet, ...]]] = {}
+        for nid, to in first_edge.items():
+            nbrs = tuple(sorted(to))
+            self._adjacency[nid] = nbrs, tuple(map(to.__getitem__, nbrs))
 
+        norm_labels = {nid: normalize(node.label) for nid, node in nodes.items()}
         label_index: dict[str, set[NodeId]] = {}
-        for node in nodes.values():
-            for surface in (node.label, *node.aliases):
-                key = normalize(surface)
+        for nid, node in nodes.items():
+            for key in (norm_labels[nid], *map(normalize, node.aliases)):
                 if key:
-                    label_index.setdefault(key, set()).add(node.id)
+                    label_index.setdefault(key, set()).add(nid)
         self.label_index: dict[str, tuple[NodeId, ...]] = {
             key: tuple(sorted(ids)) for key, ids in sorted(label_index.items())
         }
         self.max_label_tokens = max((len(k.split()) for k in self.label_index), default=0)
 
+        # Keyed as triplet_key(*self.triplet_labels(t)), normalizing each label
+        # and each distinct predicate once.
+        norm_predicates = {p: normalize(p) for p in {t.predicate for t in edges}}
         triplet_index: dict[tuple[str, str, str], Triplet] = {}
         for t in edges:
-            triplet_index.setdefault(triplet_key(*self.triplet_labels(t)), t)
+            key = norm_labels[t.subject], norm_predicates[t.predicate], norm_labels[t.object]
+            triplet_index.setdefault(key, t)
         self._triplet_index = triplet_index
 
     def __contains__(self, node_id: NodeId) -> bool:
@@ -116,16 +115,18 @@ class KnowledgeGraph:
 
     def neighbors(self, node_id: NodeId) -> tuple[NodeId, ...]:
         """Sorted distinct neighbors of a node, both edge directions."""
-        if node_id not in self.nodes:
-            raise UnknownNodeError(node_id)
-        return self._neighbor_sets[node_id]
+        try:
+            return self._adjacency[node_id][0]
+        except KeyError:
+            raise UnknownNodeError(node_id) from None
 
     def edge_between(self, a: NodeId, b: NodeId) -> Triplet:
         """Canonical stored edge joining two adjacent nodes (first in file order)."""
-        idx = self._pair_edge.get((a, b))
-        if idx is None:
+        nbrs, edges = self._adjacency.get(a, ((), ()))
+        i = bisect_left(nbrs, b)
+        if i == len(nbrs) or nbrs[i] != b:
             raise KeyError(f"no edge between {a!r} and {b!r}")
-        return self.edges[idx]
+        return edges[i]
 
     def lookup_by_label(self, surface: str) -> list[NodeId]:
         """All node ids whose label or alias equals the normalized surface."""
@@ -163,20 +164,20 @@ def build_graph(nodes: Iterable[KgNode], triplets: Iterable[Triplet],
     return KnowledgeGraph(node_map, tuple(kept), tuple(report))
 
 
-def _sidecar_path(path: Path) -> Optional[Path]:
-    candidate = path.with_name(f"{path.stem}.nodes{path.suffix}")
-    return candidate if candidate.is_file() else None
+# A row decoder's output: (line number, the row's fields or the message
+# that rejects the row).
+_Rows = Iterator[tuple[int, Union[tuple, str]]]
 
 
 class _SnapshotReader:
-    """Accumulates rows from a snapshot plus optional node file."""
+    """Accumulates decoded rows from a snapshot plus optional node file."""
 
     def __init__(self):
         self.labels: dict[NodeId, str] = {}
         self.descriptions: dict[NodeId, str] = {}
         self.aliases: dict[NodeId, list[str]] = {}
         self.first_ref: dict[NodeId, int] = {}
-        self.edge_rows: list[tuple[int, NodeId, str, NodeId]] = []
+        self.triplets: list[Triplet] = []
         self.errors: list[str] = []
         self.report: list[str] = []
 
@@ -184,10 +185,8 @@ class _SnapshotReader:
         self.first_ref.setdefault(node_id, line)
         if not label:
             return
-        known = self.labels.get(node_id)
-        if known is None:
-            self.labels[node_id] = label
-        elif normalize(known) != normalize(label):
+        known = self.labels.setdefault(node_id, label)
+        if known != label and normalize(known) != normalize(label):
             self.report.append(
                 f"line {line}: conflicting label {label!r} for {node_id!r}; kept {known!r}")
 
@@ -200,6 +199,39 @@ class _SnapshotReader:
             if alias and key not in seen:
                 bucket.append(alias)
                 seen.add(key)
+
+    def read_edges(self, rows: _Rows):
+        """Rows of (s_id, s_label, predicate, o_id, o_label)."""
+        for line_no, row in rows:
+            if isinstance(row, str):
+                self.errors.append(f"line {line_no}: {row}")
+                continue
+            s_id, s_label, pred, o_id, o_label = row
+            self.offer_label(s_id, s_label, line_no)
+            self.offer_label(o_id, o_label, line_no)
+            self.triplets.append(Triplet(s_id, pred, o_id))
+
+    def read_nodes(self, rows: _Rows):
+        """Rows of (id, label, description, aliases); a label of None means
+        the row may only describe a node the snapshot already references."""
+        for line_no, row in rows:
+            if isinstance(row, str):
+                self.errors.append(f"line {line_no} (node file): {row}")
+                continue
+            node_id, label, description, aliases = row
+            if not node_id:
+                self.errors.append(f"line {line_no} (node file): empty node id")
+                continue
+            if label is not None:
+                self.offer_label(node_id, label, line_no)
+            elif node_id not in self.first_ref:
+                self.errors.append(
+                    f"line {line_no} (node file): unknown node id {node_id!r}")
+                continue
+            if description:
+                self.descriptions.setdefault(node_id, description)
+            if aliases:
+                self.add_aliases(node_id, aliases)
 
     def finish(self, lenient: bool) -> KnowledgeGraph:
         dangling = {nid for nid in self.first_ref if nid not in self.labels}
@@ -217,97 +249,61 @@ class _SnapshotReader:
                    aliases=tuple(self.aliases.get(nid, ())))
             for nid, label in self.labels.items()
         ]
-        triplets = [
-            Triplet(s, p, o)
-            for _, s, p, o in self.edge_rows
-            if s not in dangling and o not in dangling
-        ]
+        triplets = [t for t in self.triplets
+                    if t.subject not in dangling and t.object not in dangling]
         return build_graph(nodes, triplets, self.report)
 
 
-def _read_tsv(reader: _SnapshotReader, path: Path):
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+def _tsv_rows(text: str, node_file: bool) -> _Rows:
+    for line_no, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         cols = line.split("\t")
-        if len(cols) != 5:
-            reader.errors.append(f"line {line_no}: expected 5 tab-separated columns, got {len(cols)}")
-            continue
-        s_id, s_label, pred, o_id, o_label = (c.strip() for c in cols)
-        if not s_id or not pred or not o_id:
-            reader.errors.append(f"line {line_no}: empty subject id, predicate, or object id")
-            continue
-        reader.offer_label(s_id, s_label, line_no)
-        reader.offer_label(o_id, o_label, line_no)
-        reader.edge_rows.append((line_no, s_id, pred, o_id))
+        if node_file:
+            if len(cols) not in (2, 3):
+                yield line_no, f"expected 2 or 3 tab-separated columns, got {len(cols)}"
+                continue
+            aliases = cols[2].split("|") if len(cols) == 3 else ()
+            yield line_no, (intern(cols[0].strip()), None, cols[1].strip(), aliases)
+        elif len(cols) != 5:
+            yield line_no, f"expected 5 tab-separated columns, got {len(cols)}"
+        else:
+            s_id, s_label, pred, o_id, o_label = map(str.strip, cols)
+            if not s_id or not pred or not o_id:
+                yield line_no, "empty subject id, predicate, or object id"
+            else:
+                yield line_no, (intern(s_id), s_label, intern(pred), intern(o_id), o_label)
 
 
-def _read_tsv_nodes(reader: _SnapshotReader, path: Path):
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        cols = line.split("\t")
-        if len(cols) not in (2, 3):
-            reader.errors.append(
-                f"line {line_no} (node file): expected 2 or 3 tab-separated columns, got {len(cols)}")
-            continue
-        node_id = cols[0].strip()
-        if not node_id:
-            reader.errors.append(f"line {line_no} (node file): empty node id")
-            continue
-        if node_id not in reader.first_ref:
-            reader.errors.append(
-                f"line {line_no} (node file): unknown node id {node_id!r}")
-            continue
-        if cols[1].strip():
-            reader.descriptions.setdefault(node_id, cols[1].strip())
-        if len(cols) == 3 and cols[2].strip():
-            reader.add_aliases(node_id, cols[2].split("|"))
+def _text(row: dict, key: str) -> str:
+    value = row.get(key)
+    return "" if value is None else str(value).strip()
 
 
-def _read_jsonl(reader: _SnapshotReader, path: Path):
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+def _jsonl_rows(text: str, node_file: bool) -> _Rows:
+    for line_no, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         try:
             row = json.loads(line)
         except json.JSONDecodeError as exc:
-            reader.errors.append(f"line {line_no}: invalid JSON ({exc.msg})")
+            yield line_no, f"invalid JSON ({exc.msg})"
             continue
         if not isinstance(row, dict):
-            reader.errors.append(f"line {line_no}: expected a JSON object")
-            continue
-        s_id = str(row.get("s_id", "")).strip()
-        o_id = str(row.get("o_id", "")).strip()
-        pred = str(row.get("p", "")).strip()
-        if not s_id or not pred or not o_id:
-            reader.errors.append(f"line {line_no}: missing s_id, p, or o_id")
-            continue
-        reader.offer_label(s_id, str(row.get("s_label", "")).strip(), line_no)
-        reader.offer_label(o_id, str(row.get("o_label", "")).strip(), line_no)
-        reader.edge_rows.append((line_no, s_id, pred, o_id))
-
-
-def _read_jsonl_nodes(reader: _SnapshotReader, path: Path):
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError as exc:
-            reader.errors.append(f"line {line_no} (node file): invalid JSON ({exc.msg})")
-            continue
-        node_id = str(row.get("id", "")).strip()
-        label = str(row.get("label", "")).strip()
-        if not node_id:
-            reader.errors.append(f"line {line_no} (node file): empty node id")
-            continue
-        reader.offer_label(node_id, label, line_no)
-        if str(row.get("description", "")).strip():
-            reader.descriptions.setdefault(node_id, str(row["description"]).strip())
-        aliases = row.get("aliases", ())
-        if isinstance(aliases, (list, tuple)):
-            reader.add_aliases(node_id, (str(a) for a in aliases))
+            yield line_no, "expected a JSON object"
+        elif node_file:
+            aliases = row.get("aliases")
+            aliases = ([str(a) for a in aliases if a is not None]
+                       if isinstance(aliases, list) else ())
+            yield line_no, (intern(_text(row, "id")), _text(row, "label"),
+                            _text(row, "description"), aliases)
+        else:
+            s_id, s_label, pred, o_id, o_label = (
+                _text(row, k) for k in ("s_id", "s_label", "p", "o_id", "o_label"))
+            if not s_id or not pred or not o_id:
+                yield line_no, "missing s_id, p, or o_id"
+            else:
+                yield line_no, (intern(s_id), s_label, intern(pred), intern(o_id), o_label)
 
 
 def load_kg(path: str | Path, format: str = "tsv", *,
@@ -318,9 +314,13 @@ def load_kg(path: str | Path, format: str = "tsv", *,
       tsv   - one triplet per line: subject_id, subject_label, predicate,
               object_id, object_label (tab separated). Optional companion file
               "<stem>.nodes.tsv" (or nodes_path): node_id, description,
-              alias1|alias2|...
+              alias1|alias2|... Such a row carries no label, so its id must
+              occur in the snapshot.
       jsonl - one object per line with keys s_id, s_label, p, o_id, o_label.
-              Optional node file rows: id, label, description, aliases.
+              Optional node file objects: id, label, description, aliases.
+              These carry a label, so they may add nodes. A JSON null counts
+              as absent: a null id or predicate rejects the row, a null label
+              or description is empty, and a null alias is skipped.
 
     Rejected rows are reported with their line numbers; by default any rejected
     row fails the load (KgLoadError). With lenient=True they are skipped and
@@ -332,20 +332,16 @@ def load_kg(path: str | Path, format: str = "tsv", *,
     if format not in ("tsv", "jsonl"):
         raise ValueError(f"unknown format {format!r} (expected 'tsv' or 'jsonl')")
 
+    decode = _tsv_rows if format == "tsv" else _jsonl_rows
     reader = _SnapshotReader()
-    if format == "tsv":
-        _read_tsv(reader, path)
-    else:
-        _read_jsonl(reader, path)
+    reader.read_edges(decode(path.read_text(encoding="utf-8"), node_file=False))
 
-    sidecar = Path(nodes_path) if nodes_path else _sidecar_path(path)
-    if nodes_path and not sidecar.is_file():
+    sidecar = (Path(nodes_path) if nodes_path
+               else path.with_name(f"{path.stem}.nodes{path.suffix}"))
+    if sidecar.is_file():
+        reader.read_nodes(decode(sidecar.read_text(encoding="utf-8"), node_file=True))
+    elif nodes_path:
         raise KgLoadError([f"no such node file: {sidecar}"])
-    if sidecar:
-        if format == "tsv":
-            _read_tsv_nodes(reader, sidecar)
-        else:
-            _read_jsonl_nodes(reader, sidecar)
 
     graph = reader.finish(lenient)
     logger.debug("loaded %d nodes, %d edges from %s", len(graph.nodes), len(graph.edges), path)

@@ -76,6 +76,14 @@ class TestVerify:
         bad.write_text("only\ttwo\n", encoding="utf-8")
         assert main(_verify_args(str(bad), input_file, "http://x")) == 2
 
+    def test_non_object_node_row_exit_2(self, tmp_path, input_file, capsys):
+        kg = tmp_path / "kg.jsonl"
+        kg.write_text('{"s_id": "A", "s_label": "a", "p": "r", "o_id": "B", "o_label": "b"}\n',
+                      encoding="utf-8")
+        (tmp_path / "kg.nodes.jsonl").write_text("[1, 2]\n", encoding="utf-8")
+        assert main(_verify_args(str(kg), input_file, "http://x", "--kg-format", "jsonl")) == 2
+        assert capsys.readouterr().err == "error: line 1 (node file): expected a JSON object\n"
+
     def test_backend_auth_failure_exit_3(self, tsv_kg_path, input_file, scripted_server):
         server = scripted_server([(401, "denied")])
         assert main(_verify_args(tsv_kg_path, input_file, server.url)) == 3

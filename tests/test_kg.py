@@ -1,5 +1,7 @@
 """Knowledge-graph store: construction, indexing, loading, error reporting."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -62,10 +64,11 @@ class TestBuildGraph:
         assert any("self-loop" in line for line in g.load_report)
 
     def test_edges_indexed_under_both_endpoints(self, apollo_kg):
-        for idx, t in enumerate(apollo_kg.edges):
-            assert (t.object, idx) in apollo_kg.adjacency[t.subject]
-            if t.subject != t.object:
-                assert (t.subject, idx) in apollo_kg.adjacency[t.object]
+        for t in apollo_kg.edges:
+            assert t.object in apollo_kg.neighbors(t.subject)
+            assert t.subject in apollo_kg.neighbors(t.object)
+            assert apollo_kg.edge_between(t.subject, t.object) == t
+            assert apollo_kg.edge_between(t.object, t.subject) == t
 
 
 class TestLookups:
@@ -250,6 +253,47 @@ class TestLoadJsonl:
         with pytest.raises(KgLoadError):
             load_kg(path, "jsonl", nodes_path=tmp_path / "gone.jsonl")
 
+    def test_non_object_node_row_rejected(self, tmp_path):
+        path = tmp_path / "kg.jsonl"
+        path.write_text('{"s_id": "A", "s_label": "a", "p": "r", "o_id": "B", "o_label": "b"}\n',
+                        encoding="utf-8")
+        (tmp_path / "kg.nodes.jsonl").write_text(
+            '[1, 2]\n{"id": "A", "description": "first"}\n"A"\n', encoding="utf-8")
+        errors = ["line 1 (node file): expected a JSON object",
+                  "line 3 (node file): expected a JSON object"]
+        with pytest.raises(KgLoadError) as err:
+            load_kg(path, "jsonl")
+        assert err.value.errors == errors
+        g = load_kg(path, "jsonl", lenient=True)
+        assert g.load_report == tuple(f"skipped: {e}" for e in errors)
+        assert g.nodes["A"].description == "first"
+
+    def test_null_is_absent(self, tmp_path):
+        path = tmp_path / "kg.jsonl"
+        rows = [
+            {"s_id": None, "s_label": "x", "p": "r", "o_id": "B", "o_label": "b"},
+            {"s_id": "A", "s_label": "a", "p": None, "o_id": "B", "o_label": "b"},
+            {"s_id": "A", "s_label": "a", "p": "r", "o_id": None, "o_label": "b"},
+            {"s_id": "A", "s_label": None, "p": "r", "o_id": "B", "o_label": None},
+            {"s_id": "A", "s_label": "Alpha", "p": "r", "o_id": "B", "o_label": "Beta"},
+        ]
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        (tmp_path / "kg.nodes.jsonl").write_text(
+            '{"id": null, "label": "x"}\n'
+            '{"id": "A", "label": null, "description": null, "aliases": [null, "Al", null]}\n',
+            encoding="utf-8")
+        with pytest.raises(KgLoadError) as err:
+            load_kg(path, "jsonl")
+        assert err.value.errors == [f"line {n}: missing s_id, p, or o_id" for n in (1, 2, 3)] + [
+            "line 1 (node file): empty node id"]
+        g = load_kg(path, "jsonl", lenient=True)
+        assert set(g.nodes) == {"A", "B"}
+        assert (g.nodes["A"].label, g.nodes["B"].label) == ("Alpha", "Beta")
+        assert g.nodes["A"].description == ""
+        assert g.nodes["A"].aliases == ("Al",)
+        assert g.lookup_by_label("none") == []
+        assert not any("conflicting" in line for line in g.load_report)
+
 
 class TestDeterminism:
     def test_same_input_same_graph(self, tsv_kg_path):
@@ -258,4 +302,7 @@ class TestDeterminism:
         assert list(a.nodes) == list(b.nodes)
         assert a.edges == b.edges
         assert a.label_index == b.label_index
-        assert a.adjacency == b.adjacency
+        for nid in a.nodes:
+            assert a.neighbors(nid) == b.neighbors(nid)
+            assert ([a.edge_between(nid, m) for m in a.neighbors(nid)]
+                    == [b.edge_between(nid, m) for m in b.neighbors(nid)])

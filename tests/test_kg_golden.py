@@ -175,10 +175,6 @@ def golden_outcomes() -> dict:
     return out
 
 
-def _dump(outcomes: dict) -> str:
-    return json.dumps(outcomes, ensure_ascii=False, indent=1) + "\n"
-
-
 @pytest.fixture(scope="module")
 def outcomes() -> dict:
     return golden_outcomes()
@@ -190,9 +186,6 @@ def test_load_outcome(outcomes, name):
     assert outcomes[name] == expected[name]
 
 
-def test_golden_file_bytes(outcomes):
-    assert _dump(outcomes) == GOLDEN.read_text(encoding="utf-8")
-
-
 if __name__ == "__main__":
-    GOLDEN.write_text(_dump(golden_outcomes()), encoding="utf-8")
+    GOLDEN.write_text(json.dumps(golden_outcomes(), ensure_ascii=False, indent=1) + "\n",
+                      encoding="utf-8")
