@@ -7,7 +7,7 @@ import logging
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
 import requests
 
@@ -224,7 +224,7 @@ def _default_api_key() -> str:
 
 @dataclass(frozen=True)
 class BackendConfig:
-    """Connection settings for a chat-completion endpoint."""
+    """Connection settings for a chat-completion or embeddings endpoint."""
 
     base_url: str
     model: str
@@ -258,28 +258,27 @@ def _retry_after(resp: requests.Response, cap: float) -> float | None:
     return min(seconds, cap) if seconds >= 0 else None
 
 
-class ChatBackend:
-    """Thread-safe client for a chat-completion endpoint.
+class _EndpointClient:
+    """Thread-safe JSON POST client for an endpoint; _kind names its requests
+    in log lines and errors.
 
     The client does not cap concurrent requests itself; run_pipeline bounds
     them with its chunk worker pool (pipeline._PARALLEL_CHUNKS). 5xx, 429
     and timeouts are retried with exponential backoff, or after a 429's
-    numeric Retry-After (at most config.timeout); other 4xx never.
+    numeric Retry-After (at most config.timeout); 401/403 raise
+    BackendAuthError, other 4xx BackendError.
     """
+
+    _kind = "request"
 
     def __init__(self, config: BackendConfig):
         self.config = config
         self._session = requests.Session()
 
-    def complete(self, prompt: PromptBundle | str) -> str:
-        text = prompt.text if isinstance(prompt, PromptBundle) else prompt
+    def _post(self, path: str, body: dict) -> Any:
+        """The decoded JSON body of a 200 response to POST {base_url}{path}."""
         cfg = self.config
-        url = cfg.base_url.rstrip("/") + "/chat/completions"
-        body = {
-            "model": cfg.model,
-            "temperature": cfg.temperature,
-            "messages": [{"role": "user", "content": text}],
-        }
+        url = cfg.base_url.rstrip("/") + path
         headers = {}
         if cfg.api_key:
             headers["Authorization"] = f"Bearer {cfg.api_key}"
@@ -294,11 +293,11 @@ class ChatBackend:
                                           timeout=cfg.timeout)
             except requests.Timeout:
                 last_error = "request timed out"
-                logger.warning("completion attempt %d timed out", attempt + 1)
+                logger.warning("%s attempt %d timed out", self._kind, attempt + 1)
                 continue
             except requests.RequestException as exc:
                 last_error = f"connection failed: {exc}"
-                logger.warning("completion attempt %d failed: %s", attempt + 1, exc)
+                logger.warning("%s attempt %d failed: %s", self._kind, attempt + 1, exc)
                 continue
             if resp.status_code in (401, 403):
                 raise BackendAuthError(f"endpoint rejected credentials (HTTP {resp.status_code})")
@@ -308,21 +307,36 @@ class ChatBackend:
                 raise BackendError(f"request rejected (HTTP {resp.status_code}): {resp.text[:200]}")
             if resp.status_code != 200:
                 last_error = f"HTTP {resp.status_code}"
-                logger.warning("completion attempt %d got HTTP %d", attempt + 1, resp.status_code)
+                logger.warning("%s attempt %d got HTTP %d", self._kind, attempt + 1,
+                               resp.status_code)
                 continue
-            return _extract_content(resp)
-        raise BackendError(f"completion failed after {cfg.max_retries + 1} attempts: {last_error}")
+            try:
+                return resp.json()
+            except ValueError as exc:
+                raise BackendError(f"malformed endpoint response: {exc}") from exc
+        raise BackendError(
+            f"{self._kind} failed after {cfg.max_retries + 1} attempts: {last_error}")
 
 
-def _extract_content(resp: requests.Response) -> str:
-    try:
-        payload = resp.json()
-        content = payload["choices"][0]["message"]["content"]
-    except (ValueError, KeyError, IndexError, TypeError) as exc:
-        raise BackendError(f"malformed endpoint response: {exc}") from exc
-    if not isinstance(content, str):
-        raise BackendError("malformed endpoint response: content is not a string")
-    return content
+class ChatBackend(_EndpointClient):
+    """Client for a chat-completion endpoint (POST {base_url}/chat/completions)."""
+
+    _kind = "completion"
+
+    def complete(self, prompt: PromptBundle | str) -> str:
+        text = prompt.text if isinstance(prompt, PromptBundle) else prompt
+        payload = self._post("/chat/completions", {
+            "model": self.config.model,
+            "temperature": self.config.temperature,
+            "messages": [{"role": "user", "content": text}],
+        })
+        try:
+            content = payload["choices"][0]["message"]["content"]
+        except (KeyError, IndexError, TypeError) as exc:
+            raise BackendError(f"malformed endpoint response: {exc}") from exc
+        if not isinstance(content, str):
+            raise BackendError("malformed endpoint response: content is not a string")
+        return content
 
 
 def prompt_digest(prompt: PromptBundle | str) -> str:

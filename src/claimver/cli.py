@@ -10,15 +10,14 @@ Exit codes: 0 success, 2 input or configuration error, 3 backend failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import sys
-from pathlib import Path
 from typing import Optional
 
 from .backend import BackendConfig
-from .errors import (BackendAuthError, BackendError, KgLoadError, PipelineError,
-                     ResponseParseError)
+from .errors import KgLoadError, PipelineError
 from .kg import load_kg
 from .pipeline import iter_datagen_records, run_pipeline
 from .render import render
@@ -30,17 +29,18 @@ logger = logging.getLogger(__name__)
 _STAGE_EXIT = {"llm-backend": 3, "response-parser": 4}
 
 
-def _read_input(source: str) -> str:
-    if source == "-":
-        return sys.stdin.read()
-    return Path(source).read_text(encoding="utf-8")
+def _open_text(path: Optional[str], mode: str):
+    """The UTF-8 text file at path; stdin for input "-", stdout for no output."""
+    if path == "-" and mode == "r":
+        return contextlib.nullcontext(sys.stdin)
+    if path is None:
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, mode, encoding="utf-8")
 
 
-def _write_output(text: str, out: Optional[str]):
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+def _require_pair(url: Optional[str], model: Optional[str], flags: str):
+    if bool(url) != bool(model):
+        raise ValueError(f"{flags} must be given together")
 
 
 def _add_kg_flags(p: argparse.ArgumentParser):
@@ -69,7 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--backend-url", required=True, help="chat completion endpoint base URL")
     v.add_argument("--model", required=True, help="model name sent to the endpoint")
     v.add_argument("--embed-url", default=None, help="optional embeddings endpoint base URL")
-    v.add_argument("--embed-model", default="", help="model name for the embeddings endpoint")
+    v.add_argument("--embed-model", default=None,
+                   help="model name for the embeddings endpoint (required with --embed-url)")
     v.add_argument("--alpha", type=float, default=0.5)
     v.add_argument("--beta", type=float, default=0.5)
     v.add_argument("--gamma", type=float, default=3.0,
@@ -95,13 +96,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    _require_pair(args.embed_url, args.embed_model, "--embed-url and --embed-model")
     kg = load_kg(args.kg, args.kg_format, nodes_path=args.kg_nodes, lenient=args.lenient)
-    text = _read_input(args.input)
+    with _open_text(args.input, "r") as source:
+        text = source.read()
 
     backend = BackendConfig(base_url=args.backend_url, model=args.model)
     embedder = None
     if args.embed_url:
-        embedder = FallbackEmbedder(HttpEmbedder(args.embed_url, args.embed_model))
+        embedder = FallbackEmbedder(HttpEmbedder(
+            BackendConfig(base_url=args.embed_url, model=args.embed_model)))
 
     retrieval_cfg = RetrievalConfig(max_hops=args.max_hops, max_paths_per_pair=args.max_paths)
     scoring_cfg = ScoringConfig(alpha=args.alpha, beta=args.beta,
@@ -115,28 +119,29 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if embedder is not None and embedder.degraded:
         print("note: embeddings endpoint failed; built-in embedder used", file=sys.stderr)
 
-    _write_output(render(report, args.format), args.out)
+    with _open_text(args.out, "w") as out:
+        out.write(render(report, args.format))
     return 0
 
 
 def _cmd_datagen(args: argparse.Namespace) -> int:
-    if bool(args.backend_url) != bool(args.model):
-        print("error: --backend-url and --model must be given together", file=sys.stderr)
-        return 2
+    _require_pair(args.backend_url, args.model, "--backend-url and --model")
     kg = load_kg(args.kg, args.kg_format, nodes_path=args.kg_nodes, lenient=args.lenient)
     backend = None
     if args.backend_url:
         backend = BackendConfig(base_url=args.backend_url, model=args.model)
     retrieval_cfg = RetrievalConfig(max_hops=args.max_hops, max_paths_per_pair=args.max_paths)
 
-    lines = []
-    for doc in _read_input(args.input).splitlines():
-        doc = doc.strip()
-        if not doc:
-            continue
-        for record in iter_datagen_records(kg, doc, retrieval_cfg, backend):
-            lines.append(json.dumps(record, ensure_ascii=False))
-    _write_output("\n".join(lines) + ("\n" if lines else ""), args.out)
+    # One document per line: never split at U+2028 and the like (a file's
+    # lines end at \n, \r\n or \r, stdin's at \n). Each record is written as
+    # soon as it is made, so a failure keeps the earlier documents' records.
+    with _open_text(args.input, "r") as docs, _open_text(args.out, "w") as out:
+        for doc in docs:
+            doc = doc.strip()
+            if not doc:
+                continue
+            for record in iter_datagen_records(kg, doc, retrieval_cfg, backend):
+                out.write(json.dumps(record, ensure_ascii=False) + "\n")
     return 0
 
 
@@ -153,15 +158,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         for d in exc.diagnostics:
             print(f"note: {d}", file=sys.stderr)
         return _STAGE_EXIT.get(exc.stage, 2)
-    except BackendAuthError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ResponseParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except BackendError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -128,10 +128,6 @@ class KnowledgeGraph:
             raise KeyError(f"no edge between {a!r} and {b!r}")
         return edges[i]
 
-    def lookup_by_label(self, surface: str) -> list[NodeId]:
-        """All node ids whose label or alias equals the normalized surface."""
-        return list(self.label_index.get(normalize(surface), ()))
-
     def contains_triplet(self, subject_label: str, predicate: str,
                          object_label: str) -> Optional[Triplet]:
         """The stored triplet whose labels match the candidate, if any."""
@@ -254,8 +250,8 @@ class _SnapshotReader:
         return build_graph(nodes, triplets, self.report)
 
 
-def _tsv_rows(text: str, node_file: bool) -> _Rows:
-    for line_no, line in enumerate(text.splitlines(), 1):
+def _tsv_rows(lines: Iterable[str], node_file: bool) -> _Rows:
+    for line_no, line in enumerate(lines, 1):
         if not line.strip():
             continue
         cols = line.split("\t")
@@ -275,13 +271,10 @@ def _tsv_rows(text: str, node_file: bool) -> _Rows:
                 yield line_no, (intern(s_id), s_label, intern(pred), intern(o_id), o_label)
 
 
-def _text(row: dict, key: str) -> str:
-    value = row.get(key)
-    return "" if value is None else str(value).strip()
-
-
-def _jsonl_rows(text: str, node_file: bool) -> _Rows:
-    for line_no, line in enumerate(text.splitlines(), 1):
+def _jsonl_rows(lines: Iterable[str], node_file: bool) -> _Rows:
+    keys = (("id", "label", "description") if node_file
+            else ("s_id", "s_label", "p", "o_id", "o_label"))
+    for line_no, line in enumerate(lines, 1):
         if not line.strip():
             continue
         try:
@@ -291,15 +284,24 @@ def _jsonl_rows(text: str, node_file: bool) -> _Rows:
             continue
         if not isinstance(row, dict):
             yield line_no, "expected a JSON object"
-        elif node_file:
-            aliases = row.get("aliases")
-            aliases = ([str(a) for a in aliases if a is not None]
-                       if isinstance(aliases, list) else ())
-            yield line_no, (intern(_text(row, "id")), _text(row, "label"),
-                            _text(row, "description"), aliases)
+            continue
+        values = [row.get(k) for k in keys]
+        bad = [k for k, v in zip(keys, values) if v is not None and not isinstance(v, str)]
+        if bad:
+            yield line_no, f"{bad[0]} must be a string or null"
+            continue
+        values = [(v or "").strip() for v in values]
+        if node_file:
+            aliases = [] if row.get("aliases") is None else row["aliases"]
+            if not isinstance(aliases, list) or any(
+                    a is not None and not isinstance(a, str) for a in aliases):
+                yield line_no, "aliases must be a list of strings"
+                continue
+            node_id, label, description = values
+            yield line_no, (intern(node_id), label, description,
+                            [a for a in aliases if a is not None])
         else:
-            s_id, s_label, pred, o_id, o_label = (
-                _text(row, k) for k in ("s_id", "s_label", "p", "o_id", "o_label"))
+            s_id, s_label, pred, o_id, o_label = values
             if not s_id or not pred or not o_id:
                 yield line_no, "missing s_id, p, or o_id"
             else:
@@ -318,9 +320,13 @@ def load_kg(path: str | Path, format: str = "tsv", *,
               occur in the snapshot.
       jsonl - one object per line with keys s_id, s_label, p, o_id, o_label.
               Optional node file objects: id, label, description, aliases.
-              These carry a label, so they may add nodes. A JSON null counts
-              as absent: a null id or predicate rejects the row, a null label
-              or description is empty, and a null alias is skipped.
+              These carry a label, so they may add nodes. A value that is
+              not a string (aliases: a list of strings) rejects the row. A
+              JSON null counts as absent: a null id or predicate rejects the
+              row, a null label or description is empty, and a null alias is
+              skipped.
+
+    Lines end only at \n, \r\n or \r, never at other Unicode line breaks.
 
     Rejected rows are reported with their line numbers; by default any rejected
     row fails the load (KgLoadError). With lenient=True they are skipped and
@@ -334,12 +340,14 @@ def load_kg(path: str | Path, format: str = "tsv", *,
 
     decode = _tsv_rows if format == "tsv" else _jsonl_rows
     reader = _SnapshotReader()
-    reader.read_edges(decode(path.read_text(encoding="utf-8"), node_file=False))
+    with path.open(encoding="utf-8") as lines:
+        reader.read_edges(decode(lines, node_file=False))
 
     sidecar = (Path(nodes_path) if nodes_path
                else path.with_name(f"{path.stem}.nodes{path.suffix}"))
     if sidecar.is_file():
-        reader.read_nodes(decode(sidecar.read_text(encoding="utf-8"), node_file=True))
+        with sidecar.open(encoding="utf-8") as lines:
+            reader.read_nodes(decode(lines, node_file=True))
     elif nodes_path:
         raise KgLoadError([f"no such node file: {sidecar}"])
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from typing import Any, Callable, Iterator, Optional, Sequence
 
@@ -43,6 +44,18 @@ def _as_completer(backend) -> Completer:
     raise TypeError(f"backend must be a BackendConfig, a client, or a callable: {backend!r}")
 
 
+@contextmanager
+def _stage(name: str, diagnostics: Sequence[str] = (), catch=ClaimverError):
+    """Re-raise a caught failure in the block as PipelineError(name) with the
+    diagnostics so far; a PipelineError from the block passes unchanged."""
+    try:
+        yield
+    except PipelineError:
+        raise
+    except catch as exc:
+        raise PipelineError(name, str(exc), diagnostics) from exc
+
+
 @dataclass
 class _ChunkOutcome:
     retrieved: RetrievedTriplets
@@ -60,27 +73,14 @@ def _process_chunk(kg: KnowledgeGraph, chunk: TextChunk,
                    entities: Sequence[LinkedEntity], completer: Completer,
                    retrieval_cfg: RetrievalConfig) -> _ChunkOutcome:
     diagnostics: list[str] = []
-    try:
+    with _stage("triplet-retrieval", diagnostics):
         retrieved = retrieve(kg, _chunk_seeds(chunk, entities), retrieval_cfg)
-    except ClaimverError as exc:
-        raise PipelineError("triplet-retrieval", str(exc), diagnostics) from exc
-
-    try:
+    with _stage("prompt", diagnostics):
         prompt = build_verification_prompt(chunk.text, retrieved, kg)
-    except ClaimverError as exc:
-        raise PipelineError("prompt", str(exc), diagnostics) from exc
-
-    try:
+    with _stage("llm-backend", diagnostics, catch=(BackendError, OSError)):
         raw = completer(prompt)
-    except PipelineError:
-        raise
-    except (BackendError, OSError) as exc:
-        raise PipelineError("llm-backend", str(exc), diagnostics) from exc
-
-    try:
+    with _stage("response-parser", diagnostics, catch=ResponseParseError):
         raws = parse_response(raw, diagnostics)
-    except ResponseParseError as exc:
-        raise PipelineError("response-parser", str(exc), diagnostics) from exc
 
     claims = validate_claims(raws, chunk.text, retrieved, kg)
     if chunk.offset:
@@ -121,10 +121,8 @@ def run_pipeline(kg: KnowledgeGraph, text: str, backend,
         raise PipelineError("input", "input text is empty")
 
     doc_diagnostics: list[str] = []
-    try:
+    with _stage("preprocess", catch=Exception):
         text, entities = preprocess(kg, text, hooks)
-    except Exception as exc:
-        raise PipelineError("preprocess", str(exc)) from exc
     if not text:
         raise PipelineError("preprocess", "preprocessing left no text")
     for e in entities:
@@ -158,11 +156,9 @@ def run_pipeline(kg: KnowledgeGraph, text: str, backend,
         doc_diagnostics.extend(outcome.diagnostics)
     retrieved = _merge_retrieved(outcomes)
 
-    try:
+    with _stage("scoring", doc_diagnostics):
         scored = score_claims(claims, entities, kg, embedder, scoring_cfg)
         attribution = kg_attribution_score(scored, scoring_cfg)
-    except ClaimverError as exc:
-        raise PipelineError("scoring", str(exc), doc_diagnostics) from exc
 
     config: dict[str, Any] = {
         "retrieval": asdict(retrieval_cfg),
@@ -184,11 +180,13 @@ def iter_datagen_records(kg: KnowledgeGraph, text: str,
 
     Each record holds the document, the sentence span, the triplets retrieved
     for that sentence's entities (as label triples), and the rendered prompt;
-    with a backend also the model's response.
+    with a backend also the model's response. Failures are tagged with the
+    stage that failed, as in run_pipeline.
     """
     retrieval_cfg = retrieval_cfg or RetrievalConfig()
     completer = _as_completer(backend) if backend is not None else None
-    text, entities = preprocess(kg, text, hooks)
+    with _stage("preprocess", catch=Exception):
+        text, entities = preprocess(kg, text, hooks)
     offset = 0
     for sentence in split_sentences(text):
         chunk = TextChunk(sentence, offset)
@@ -196,8 +194,10 @@ def iter_datagen_records(kg: KnowledgeGraph, text: str,
         span = sentence.strip()
         if not span:
             continue
-        retrieved = retrieve(kg, _chunk_seeds(chunk, entities), retrieval_cfg)
-        prompt = build_datagen_prompt(text, span, retrieved, kg)
+        with _stage("triplet-retrieval"):
+            retrieved = retrieve(kg, _chunk_seeds(chunk, entities), retrieval_cfg)
+        with _stage("prompt"):
+            prompt = build_datagen_prompt(text, span, retrieved, kg)
         record: dict[str, Any] = {
             "full_text": text,
             "text_span": span,
@@ -205,5 +205,6 @@ def iter_datagen_records(kg: KnowledgeGraph, text: str,
             "prompt": prompt.text,
         }
         if completer is not None:
-            record["response"] = completer(prompt)
+            with _stage("llm-backend", catch=(BackendError, OSError)):
+                record["response"] = completer(prompt)
         yield record

@@ -49,10 +49,6 @@ class KgPath:
             raise ValueError("path nodes must be distinct")
 
     @property
-    def endpoints(self) -> tuple[NodeId, NodeId]:
-        return self.nodes[0], self.nodes[-1]
-
-    @property
     def hops(self) -> int:
         return len(self.edges)
 

@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 from dataclasses import dataclass
 from typing import Iterable, Optional, Protocol, Sequence
 
 import numpy as np
-import requests
 
+from .backend import _EndpointClient
 from .errors import BackendError, ClaimverError
 from .kg import KnowledgeGraph, NodeId, Triplet
 from .linking import LinkedEntity
@@ -104,34 +103,18 @@ class HashedBagEmbedder:
         return vec
 
 
-class HttpEmbedder:
-    """Client for an embeddings endpoint (POST {base_url}/embeddings)."""
+class HttpEmbedder(_EndpointClient):
+    """Client for an embeddings endpoint (POST {base_url}/embeddings).
 
-    def __init__(self, base_url: str, model: str, api_key: str | None = None,
-                 timeout: float = 30.0):
-        if not base_url:
-            raise ValueError("base_url must be non-empty")
-        self.base_url = base_url.rstrip("/")
-        self.model = model
-        self.api_key = api_key if api_key is not None else os.environ.get("CLAIMVER_API_KEY", "")
-        self.timeout = timeout
-        self._session = requests.Session()
+    Requests are retried like ChatBackend's; every failure is a BackendError.
+    """
+
+    _kind = "embedding"
 
     def embed(self, text: str) -> np.ndarray:
-        headers = {}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
+        payload = self._post("/embeddings", {"model": self.config.model, "input": [text]})
         try:
-            resp = self._session.post(
-                f"{self.base_url}/embeddings",
-                json={"model": self.model, "input": [text]},
-                headers=headers, timeout=self.timeout)
-        except requests.RequestException as exc:
-            raise BackendError(f"embedding request failed: {exc}") from exc
-        if resp.status_code != 200:
-            raise BackendError(f"embedding request rejected (HTTP {resp.status_code})")
-        try:
-            return np.asarray(resp.json()["data"][0]["embedding"], dtype=np.float64)
+            return np.asarray(payload["data"][0]["embedding"], dtype=np.float64)
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise BackendError(f"malformed embedding response: {exc}") from exc
 

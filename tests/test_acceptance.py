@@ -189,7 +189,7 @@ def test_criterion_5_retrieval_matches_oracle():
             result = retrieve(kg, seeds, cfg)
             by_pair: dict = {}
             for p in result.paths:
-                by_pair.setdefault(p.endpoints, []).append(p.nodes)
+                by_pair.setdefault((p.nodes[0], p.nodes[-1]), []).append(p.nodes)
             for u, v in combinations(sorted(set(seeds)), 2):
                 expected = enumerate_paths_oracle(kg, u, v, cfg.max_hops)
                 assert by_pair.get((u, v), []) == expected[:cfg.max_paths_per_pair]

@@ -12,8 +12,18 @@ from claimver.errors import (BackendAuthError, BackendError, PromptError,
                              UnknownPromptError)
 from claimver.kg import KgNode, Triplet, build_graph
 from claimver.retrieval import retrieve
+from claimver.scoring import HttpEmbedder
 
 from conftest import chat_payload
+
+# Both endpoint clients share one retry policy; each is given as (send one
+# request with a config, a 200 body it accepts, the value that body decodes to).
+ENDPOINT_CLIENTS = pytest.mark.parametrize("client", [
+    pytest.param((lambda cfg: ChatBackend(cfg).complete("p"), chat_payload("ok"), "ok"),
+                 id="chat"),
+    pytest.param((lambda cfg: HttpEmbedder(cfg).embed("p").tolist(),
+                  {"data": [{"embedding": [1.0, 2.0]}]}, [1.0, 2.0]), id="embed"),
+])
 
 
 @pytest.fixture
@@ -124,12 +134,13 @@ class TestChatBackend:
         assert req["body"]["temperature"] == 0.25
         assert req["body"]["messages"] == [{"role": "user", "content": "hello prompt"}]
 
-    def test_retries_5xx_then_succeeds(self, scripted_server):
-        server = scripted_server([(500, "boom"), (500, "boom"),
-                                  (200, chat_payload("recovered"))])
+    @ENDPOINT_CLIENTS
+    def test_retries_5xx_then_succeeds(self, scripted_server, client):
+        send, ok_body, ok_value = client
+        server = scripted_server([(500, "boom"), (500, "boom"), (200, ok_body)])
         cfg = BackendConfig(base_url=server.url, model="m", max_retries=2,
                             backoff_base=0.01)
-        assert ChatBackend(cfg).complete("p") == "recovered"
+        assert send(cfg) == ok_value
         assert len(server.requests) == 3
 
     def test_retries_exhausted(self, scripted_server):
@@ -140,18 +151,22 @@ class TestChatBackend:
             ChatBackend(cfg).complete("p")
         assert len(server.requests) == 2
 
-    def test_401_immediate_auth_error(self, scripted_server):
+    @ENDPOINT_CLIENTS
+    def test_401_immediate_auth_error(self, scripted_server, client):
+        send, _, _ = client
         server = scripted_server([(401, "who are you")])
         cfg = BackendConfig(base_url=server.url, model="m", max_retries=3)
         with pytest.raises(BackendAuthError):
-            ChatBackend(cfg).complete("p")
+            send(cfg)
         assert len(server.requests) == 1
 
-    def test_4xx_never_retried(self, scripted_server):
+    @ENDPOINT_CLIENTS
+    def test_4xx_never_retried(self, scripted_server, client):
+        send, _, _ = client
         server = scripted_server([(404, "nope")])
         cfg = BackendConfig(base_url=server.url, model="m", max_retries=3)
-        with pytest.raises(BackendError):
-            ChatBackend(cfg).complete("p")
+        with pytest.raises(BackendError, match=r"request rejected \(HTTP 404\)"):
+            send(cfg)
         assert len(server.requests) == 1
 
     def test_malformed_response_body(self, scripted_server):
@@ -166,12 +181,14 @@ class TestChatBackend:
         assert ChatBackend(cfg).complete("p") == "ok"
         assert len(server.requests) == 2
 
-    def test_429_retry_after_capped_by_timeout(self, scripted_server):
+    @ENDPOINT_CLIENTS
+    def test_429_retry_after_capped_by_timeout(self, scripted_server, client):
+        send, ok_body, ok_value = client
         server = scripted_server([(429, "slow down", {"Retry-After": "3600"}),
-                                  (200, chat_payload("ok"))])
+                                  (200, ok_body)])
         cfg = BackendConfig(base_url=server.url, model="m", timeout=0.5)
         started = time.monotonic()
-        assert ChatBackend(cfg).complete("p") == "ok"
+        assert send(cfg) == ok_value
         assert time.monotonic() - started < 2.0
         assert len(server.requests) == 2
 

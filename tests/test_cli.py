@@ -133,6 +133,15 @@ class TestVerify:
         assert code == 2
         assert "[scoring]" in capsys.readouterr().err
 
+    def test_embed_url_without_model_exit_2(self, tsv_kg_path, input_file,
+                                            scripted_server, capsys):
+        chat = scripted_server([(200, chat_payload(APOLLO_RESPONSE))])
+        embed = scripted_server([(200, {"data": [{"embedding": [1.0]}]})])
+        assert main(_verify_args(tsv_kg_path, input_file, chat.url,
+                                 "--embed-url", embed.url)) == 2
+        assert capsys.readouterr().err == (
+            "error: --embed-url and --embed-model must be given together\n")
+
 
 class TestDatagen:
     def test_emits_jsonl(self, tsv_kg_path, tmp_path, capsys):
@@ -168,3 +177,27 @@ class TestDatagen:
         assert main(["datagen", "--kg", tsv_kg_path, "--input", str(doc_file),
                      "--out", str(out)]) == 0
         assert json.loads(out.read_text(encoding="utf-8").splitlines()[0])["text_span"]
+
+    def test_backend_failure_keeps_earlier_records(self, tsv_kg_path, tmp_path,
+                                                   scripted_server, capsys):
+        server = scripted_server([(200, chat_payload("first")), (401, "denied")])
+        doc_file = tmp_path / "docs.txt"
+        doc_file.write_text("Apollo 11 landed on the Moon.\nApollo 11 orbited Earth.\n",
+                            encoding="utf-8")
+        out = tmp_path / "records.jsonl"
+        assert main(["datagen", "--kg", tsv_kg_path, "--input", str(doc_file),
+                     "--backend-url", server.url, "--model", "m", "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("error: [llm-backend] ")
+        records = [json.loads(l) for l in out.read_text(encoding="utf-8").splitlines()]
+        assert [(r["text_span"], r["response"]) for r in records] == [
+            ("Apollo 11 landed on the Moon.", "first")]
+
+    def test_documents_split_only_at_newlines(self, tsv_kg_path, tmp_path, capsys):
+        doc_file = tmp_path / "docs.txt"
+        doc_file.write_text("Apollo 11 landed\u2028on the Moon.\r\nApollo 11 orbited Earth.\r",
+                            encoding="utf-8", newline="")
+        assert main(["datagen", "--kg", tsv_kg_path, "--input", str(doc_file)]) == 0
+        lines = capsys.readouterr().out.split("\n")
+        assert lines.pop() == ""
+        spans = [json.loads(l)["text_span"] for l in lines]
+        assert spans == ["Apollo 11 landed\u2028on the Moon.", "Apollo 11 orbited Earth."]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from claimver.errors import KgLoadError, UnknownNodeError
 from claimver.kg import KgNode, Triplet, build_graph, load_kg
+from claimver.text import normalize
 
 from graphgen import contains_triplet_oracle, edge_between_oracle, neighbors_oracle
 
@@ -73,20 +74,20 @@ class TestBuildGraph:
 
 class TestLookups:
     def test_label_lookup_case_insensitive(self, apollo_kg):
-        assert apollo_kg.lookup_by_label("apollo 11") == ["Q43653"]
-        assert apollo_kg.lookup_by_label("APOLLO  11") == ["Q43653"]
+        assert apollo_kg.label_index.get(normalize("apollo 11"), ()) == ("Q43653",)
+        assert apollo_kg.label_index.get(normalize("APOLLO  11"), ()) == ("Q43653",)
 
     def test_alias_lookup(self, apollo_kg):
-        assert apollo_kg.lookup_by_label("USA") == ["Q30"]
-        assert apollo_kg.lookup_by_label("Edwin Aldrin") == ["Q2252"]
+        assert apollo_kg.label_index.get(normalize("USA"), ()) == ("Q30",)
+        assert apollo_kg.label_index.get(normalize("Edwin Aldrin"), ()) == ("Q2252",)
 
     def test_unknown_surface_empty(self, apollo_kg):
-        assert apollo_kg.lookup_by_label("Jupiter") == []
+        assert apollo_kg.label_index.get(normalize("Jupiter"), ()) == ()
 
     def test_ambiguous_surface_sorted(self):
         nodes = [KgNode("Q9", "Mercury"), KgNode("Q5", "Mercury"), KgNode("Q1", "x")]
         g = build_graph(nodes, [Triplet("Q9", "p", "Q1")])
-        assert g.lookup_by_label("mercury") == ["Q5", "Q9"]
+        assert g.label_index.get(normalize("mercury"), ()) == ("Q5", "Q9")
 
     def test_neighbors_sorted_unique(self, apollo_kg):
         assert apollo_kg.neighbors("Q43653") == ("Q1615", "Q2252", "Q405")
@@ -209,6 +210,18 @@ class TestLoadTsv:
         g = load_kg(path, "tsv")
         assert len(g.edges) == 1
 
+    def test_rows_end_only_at_newlines(self, tmp_path):
+        # U+2028 and U+0085 end a line for str.splitlines, not in a file.
+        path = tmp_path / "kg.tsv"
+        path.write_text("A\tGa\u2028mma\u0085ray\trel\tB\tBeta\r\n"
+                        "B\tBeta\trel\tC\tGamma\rbad row\n", encoding="utf-8", newline="")
+        with pytest.raises(KgLoadError) as err:
+            load_kg(path, "tsv")
+        assert err.value.errors == ["line 3: expected 5 tab-separated columns, got 1"]
+        g = load_kg(path, "tsv", lenient=True)
+        assert g.nodes["A"].label == "Ga\u2028mma\u0085ray"
+        assert len(g.edges) == 2
+
 
 class TestLoadJsonl:
     def test_roundtrip_against_programmatic_graph(self, jsonl_kg_path, apollo_kg):
@@ -291,8 +304,38 @@ class TestLoadJsonl:
         assert (g.nodes["A"].label, g.nodes["B"].label) == ("Alpha", "Beta")
         assert g.nodes["A"].description == ""
         assert g.nodes["A"].aliases == ("Al",)
-        assert g.lookup_by_label("none") == []
+        assert g.label_index.get(normalize("none"), ()) == ()
         assert not any("conflicting" in line for line in g.load_report)
+
+    def test_non_string_values_rejected(self, tmp_path):
+        path = tmp_path / "kg.jsonl"
+        rows = [
+            {"s_id": "A", "s_label": "a", "p": "r", "o_id": "B", "o_label": "b"},
+            {"s_id": "A", "s_label": "a", "p": ["x"], "o_id": "B", "o_label": "b"},
+            {"s_id": "A", "s_label": "a", "p": "r", "o_id": True, "o_label": "b"},
+        ]
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        nodes = [
+            {"id": "A", "description": 5},
+            {"id": "A", "aliases": "USA"},
+            {"id": "A", "aliases": ["Al", 1]},
+            {"id": "B", "aliases": ["Bee", None]},
+        ]
+        (tmp_path / "kg.nodes.jsonl").write_text(
+            "".join(json.dumps(r) + "\n" for r in nodes), encoding="utf-8")
+        errors = ["line 2: p must be a string or null",
+                  "line 3: o_id must be a string or null",
+                  "line 1 (node file): description must be a string or null",
+                  "line 2 (node file): aliases must be a list of strings",
+                  "line 3 (node file): aliases must be a list of strings"]
+        with pytest.raises(KgLoadError) as err:
+            load_kg(path, "jsonl")
+        assert err.value.errors == errors
+        g = load_kg(path, "jsonl", lenient=True)
+        assert g.load_report == tuple(f"skipped: {e}" for e in errors)
+        assert g.edges == (Triplet("A", "r", "B"),)
+        assert (g.nodes["A"].description, g.nodes["A"].aliases) == ("", ())
+        assert g.nodes["B"].aliases == ("Bee",)
 
 
 class TestDeterminism:

@@ -173,3 +173,18 @@ class TestDatagen:
         records = list(iter_datagen_records(apollo_kg, "Nothing to see. Apollo 11 on the Moon."))
         assert records[0]["triplets"] == []
         assert records[1]["triplets"] != []
+
+    def test_backend_failure_stage(self, apollo_kg, scripted_server):
+        server = scripted_server([(401, "denied")])
+        cfg = BackendConfig(base_url=server.url, model="m")
+        with pytest.raises(PipelineError) as err:
+            list(iter_datagen_records(apollo_kg, APOLLO_TEXT, backend=cfg))
+        assert err.value.stage == "llm-backend"
+        assert str(err.value) == "[llm-backend] endpoint rejected credentials (HTTP 401)"
+
+    def test_hook_failure_stage(self, apollo_kg):
+        def broken(text):
+            raise RuntimeError("hook broke")
+        with pytest.raises(PipelineError) as err:
+            list(iter_datagen_records(apollo_kg, APOLLO_TEXT, hooks=[broken]))
+        assert str(err.value) == "[preprocess] hook broke"

@@ -27,7 +27,7 @@ class TestKgPath:
     def test_invariants(self):
         t = Triplet("A", "p", "B")
         path = KgPath(nodes=("A", "B"), edges=(t,))
-        assert path.endpoints == ("A", "B") and path.hops == 1
+        assert (path.nodes[0], path.nodes[-1]) == ("A", "B") and path.hops == 1
 
     def test_rejects_short_path(self):
         with pytest.raises(ValueError):
@@ -135,7 +135,7 @@ class TestRetrieveMatchesOracle:
             result = retrieve(kg, seeds, cfg)
             got = {}
             for p in result.paths:
-                got.setdefault(p.endpoints, []).append(p.nodes)
+                got.setdefault((p.nodes[0], p.nodes[-1]), []).append(p.nodes)
             for u, v in combinations(sorted(set(seeds)), 2):
                 expected = enumerate_paths_oracle(kg, u, v, cfg.max_hops)
                 assert got.get((u, v), []) == expected[:cfg.max_paths_per_pair]
@@ -147,8 +147,8 @@ class TestRetrieveMatchesOracle:
             seeds = random_seeds(rng, kg, max_seeds=4)
             narrow = retrieve(kg, seeds, RetrievalConfig(max_hops=2))
             wide = retrieve(kg, seeds, RetrievalConfig(max_hops=3))
-            narrow_pairs = {p.endpoints for p in narrow.paths}
-            wide_pairs = {p.endpoints for p in wide.paths}
+            narrow_pairs = {(p.nodes[0], p.nodes[-1]) for p in narrow.paths}
+            wide_pairs = {(p.nodes[0], p.nodes[-1]) for p in wide.paths}
             assert narrow_pairs <= wide_pairs
 
     def test_determinism(self, apollo_kg):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from claimver.backend import BackendConfig
 from claimver.errors import BackendError, ClaimverError
 from claimver.kg import Triplet
 from claimver.linking import link_entities
@@ -299,10 +300,14 @@ class TestScoreClaims:
         assert scored[0].cs == 1
 
 
+def _embedder(url: str) -> HttpEmbedder:
+    return HttpEmbedder(BackendConfig(base_url=url, model="m", api_key="", backoff_base=0.01))
+
+
 class TestHttpEmbedder:
     def test_success(self, scripted_server):
         server = scripted_server([(200, {"data": [{"embedding": [1.0, 2.0, 2.0]}]})])
-        e = HttpEmbedder(server.url, "embed-model", api_key="k")
+        e = HttpEmbedder(BackendConfig(base_url=server.url, model="embed-model", api_key="k"))
         vec = e.embed("hello")
         assert np.allclose(vec, [1.0, 2.0, 2.0])
         req = server.requests[0]
@@ -313,17 +318,17 @@ class TestHttpEmbedder:
     def test_http_error(self, scripted_server):
         server = scripted_server([(500, "x")])
         with pytest.raises(BackendError):
-            HttpEmbedder(server.url, "m", api_key="").embed("hello")
+            _embedder(server.url).embed("hello")
 
     def test_malformed_body(self, scripted_server):
         server = scripted_server([(200, {"data": []})])
         with pytest.raises(BackendError):
-            HttpEmbedder(server.url, "m", api_key="").embed("hello")
+            _embedder(server.url).embed("hello")
 
     def test_non_numeric_embedding(self, scripted_server):
         server = scripted_server([(200, {"data": [{"embedding": ["a", "b"]}]})])
         with pytest.raises(BackendError):
-            HttpEmbedder(server.url, "m", api_key="").embed("hello")
+            _embedder(server.url).embed("hello")
 
 
 class TestFallbackEmbedder:
