@@ -16,7 +16,7 @@ import logging
 import sys
 from typing import Optional
 
-from .backend import BackendConfig
+from .backend import BackendConfig, ChatBackend
 from .errors import KgLoadError, PipelineError
 from .kg import load_kg
 from .pipeline import iter_datagen_records, run_pipeline
@@ -127,9 +127,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_datagen(args: argparse.Namespace) -> int:
     _require_pair(args.backend_url, args.model, "--backend-url and --model")
     kg = load_kg(args.kg, args.kg_format, nodes_path=args.kg_nodes, lenient=args.lenient)
+    # One client for every document, so requests reuse one pooled session.
     backend = None
     if args.backend_url:
-        backend = BackendConfig(base_url=args.backend_url, model=args.model)
+        backend = ChatBackend(BackendConfig(base_url=args.backend_url, model=args.model))
     retrieval_cfg = RetrievalConfig(max_hops=args.max_hops, max_paths_per_pair=args.max_paths)
 
     # One document per line: never split at U+2028 and the like (a file's

@@ -7,6 +7,7 @@ case-fold, collapse internal whitespace, trim.
 
 from __future__ import annotations
 
+import gc
 import json
 import logging
 from bisect import bisect_left
@@ -331,6 +332,12 @@ def load_kg(path: str | Path, format: str = "tsv", *,
     Rejected rows are reported with their line numbers; by default any rejected
     row fails the load (KgLoadError). With lenient=True they are skipped and
     recorded in the returned graph's load_report.
+
+    The load builds over a million small containers, so it pauses the cyclic
+    garbage collector while it reads and indexes. That switch is
+    process-global: other threads run without cyclic collection until the
+    load returns, and the collector is re-enabled only if it was enabled on
+    entry.
     """
     path = Path(path)
     if not path.is_file():
@@ -340,17 +347,23 @@ def load_kg(path: str | Path, format: str = "tsv", *,
 
     decode = _tsv_rows if format == "tsv" else _jsonl_rows
     reader = _SnapshotReader()
-    with path.open(encoding="utf-8") as lines:
-        reader.read_edges(decode(lines, node_file=False))
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with path.open(encoding="utf-8") as lines:
+            reader.read_edges(decode(lines, node_file=False))
 
-    sidecar = (Path(nodes_path) if nodes_path
-               else path.with_name(f"{path.stem}.nodes{path.suffix}"))
-    if sidecar.is_file():
-        with sidecar.open(encoding="utf-8") as lines:
-            reader.read_nodes(decode(lines, node_file=True))
-    elif nodes_path:
-        raise KgLoadError([f"no such node file: {sidecar}"])
+        sidecar = (Path(nodes_path) if nodes_path
+                   else path.with_name(f"{path.stem}.nodes{path.suffix}"))
+        if sidecar.is_file():
+            with sidecar.open(encoding="utf-8") as lines:
+                reader.read_nodes(decode(lines, node_file=True))
+        elif nodes_path:
+            raise KgLoadError([f"no such node file: {sidecar}"])
 
-    graph = reader.finish(lenient)
+        graph = reader.finish(lenient)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     logger.debug("loaded %d nodes, %d edges from %s", len(graph.nodes), len(graph.edges), path)
     return graph

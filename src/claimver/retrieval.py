@@ -4,12 +4,20 @@ For every unordered pair of seed nodes the retriever returns the k shortest
 simple paths within a hop budget, ties broken lexicographically by node-id
 sequence. Triplets are collected from the returned paths in first-appearance
 order.
+
+Each pair is searched from its smaller id u toward v. One BFS from each
+distinct v, to radius max_hops - 1, gives the ball levels that every pair
+ending at v shares: a step that leaves `budget` edges may only enter the
+ball of radius `budget`. Each step scans the smaller side, the tail's
+neighbors or that ball, so the last hop out of a hub costs one bisection
+instead of a scan of its neighbors.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterable
 
 from .errors import UnknownNodeError
@@ -68,9 +76,15 @@ class RetrievedTriplets:
         object.__setattr__(self, "triplets", tuple(seen))
 
 
-def _distances_from(kg: KnowledgeGraph, source: NodeId, limit: int) -> dict[NodeId, int]:
-    """Hop distance to every node within limit of source (plain BFS)."""
+def _distances_from(kg: KnowledgeGraph, source: NodeId,
+                    limit: int) -> tuple[dict[NodeId, int], list[int]]:
+    """Hop distance to every node within limit of source (plain BFS).
+
+    The dict holds the nodes in BFS order, so the ball of radius b (every node
+    within b hops of source) is its first ends[b] keys.
+    """
     dist = {source: 0}
+    ends = [1]
     frontier = [source]
     for d in range(1, limit + 1):
         nxt = []
@@ -80,34 +94,42 @@ def _distances_from(kg: KnowledgeGraph, source: NodeId, limit: int) -> dict[Node
                     dist[nbr] = d
                     nxt.append(nbr)
         frontier = nxt
-    return dist
+        ends.append(len(dist))
+    return dist, ends
 
 
 def _pair_paths(kg: KnowledgeGraph, u: NodeId, v: NodeId,
+                ball: tuple[dict[NodeId, int], list[int]],
                 config: RetrievalConfig) -> list[tuple[NodeId, ...]]:
     """Shortest simple u-v paths, level-synchronous over partial paths.
 
     Expanding partial paths in lexicographic order with sorted neighbor lists
     yields completions already sorted by (length, node sequence), so the found
-    list needs no final sort. Partial paths that cannot reach v within the
-    remaining budget are pruned using exact distances to v.
+    list needs no final sort. ball is _distances_from(kg, v, max_hops - 1): a
+    step is kept only into the ball of radius `budget` (the edges left after
+    it), so a partial path that cannot reach v in time is never made. The
+    step scans the smaller side: the tail's sorted neighbors filtered by the
+    ball, or the ball's members looked up by bisection in those neighbors.
     """
-    dist_v = _distances_from(kg, v, config.max_hops)
-    if dist_v.get(u, config.max_hops + 1) > config.max_hops:
-        return []
+    dist_v, ends = ball
     found: list[tuple[NodeId, ...]] = []
     frontier: list[tuple[NodeId, ...]] = [(u,)]
+    budget = config.max_hops
     while frontier and len(found) < config.max_paths_per_pair:
+        budget -= 1  # edges left after one more step
+        size = ends[budget]
         nxt: list[tuple[NodeId, ...]] = []
         for partial in frontier:
-            budget = config.max_hops - len(partial)  # edges left after one more step
-            tail = partial[-1]
-            for nbr in kg.neighbors(tail):
-                if nbr in partial:
-                    continue
+            nbrs = kg.neighbors(partial[-1])
+            if size < len(nbrs):
+                steps = sorted(m for m in islice(dist_v, size)
+                               if (i := bisect_left(nbrs, m)) < len(nbrs) and nbrs[i] == m)
+            else:
+                steps = [n for n in nbrs if dist_v.get(n, budget + 1) <= budget]
+            for nbr in steps:
                 if nbr == v:
                     found.append(partial + (v,))
-                elif dist_v.get(nbr, budget + 1) <= budget:
+                elif nbr not in partial:
                     nxt.append(partial + (nbr,))
         frontier = nxt
     return found[:config.max_paths_per_pair]
@@ -130,8 +152,10 @@ def retrieve(kg: KnowledgeGraph, seeds: Iterable[NodeId],
     for seed in unique:
         if seed not in kg:
             raise UnknownNodeError(seed)
-    paths: list[KgPath] = []
-    for u, v in combinations(unique, 2):
-        paths.extend(_materialize(kg, p) for p in _pair_paths(kg, u, v, config))
-    return RetrievedTriplets(paths=tuple(paths))
-
+    by_pair: dict[tuple[NodeId, NodeId], list[KgPath]] = {}
+    for j, v in enumerate(unique[1:], 1):
+        ball = _distances_from(kg, v, config.max_hops - 1)
+        for u in unique[:j]:
+            by_pair[u, v] = [_materialize(kg, p) for p in _pair_paths(kg, u, v, ball, config)]
+    return RetrievedTriplets(paths=tuple(
+        p for pair in combinations(unique, 2) for p in by_pair[pair]))

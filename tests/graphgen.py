@@ -1,5 +1,6 @@
-"""Random graph generation, the exhaustive path oracle for cross-checking
-retrieval, and brute-force oracles for the graph store's lookups."""
+"""Random and hub-shaped graph generation, the exhaustive path oracle for
+cross-checking retrieval, and brute-force oracles for the graph store's
+lookups."""
 
 import random
 from typing import Optional
@@ -24,6 +25,30 @@ def random_graph(rng: random.Random, max_nodes: int = 50,
             o = (o + 1) % n
         triplets.append(Triplet(f"N{s:03d}", rng.choice(PREDICATES), f"N{o:03d}"))
     return build_graph(nodes, triplets)
+
+
+def hub_graph(rng: random.Random, max_nodes: int = 40,
+              max_hubs: int = 3) -> KnowledgeGraph:
+    """Star-shaped graph: a few hubs joined to most of an inner half, a
+    sparse outer half with the odd parallel edge and self-loop, and a last
+    node that no edge touches, so every pair with it has no path. A hub's
+    degree exceeds the small balls around an outer target while a leaf's
+    does not, so retrieval scans from both sides."""
+    n = rng.randint(4, max_nodes)
+    ids = [f"N{i:03d}" for i in range(n)]
+    core = ids[:-1]
+    rng.shuffle(core)
+    inner, outer = core[:len(core) // 2 + 1], core[len(core) // 2 + 1:]
+    triplets = []
+    for hub in rng.sample(inner, rng.randint(1, min(max_hubs, len(inner)))):
+        for other in core:
+            if other != hub and rng.random() < (0.8 if other in inner else 0.1):
+                s, o = (hub, other) if rng.random() < 0.5 else (other, hub)
+                triplets.append(Triplet(s, rng.choice(PREDICATES), o))
+    for _ in range(rng.randint(0, len(core))):
+        triplets.append(Triplet(rng.choice(core), rng.choice(PREDICATES), rng.choice(core)))
+    rng.shuffle(triplets)
+    return build_graph([KgNode(i, f"node {i}") for i in ids], triplets)
 
 
 def random_seeds(rng: random.Random, kg: KnowledgeGraph, max_seeds: int = 5) -> list[str]:

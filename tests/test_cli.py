@@ -2,8 +2,10 @@
 
 import io
 import json
+import socket
 
 import pytest
+import requests
 
 from claimver.cli import main
 
@@ -15,6 +17,16 @@ def input_file(tmp_path):
     path = tmp_path / "input.txt"
     path.write_text(APOLLO_TEXT, encoding="utf-8")
     return str(path)
+
+
+@pytest.fixture
+def refused_url():
+    """A localhost URL nothing listens on, so a request to it is refused at
+    once instead of waiting on a name lookup."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    return f"http://127.0.0.1:{port}"
 
 
 def _verify_args(kg_path, input_file, url, *extra):
@@ -67,21 +79,21 @@ class TestVerify:
                                  "--kg-format", "jsonl")) == 0
         assert json.loads(capsys.readouterr().out)["n"] == 2
 
-    def test_missing_kg_exit_2(self, input_file, capsys):
-        assert main(_verify_args("/no/such/file.tsv", input_file, "http://x")) == 2
+    def test_missing_kg_exit_2(self, input_file, refused_url, capsys):
+        assert main(_verify_args("/no/such/file.tsv", input_file, refused_url)) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_malformed_kg_exit_2(self, tmp_path, input_file):
+    def test_malformed_kg_exit_2(self, tmp_path, input_file, refused_url):
         bad = tmp_path / "bad.tsv"
         bad.write_text("only\ttwo\n", encoding="utf-8")
-        assert main(_verify_args(str(bad), input_file, "http://x")) == 2
+        assert main(_verify_args(str(bad), input_file, refused_url)) == 2
 
-    def test_non_object_node_row_exit_2(self, tmp_path, input_file, capsys):
+    def test_non_object_node_row_exit_2(self, tmp_path, input_file, refused_url, capsys):
         kg = tmp_path / "kg.jsonl"
         kg.write_text('{"s_id": "A", "s_label": "a", "p": "r", "o_id": "B", "o_label": "b"}\n',
                       encoding="utf-8")
         (tmp_path / "kg.nodes.jsonl").write_text("[1, 2]\n", encoding="utf-8")
-        assert main(_verify_args(str(kg), input_file, "http://x", "--kg-format", "jsonl")) == 2
+        assert main(_verify_args(str(kg), input_file, refused_url, "--kg-format", "jsonl")) == 2
         assert capsys.readouterr().err == "error: line 1 (node file): expected a JSON object\n"
 
     def test_backend_auth_failure_exit_3(self, tsv_kg_path, input_file, scripted_server):
@@ -96,8 +108,8 @@ class TestVerify:
         server = scripted_server([(200, chat_payload("no structured keys"))])
         assert main(_verify_args(tsv_kg_path, input_file, server.url)) == 4
 
-    def test_bad_scoring_config_exit_2(self, tsv_kg_path, input_file):
-        assert main(_verify_args(tsv_kg_path, input_file, "http://x",
+    def test_bad_scoring_config_exit_2(self, tsv_kg_path, input_file, refused_url):
+        assert main(_verify_args(tsv_kg_path, input_file, refused_url,
                                  "--alpha", "-1")) == 2
 
     def test_missing_required_flag_exits_2(self, tsv_kg_path):
@@ -164,11 +176,27 @@ class TestDatagen:
         lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
         assert lines[0]["response"] == '- "prediction": "Attributable"'
 
-    def test_backend_url_without_model_exit_2(self, tsv_kg_path, tmp_path):
+    def test_one_session_for_all_documents(self, tsv_kg_path, tmp_path,
+                                           scripted_server, monkeypatch, capsys):
+        sessions = []
+        init = requests.Session.__init__
+        monkeypatch.setattr(requests.Session, "__init__",
+                            lambda self: sessions.append(self) or init(self))
+        server = scripted_server([(200, chat_payload("ok"))])
+        doc_file = tmp_path / "docs.txt"
+        doc_file.write_text("Apollo 11 landed on the Moon.\nApollo 11 orbited Earth.\n"
+                            "Neil Armstrong was a French citizen.\n", encoding="utf-8")
+        assert main(["datagen", "--kg", tsv_kg_path, "--input", str(doc_file),
+                     "--backend-url", server.url, "--model", "m"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3
+        assert len(server.requests) == 3
+        assert len(sessions) == 1
+
+    def test_backend_url_without_model_exit_2(self, tsv_kg_path, tmp_path, refused_url):
         doc_file = tmp_path / "docs.txt"
         doc_file.write_text("x\n", encoding="utf-8")
         assert main(["datagen", "--kg", tsv_kg_path, "--input", str(doc_file),
-                     "--backend-url", "http://x"]) == 2
+                     "--backend-url", refused_url]) == 2
 
     def test_out_file(self, tsv_kg_path, tmp_path):
         doc_file = tmp_path / "docs.txt"

@@ -1,5 +1,6 @@
 """Knowledge-graph store: construction, indexing, loading, error reporting."""
 
+import gc
 import json
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from claimver.errors import KgLoadError, UnknownNodeError
+from claimver import kg as kg_module
 from claimver.kg import KgNode, Triplet, build_graph, load_kg
 from claimver.text import normalize
 
@@ -336,6 +338,41 @@ class TestLoadJsonl:
         assert g.edges == (Triplet("A", "r", "B"),)
         assert (g.nodes["A"].description, g.nodes["A"].aliases) == ("", ())
         assert g.nodes["B"].aliases == ("Bee",)
+
+
+class TestLoadPausesGc:
+    @pytest.fixture(autouse=True)
+    def restore_gc(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    def test_paused_during_load_and_restored(self, tsv_kg_path, monkeypatch):
+        seen = []
+        finish = kg_module._SnapshotReader.finish
+        monkeypatch.setattr(kg_module._SnapshotReader, "finish",
+                            lambda reader, lenient: seen.append(gc.isenabled())
+                            or finish(reader, lenient))
+        gc.enable()
+        load_kg(tsv_kg_path, "tsv")
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_restored_after_strict_error(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text("A\tAlpha\trel\tB\t\n", encoding="utf-8")
+        gc.enable()
+        with pytest.raises(KgLoadError):
+            load_kg(path, "tsv")
+        assert gc.isenabled()
+
+    def test_disabled_on_entry_stays_disabled(self, tsv_kg_path, tmp_path):
+        gc.disable()
+        load_kg(tsv_kg_path, "tsv")
+        assert not gc.isenabled()
+        with pytest.raises(KgLoadError):
+            load_kg(tsv_kg_path, "tsv", nodes_path=tmp_path / "none.tsv")
+        assert not gc.isenabled()
 
 
 class TestDeterminism:

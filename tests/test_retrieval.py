@@ -4,12 +4,14 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from claimver.errors import UnknownNodeError
 from claimver.kg import KgNode, Triplet, build_graph
 from claimver.retrieval import KgPath, RetrievalConfig, RetrievedTriplets, retrieve
 
-from graphgen import enumerate_paths_oracle, random_graph, random_seeds
+from graphgen import enumerate_paths_oracle, hub_graph, random_graph, random_seeds
 
 
 class TestConfig:
@@ -100,6 +102,18 @@ class TestRetrieveFixture:
         assert [p.nodes for p in result.paths] == [("A", "B")]
         assert result.paths[0].edges == (Triplet("A", "early", "B"),)
 
+    def test_hub_step_sorts_hits_across_rings(self):
+        # U has more neighbors than V has nodes within 2 hops, so U's first
+        # step looks up V's ball, where C is found after Z (BFS order).
+        edges = [("V", "A"), ("V", "B"), ("A", "Z"), ("B", "C"), ("U", "A"),
+                 ("U", "B"), ("U", "C"), ("U", "Z")] + [("U", f"X{i}") for i in range(9)]
+        g = build_graph([KgNode(i, i.lower()) for i in {n for e in edges for n in e}],
+                        [Triplet(s, "p", o) for s, o in edges])
+        result = retrieve(g, ["U", "V"], RetrievalConfig(max_hops=3, max_paths_per_pair=3))
+        assert [p.nodes for p in result.paths] == [
+            ("U", "A", "V"), ("U", "B", "V"), ("U", "C", "B", "V")]
+        assert [p.nodes for p in result.paths] == enumerate_paths_oracle(g, "U", "V", 3)[:3]
+
 
 class TestOracle:
     def test_hand_checked_diamond(self):
@@ -150,6 +164,21 @@ class TestRetrieveMatchesOracle:
             narrow_pairs = {(p.nodes[0], p.nodes[-1]) for p in narrow.paths}
             wide_pairs = {(p.nodes[0], p.nodes[-1]) for p in wide.paths}
             assert narrow_pairs <= wide_pairs
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(1, 4), st.integers(1, 6))
+    def test_hub_graphs(self, rng, max_hops, max_paths):
+        kg = hub_graph(rng)
+        by_degree = sorted(kg.nodes, key=lambda n: -len(kg.neighbors(n)))
+        # The busiest nodes, a random few, and the node no edge reaches.
+        seeds = {*by_degree[:2], *random_seeds(rng, kg, max_seeds=3), max(kg.nodes)}
+        cfg = RetrievalConfig(max_hops=max_hops, max_paths_per_pair=max_paths)
+        got = {}
+        for p in retrieve(kg, seeds, cfg).paths:
+            got.setdefault((p.nodes[0], p.nodes[-1]), []).append(p.nodes)
+        for u, v in combinations(sorted(seeds), 2):
+            expected = enumerate_paths_oracle(kg, u, v, max_hops)
+            assert got.get((u, v), []) == expected[:max_paths]
 
     def test_determinism(self, apollo_kg):
         seeds = ["Q43653", "Q1615", "Q405", "Q30"]
