@@ -15,12 +15,12 @@ import logging
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import ResponseParseError
 from .kg import KnowledgeGraph, Triplet, triplet_key
 from .retrieval import RetrievedTriplets
-from .text import format_triplet, normalize, normalized_find
+from .text import format_triplet, normalize, normalized_finder
 
 logger = logging.getLogger(__name__)
 
@@ -201,13 +201,15 @@ def parse_triplet_field(field: str) -> tuple[list[tuple[str, str, str]], list[st
     return candidates, problems
 
 
-def _locate_span(input_text: str, span: str) -> tuple[Optional[int], Optional[int], list[str]]:
+def _locate_span(input_text: str, span: str,
+                 find_normalized: Callable[[str], Optional[tuple[int, int]]]
+                 ) -> tuple[Optional[int], Optional[int], list[str]]:
     if _is_na(span):
         return None, None, ["text span missing or NA"]
     at = input_text.find(span)
     if at != -1:
         return at, at + len(span), []
-    hit = normalized_find(input_text, span)
+    hit = find_normalized(span)
     if hit:
         return hit[0], hit[1], ["span located only after normalization"]
     return None, None, [f"span not found in input: {span[:60]!r}"]
@@ -246,11 +248,12 @@ def validate_claims(raws: list[RawClaim], input_text: str, retrieved: RetrievedT
     by_labels: dict[tuple[str, str, str], Triplet] = {}
     for t in retrieved.triplets:
         by_labels.setdefault(triplet_key(*kg.triplet_labels(t)), t)
+    find_normalized = normalized_finder(input_text)
     results: list[ClaimResult] = []
     located: list[tuple[int, int]] = []
     for raw in raws:
         diagnostics: list[str] = []
-        start, end, span_diags = _locate_span(input_text, raw.text_span)
+        start, end, span_diags = _locate_span(input_text, raw.text_span, find_normalized)
         diagnostics.extend(span_diags)
 
         label = _PARSED_LABELS.get(normalize(raw.prediction).strip(' ."\''))

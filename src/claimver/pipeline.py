@@ -110,9 +110,10 @@ def run_pipeline(kg: KnowledgeGraph, text: str, backend,
     """Verify one input text against the graph and assemble the report.
 
     backend may be a BackendConfig, any object with complete(prompt) -> str,
-    or a bare callable. Chunks are processed concurrently (bounded) when the
-    input was split; claims keep chunk order and the document score covers
-    them all.
+    or a bare callable. A BackendConfig builds a new ChatBackend, and so a new
+    requests.Session, on every call; pass one ChatBackend to reuse one session
+    across calls. Chunks are processed concurrently (bounded) when the input
+    was split; claims keep chunk order and the document score covers them all.
     """
     retrieval_cfg = retrieval_cfg or RetrievalConfig()
     scoring_cfg = scoring_cfg or ScoringConfig()
@@ -180,8 +181,11 @@ def iter_datagen_records(kg: KnowledgeGraph, text: str,
 
     Each record holds the document, the sentence span, the triplets retrieved
     for that sentence's entities (as label triples), and the rendered prompt;
-    with a backend also the model's response. Failures are tagged with the
-    stage that failed, as in run_pipeline.
+    with a backend also the model's response. backend is taken as in
+    run_pipeline: a BackendConfig builds a new ChatBackend, and so a new
+    requests.Session, on every call; pass one ChatBackend to reuse one session
+    across documents. Failures are tagged with the stage that failed, as in
+    run_pipeline.
     """
     retrieval_cfg = retrieval_cfg or RetrievalConfig()
     completer = _as_completer(backend) if backend is not None else None

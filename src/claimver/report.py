@@ -14,7 +14,7 @@ from typing import Any, Iterable, Optional, Sequence, get_args, get_origin, get_
 
 from .kg import KnowledgeGraph, Triplet
 from .linking import LinkedEntity
-from .retrieval import KgPath, RetrievedTriplets
+from .retrieval import RetrievedTriplets
 from .scoring import ScoredClaim
 
 @functools.cache
@@ -127,11 +127,6 @@ def triplet_record(kg: KnowledgeGraph, t: Triplet) -> TripletRecord:
     return TripletRecord(s_id=t.subject, s_label=s_label, p=p, o_id=t.object, o_label=o_label)
 
 
-def path_record(kg: KnowledgeGraph, path: KgPath) -> PathRecord:
-    return PathRecord(nodes=path.nodes,
-                      edges=tuple(triplet_record(kg, e) for e in path.edges))
-
-
 def entity_record(kg: KnowledgeGraph, entity: LinkedEntity) -> EntityRecord:
     node = kg.nodes[entity.node]
     return EntityRecord(mention=entity.mention, start=entity.start, end=entity.end,
@@ -139,25 +134,30 @@ def entity_record(kg: KnowledgeGraph, entity: LinkedEntity) -> EntityRecord:
                         description=node.description, alternates=entity.alternates)
 
 
-def claim_record(kg: KnowledgeGraph, scored: ScoredClaim) -> ClaimRecord:
-    c = scored.claim
-    return ClaimRecord(span=c.span, start=c.start, end=c.end,
-                       prediction=c.prediction.value,
-                       triplets=tuple(triplet_record(kg, t) for t in c.rel_triplets),
-                       rationale=c.rationale,
-                       ss=scored.ss, epr=scored.epr, tms=scored.tms, claim_score=scored.cs,
-                       diagnostics=c.diagnostics)
-
-
 def build_report(kg: KnowledgeGraph, input_text: str,
                  entities: Sequence[LinkedEntity], retrieved: RetrievedTriplets,
                  scored: Sequence[ScoredClaim], kas: float,
                  config: dict[str, Any], diagnostics: Iterable[str] = ()) -> VerificationReport:
+    """Assemble the report. retrieved_triplets, the path edges and the claims
+    share one TripletRecord per retrieved triplet."""
+    records = {t: triplet_record(kg, t) for t in retrieved.triplets}
+
+    def triplets(ts: Iterable[Triplet]) -> tuple[TripletRecord, ...]:
+        return tuple(records.get(t) or triplet_record(kg, t) for t in ts)
+
+    def claim_record(sc: ScoredClaim) -> ClaimRecord:
+        c = sc.claim
+        return ClaimRecord(span=c.span, start=c.start, end=c.end,
+                           prediction=c.prediction.value, triplets=triplets(c.rel_triplets),
+                           rationale=c.rationale, ss=sc.ss, epr=sc.epr, tms=sc.tms,
+                           claim_score=sc.cs, diagnostics=c.diagnostics)
+
     return VerificationReport(
         input_text=input_text,
         entities=tuple(entity_record(kg, e) for e in entities),
-        retrieved_paths=tuple(path_record(kg, p) for p in retrieved.paths),
-        retrieved_triplets=tuple(triplet_record(kg, t) for t in retrieved.triplets),
-        claims=tuple(claim_record(kg, sc) for sc in scored),
+        retrieved_triplets=tuple(records.values()),
+        retrieved_paths=tuple(PathRecord(nodes=p.nodes, edges=triplets(p.edges))
+                              for p in retrieved.paths),
+        claims=tuple(claim_record(sc) for sc in scored),
         n=len(scored), kas=kas, config=dict(config), diagnostics=tuple(diagnostics),
     )

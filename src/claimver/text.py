@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from typing import Callable
 
 _WORD_RE = re.compile(r"\w+")
 
@@ -46,25 +47,42 @@ def _normalize_with_map(s: str) -> tuple[str, list[tuple[int, int]]]:
     return "".join(chars), spans
 
 
+def normalized_finder(text: str) -> Callable[[str], tuple[int, int] | None]:
+    """normalized_find over one text, building its normalized map at most once.
+
+    The map is built on the first call that needs it and dropped with the
+    returned function.
+    """
+    mapped: tuple[str, list[tuple[int, int]]] | None = None
+
+    def find(needle: str) -> tuple[int, int] | None:
+        nonlocal mapped
+        target = normalize(needle)
+        if not target:
+            return None
+        if mapped is None:
+            mapped = _normalize_with_map(text)
+        ntext, spans = mapped
+        pos = 0
+        while True:
+            j = ntext.find(target, pos)
+            if j < 0:
+                return None
+            start = spans[j][0]
+            end = spans[j + len(target) - 1][1]
+            # A case-fold expansion (one source char, several folded chars) can let
+            # the normalized match end mid-character; reject those and keep looking.
+            if normalize(text[start:end]) == target:
+                return start, end
+            pos = j + 1
+
+    return find
+
+
 def normalized_find(text: str, needle: str) -> tuple[int, int] | None:
     """Locate needle in text under normalization, returning original offsets.
 
     Returns (start, end) such that normalize(text[start:end]) == normalize(needle),
     or None when there is no such span.
     """
-    target = normalize(needle)
-    if not target:
-        return None
-    ntext, spans = _normalize_with_map(text)
-    pos = 0
-    while True:
-        j = ntext.find(target, pos)
-        if j < 0:
-            return None
-        start = spans[j][0]
-        end = spans[j + len(target) - 1][1]
-        # A case-fold expansion (one source char, several folded chars) can let
-        # the normalized match end mid-character; reject those and keep looking.
-        if normalize(text[start:end]) == target:
-            return start, end
-        pos = j + 1
+    return normalized_finder(text)(needle)

@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import claimver.text
 from claimver.errors import ResponseParseError
 from claimver.kg import Triplet
 from claimver.parsing import (ClaimResult, PredictionLabel, RawClaim,
                               format_response, parse_response,
                               parse_triplet_field, validate_claims)
 from claimver.retrieval import RetrievalConfig, retrieve
+from claimver.text import normalized_find
 
 from conftest import APOLLO_RESPONSE, APOLLO_TEXT
 
@@ -179,6 +181,24 @@ class TestValidateClaims:
         assert out[0].prediction is PredictionLabel.ATTRIBUTABLE
         assert out[0].start == 0
         assert any("normalization" in d for d in out[0].diagnostics)
+
+    def test_normalized_map_built_once_per_call(self, apollo_kg, apollo_retrieved, monkeypatch):
+        spans = ["apollo 11  landed on the moon.", "NEIL ARMSTRONG", "a  french citizen."]
+        assert all(APOLLO_TEXT.find(s) == -1 for s in spans)
+        expected = [normalized_find(APOLLO_TEXT, s) for s in spans]
+        assert all(expected)
+        built = []
+        original = claimver.text._normalize_with_map
+
+        def counting(s):
+            built.append(s)
+            return original(s)
+
+        monkeypatch.setattr(claimver.text, "_normalize_with_map", counting)
+        raws = [_raw(s, "Extrapolatory", index=i) for i, s in enumerate(spans, 1)]
+        out = validate_claims(raws, APOLLO_TEXT, apollo_retrieved, apollo_kg)
+        assert built == [APOLLO_TEXT]
+        assert [(c.start, c.end) for c in out] == expected
 
     def test_unlocatable_span_noattribution(self, apollo_kg, apollo_retrieved):
         raws = [_raw("The Moon is made of cheese.", "Attributable",

@@ -1,19 +1,27 @@
 """Report model round-trips and the three renderers."""
 
+import importlib
 import json
+import math
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from claimver.linking import link_entities
 from claimver.parsing import RawClaim, validate_claims
 from claimver.render import render, render_ansi, render_html, render_json
-from claimver.report import (ClaimRecord, TripletRecord, VerificationReport,
-                             build_report)
+from claimver.report import (ClaimRecord, EntityRecord, PathRecord, TripletRecord,
+                             VerificationReport, build_report)
 from claimver.retrieval import retrieve
 from claimver.scoring import kg_attribution_score, score_claims
 
 from conftest import APOLLO_RESPONSE, APOLLO_TEXT
+from oracles import paint_oracle, render_json_oracle, span_colors_oracle
+
+# The module, not the render() function that claimver re-exports under its name.
+render_mod = importlib.import_module("claimver.render")
 
 _ANSI_RE = re.compile(r"\x1b\[[0-9;]*m")
 
@@ -176,6 +184,17 @@ class TestRenderDispatch:
             render(apollo_report, "pdf")
 
 
+_LABELS = st.sampled_from(["Attributable", "Extrapolatory", "Contradictory", "NoAttribution"])
+
+
+def _painted_report(text, claims):
+    records = tuple(ClaimRecord(span="", start=s, end=e, prediction=label, triplets=(),
+                                rationale="", ss=0.0, epr=0.0, tms=0.0, claim_score=0)
+                    for s, e, label in claims)
+    return VerificationReport(input_text=text, entities=(), retrieved_triplets=(),
+                              claims=records, n=len(records), kas=0.5)
+
+
 class TestOverlapPainting:
     def test_later_claim_wins(self, apollo_kg):
         text = "Apollo 11 landed on the Moon."
@@ -191,3 +210,113 @@ class TestOverlapPainting:
         assert "\x1b[31mMoon\x1b[0m" in out
         stripped = _ANSI_RE.sub("", out)
         assert stripped.startswith(text + "\n")
+
+    def test_negative_start_clamped(self):
+        report = _painted_report("hello world", [(-2, 1, "Contradictory")])
+        assert render_ansi(report).split("\n")[0] == "\x1b[31mh\x1b[0mello world"
+        assert '<pre class="text"><span class="contradictory">h</span>ello world</pre>' \
+            in render_html(report)
+
+    @pytest.mark.parametrize("start, end", [(-9, -2), (12, 15), (5, 3), (-1, 99)])
+    def test_offsets_outside_text(self, start, end):
+        report = _painted_report("hello world", [(start, end, "Attributable")])
+        colors = render_mod._span_colors(report)
+        assert len(colors) == 11
+        painted = set(range(max(start, 0), min(end, 11)))
+        assert [i for i, c in enumerate(colors) if c] == sorted(painted)
+
+    @given(st.text(st.sampled_from("ab <>&\"'\n月"), max_size=30),
+           st.lists(st.tuples(st.integers(0, 32), st.integers(0, 35), _LABELS), max_size=5))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_character_painter(self, text, claims):
+        report = _painted_report(text, claims)
+        ansi, page = render_ansi(report), render_html(report)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(render_mod, "_span_colors", span_colors_oracle)
+            mp.setattr(render_mod, "_paint", paint_oracle)
+            assert ansi == render_ansi(report)
+            assert page == render_html(report)
+
+
+# Strings with non-ASCII characters, control characters, quotes, backslashes
+# and lone surrogates.
+_CHARS = st.one_of(st.characters(), st.characters(categories=["Cs"]),
+                   st.sampled_from('"\\\x00\x1f\x7f\u2028é月\U0001F600'))
+_TEXT = st.text(_CHARS, max_size=6)
+_FLOATS = st.one_of(st.floats(), st.sampled_from(
+    [-0.0, 5e-324, 1e16, math.nan, math.inf, -math.inf]))
+_INTS = st.integers(-2**70, 2**70)
+_OFFSETS = st.none() | st.integers(-5, 50)
+_JSON = st.recursive(st.none() | st.booleans() | _INTS | _FLOATS | _TEXT,
+                     lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(_TEXT, inner, max_size=3),
+                     max_leaves=5)
+
+
+def _tuples(elements, max_size=2):
+    return st.lists(elements, max_size=max_size).map(tuple)
+
+
+_TRIPLETS = st.builds(TripletRecord, _TEXT, _TEXT, _TEXT, _TEXT, _TEXT)
+_REPORTS = st.builds(
+    lambda claims, **kw: VerificationReport(claims=claims, n=len(claims), **kw),
+    input_text=_TEXT,
+    entities=_tuples(st.builds(EntityRecord, mention=_TEXT, start=_INTS, end=_INTS,
+                               node=_TEXT, label=_TEXT, description=_TEXT,
+                               alternates=_tuples(_TEXT))),
+    retrieved_triplets=_tuples(_TRIPLETS),
+    retrieved_paths=_tuples(st.builds(PathRecord, nodes=_tuples(_TEXT),
+                                      edges=_tuples(_TRIPLETS))),
+    claims=_tuples(st.builds(ClaimRecord, span=_TEXT, start=_OFFSETS, end=_OFFSETS,
+                             prediction=_TEXT, triplets=_tuples(_TRIPLETS),
+                             rationale=_TEXT, ss=_FLOATS, epr=_FLOATS, tms=_FLOATS,
+                             claim_score=_INTS, diagnostics=_tuples(_TEXT))),
+    kas=_FLOATS,
+    config=st.dictionaries(_TEXT, _JSON, max_size=4),
+    diagnostics=_tuples(_TEXT),
+)
+
+
+class TestRenderJsonMatchesDumps:
+    """render_json writes the text itself; json.dumps(indent=2) is the oracle."""
+
+    @given(_REPORTS)
+    @settings(max_examples=100, deadline=None)
+    def test_random_reports(self, report):
+        assert render_json(report) == render_json_oracle(report)
+
+    def test_fixture_report(self, apollo_report):
+        assert render_json(apollo_report) == render_json_oracle(apollo_report)
+
+    def test_shared_records_and_odd_field_types(self):
+        # A record read back from loose JSON can hold values of other types;
+        # they are written as json.dumps writes them.
+        odd = TripletRecord(1, None, "p", 2.5, ["x", {"k": True}])
+        shared = TripletRecord("a", "A", "p", "b", "B")
+        report = VerificationReport(
+            input_text="t", entities=(), retrieved_triplets=(shared, odd),
+            retrieved_paths=(PathRecord(nodes=("a", "b"), edges=(shared, shared)),),
+            claims=(), n=0, kas=1, config={2: "two", 2.5: None, False: [], None: {}})
+        assert render_json(report) == render_json_oracle(report)
+
+    @pytest.mark.parametrize("config", [
+        {"x": object()}, {"x": {1, 2}}, {"x": b"bytes"}, {"x": [1, object()]},
+        {"x": TripletRecord("a", "A", "p", "b", "B")}, {(1, 2): "tuple key"},
+    ])
+    def test_unencodable_config_raises_type_error(self, config):
+        report = VerificationReport(input_text="t", entities=(), retrieved_triplets=(),
+                                    claims=(), n=0, kas=0.5, config=config)
+        with pytest.raises(TypeError):
+            render_json_oracle(report)
+        with pytest.raises(TypeError):
+            render_json(report)
+
+
+class TestBuildReportSharesTriplets:
+    def test_one_record_per_triplet(self, apollo_kg, apollo_report):
+        by_key = {(t.s_id, t.p, t.o_id): t for t in apollo_report.retrieved_triplets}
+        edges = [e for p in apollo_report.retrieved_paths for e in p.edges]
+        cited = [t for c in apollo_report.claims for t in c.triplets]
+        assert edges and cited
+        for rec in edges + cited:
+            assert rec is by_key[(rec.s_id, rec.p, rec.o_id)]
