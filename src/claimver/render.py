@@ -9,14 +9,11 @@ stripping codes or tags gives back the input.
 
 from __future__ import annotations
 
-import functools
 import html
 from itertools import groupby
-from json.encoder import encode_basestring
-from operator import attrgetter
-from typing import Any, Callable, Optional
+from typing import Optional
 
-from .report import ClaimRecord, TripletRecord, VerificationReport, _Record, _spec
+from .report import ClaimRecord, TripletRecord, VerificationReport
 from .text import format_triplet
 
 _ANSI = {
@@ -71,104 +68,9 @@ def _paint(text: str, colors: list[Optional[str]], open_code, close_code, escape
     return "".join(out)
 
 
-# The JSON writer. Its bytes equal json.dumps(report.to_dict(), indent=2,
-# ensure_ascii=False): records are written where to_dict would convert them
-# (a record field, or a tuple inside one), every other value as json.dumps
-# writes it, and anything it cannot encode raises TypeError.
-
-_INF = float("inf")
-
-
-def _float(v: float) -> str:
-    if v != v:
-        return "NaN"
-    if v == _INF:
-        return "Infinity"
-    if v == -_INF:
-        return "-Infinity"
-    return float.__repr__(v)
-
-
-def _block(open_: str, items: list[str], close: str, level: int) -> str:
-    """Items already written at level + 1, one per line between the brackets."""
-    if not items:
-        return open_ + close
-    outer = "\n" + "  " * level
-    inner = outer + "  "
-    return open_ + inner + ("," + inner).join(items) + outer + close
-
-
-def _array(items, level: int, write: Callable[[Any, int], str]) -> str:
-    return _block("[", [encode_basestring(v) if type(v) is str else write(v, level + 1)
-                        for v in items], "]", level)
-
-
-def _key(k: Any) -> str:
-    if isinstance(k, str):
-        return encode_basestring(k)
-    if isinstance(k, (float, int)) or k is None:
-        return '"' + _plain(k, 0) + '"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
-
-
-def _plain(v: Any, level: int) -> str:
-    """A value as json.dumps writes it, in its type-check order."""
-    if isinstance(v, str):
-        return encode_basestring(v)
-    if v is None:
-        return "null"
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
-    if isinstance(v, int):
-        return int.__repr__(v)
-    if isinstance(v, float):
-        return _float(v)
-    if isinstance(v, (list, tuple)):
-        return _array(v, level, _plain)
-    if isinstance(v, dict):
-        return _block("{", [_key(k) + ": " + _plain(x, level + 1) for k, x in v.items()],
-                      "}", level)
-    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
-
-
-def _field(v: Any, level: int) -> str:
-    """A record field value, converted as to_dict converts it."""
-    if isinstance(v, _Record):
-        return _record(v, level)
-    if isinstance(v, tuple):
-        return _array(v, level, _field)
-    return _plain(v, level)
-
-
-@functools.cache
-def _template(cls: type, level: int) -> tuple[str, Callable[[Any], tuple], bool]:
-    """One record class at one indent level: its %-format, a getter of its
-    field values in field order, and whether every field is typed str."""
-    spec = _spec(cls)
-    names = [name for name, _, _ in spec]
-    get = attrgetter(*names) if len(names) > 1 else lambda rec: (getattr(rec, names[0]),)
-    template = _block("{", [encode_basestring(name) + ": %s" for name in names], "}", level)
-    return template, get, all(h is str for _, h, _ in spec)
-
-
-def _record(rec: _Record, level: int) -> str:
-    template, get, strings = _template(type(rec), level)
-    values = get(rec)
-    if strings:
-        try:
-            return template % tuple(map(encode_basestring, values))
-        except TypeError:  # a value that is not a str; write it as json.dumps would
-            pass
-    level += 1
-    return template % tuple([encode_basestring(v) if type(v) is str else _field(v, level)
-                             for v in values])
-
-
 def render_json(report: VerificationReport) -> str:
     """Indented canonical JSON, byte-identical to json.dumps(indent=2)."""
-    return _record(report, 0) + "\n"
+    return report.to_json() + "\n"
 
 
 def _triplet_line(t: TripletRecord) -> str:

@@ -3,14 +3,17 @@
 Records carry resolved labels and descriptions so a report can be rendered or
 inspected without the knowledge graph it came from. Conversion to and from
 plain dicts is lossless, which makes the JSON output a faithful serialization
-of the report object.
+of the report object; to_json writes that JSON text without building the dicts.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Any, Iterable, Optional, Sequence, get_args, get_origin, get_type_hints
+from json.encoder import encode_basestring
+from operator import attrgetter
+from typing import (Any, Callable, Iterable, Optional, Sequence, get_args, get_origin,
+                    get_type_hints)
 
 from .kg import KnowledgeGraph, Triplet
 from .linking import LinkedEntity
@@ -26,12 +29,89 @@ def _spec(cls: type) -> tuple[tuple[str, Any, bool], ...]:
                  for f in fields(cls))
 
 
+# How a record field value becomes JSON: a record becomes an object in field
+# order, a tuple becomes a list, every other value passes through. _encode
+# applies the rule for to_dict, and _write for to_json; keep the two alike.
+
 def _encode(value: Any) -> Any:
     if isinstance(value, _Record):
         return value.to_dict()
     if isinstance(value, tuple):
         return [_encode(v) for v in value]
     return value
+
+
+_INF = float("inf")
+
+
+def _float(v: float) -> str:
+    if v != v:
+        return "NaN"
+    if v == _INF:
+        return "Infinity"
+    if v == -_INF:
+        return "-Infinity"
+    return float.__repr__(v)
+
+
+def _block(open_: str, items: list[str], close: str, level: int) -> str:
+    """Items already written at level + 1, one per line between the brackets."""
+    if not items:
+        return open_ + close
+    outer = "\n" + "  " * level
+    inner = outer + "  "
+    return open_ + inner + ("," + inner).join(items) + outer + close
+
+
+def _key(k: Any) -> str:
+    if isinstance(k, str):
+        return encode_basestring(k)
+    if isinstance(k, (float, int)) or k is None:
+        return '"' + _write(k, 0) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
+def _write(v: Any, level: int, records: bool = True) -> str:
+    """_encode(v) as json.dumps(indent=2, ensure_ascii=False) writes it, in
+    json.dumps's type-check order. records says whether _encode would reach a
+    record here: in a field or a tuple inside one, not inside a list or dict.
+    Anything json.dumps cannot encode raises TypeError."""
+    if isinstance(v, str):
+        return encode_basestring(v)
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        return _float(v)
+    if isinstance(v, (list, tuple)):
+        records = records and isinstance(v, tuple)
+        return _block("[", [_write(x, level + 1, records) for x in v], "]", level)
+    if isinstance(v, dict):
+        return _block("{", [_key(k) + ": " + _write(x, level + 1, False) for k, x in v.items()],
+                      "}", level)
+    if records and isinstance(v, _Record):
+        return _write_record(v, level)
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
+@functools.cache
+def _template(cls: type, level: int) -> tuple[str, Callable[[Any], tuple]]:
+    """One record class at one indent level: its %-format and a getter of its
+    field values in field order. Every record class has at least two fields."""
+    names = [name for name, _, _ in _spec(cls)]
+    return (_block("{", [encode_basestring(name) + ": %s" for name in names], "}", level),
+            attrgetter(*names))
+
+
+def _write_record(rec: _Record, level: int) -> str:
+    template, get = _template(type(rec), level)
+    level += 1
+    return template % tuple([_write(v, level) for v in get(rec)])
 
 
 def _decode(hint: Any, value: Any) -> Any:
@@ -47,7 +127,7 @@ def _decode(hint: Any, value: Any) -> Any:
 
 
 class _Record:
-    """Dict conversion for the record dataclasses below.
+    """Dict and JSON conversion for the record dataclasses below.
 
     Keys follow field order and tuples become lists. from_dict needs every
     field without a default and ignores unknown keys.
@@ -55,6 +135,11 @@ class _Record:
 
     def to_dict(self) -> dict[str, Any]:
         return {name: _encode(getattr(self, name)) for name, _, _ in _spec(type(self))}
+
+    def to_json(self) -> str:
+        """to_dict() as json.dumps(..., indent=2, ensure_ascii=False) writes it,
+        without building the dict."""
+        return _write_record(self, 0)
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]):

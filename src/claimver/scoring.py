@@ -97,8 +97,10 @@ class HashedBagEmbedder:
         return int.from_bytes(digest[:8], "big") % self.dim
 
     def embed(self, text: str) -> np.ndarray:
-        buckets = np.fromiter(map(self._bucket, tokens(text)), dtype=np.intp)
-        return np.bincount(buckets, minlength=self.dim).astype(np.float64)
+        vec = np.zeros(self.dim, dtype=np.float64)
+        for tok in tokens(text):
+            vec[self._bucket(tok)] += 1.0
+        return vec
 
 
 class HttpEmbedder(_EndpointClient):

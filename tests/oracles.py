@@ -3,8 +3,7 @@
 Each one is the plain form the package used before it was sped up:
 - render_json_oracle: the report through to_dict() and json.dumps(indent=2);
 - span_colors_oracle and paint_oracle: the per-character span painter, valid
-  for claim offsets inside the text;
-- hashed_embed_oracle: HashedBagEmbedder.embed as one += per token.
+  for claim offsets inside the text.
 """
 
 from __future__ import annotations
@@ -12,11 +11,7 @@ from __future__ import annotations
 import json
 from typing import Optional
 
-import numpy as np
-
 from claimver.report import VerificationReport
-from claimver.scoring import HashedBagEmbedder
-from claimver.text import tokens
 
 
 def render_json_oracle(report: VerificationReport) -> str:
@@ -47,10 +42,3 @@ def paint_oracle(text: str, colors: list[Optional[str]], open_code, close_code, 
     if current is not None:
         out.append(close_code(current))
     return "".join(out)
-
-
-def hashed_embed_oracle(embedder: HashedBagEmbedder, text: str) -> np.ndarray:
-    vec = np.zeros(embedder.dim, dtype=np.float64)
-    for tok in tokens(text):
-        vec[embedder._bucket(tok)] += 1.0
-    return vec

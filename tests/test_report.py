@@ -311,6 +311,17 @@ class TestRenderJsonMatchesDumps:
         with pytest.raises(TypeError):
             render_json(report)
 
+    def test_record_in_list_field_raises_type_error(self):
+        # to_dict converts records in tuples, not in lists.
+        inner = TripletRecord("a", "A", "p", "b", "B")
+        listed = TripletRecord("x", [inner], "p", "y", "Y")
+        report = VerificationReport(input_text="t", entities=(), retrieved_triplets=(listed,),
+                                    claims=(), n=0, kas=0.5)
+        with pytest.raises(TypeError):
+            render_json_oracle(report)
+        with pytest.raises(TypeError):
+            render_json(report)
+
 
 class TestBuildReportSharesTriplets:
     def test_one_record_per_triplet(self, apollo_kg, apollo_report):

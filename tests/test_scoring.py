@@ -21,7 +21,6 @@ from claimver.scoring import (AttributionResult, FallbackEmbedder,
                               semantic_similarity, triplets_match_score)
 
 from conftest import APOLLO_TEXT, chat_payload
-from oracles import hashed_embed_oracle
 
 # Independently derived with a 50-digit evaluation of 1/(1+exp(-g*x)).
 SIG_2_G1 = 0.8807970779778823
@@ -101,20 +100,6 @@ class TestHashedBagEmbedder:
     def test_bad_dim(self):
         with pytest.raises(ValueError):
             HashedBagEmbedder(dim=0)
-
-    @given(st.text(st.sampled_from("ab Ab é月.,\n!_0"), max_size=40) | st.text(max_size=20),
-           st.integers(1, 64))
-    @settings(max_examples=300, deadline=None)
-    def test_bit_identical_to_per_token_loop(self, text, dim):
-        e = HashedBagEmbedder(dim)
-        got, want = e.embed(text), hashed_embed_oracle(e, text)
-        assert got.dtype == want.dtype == np.float64 and got.shape == want.shape == (dim,)
-        assert got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("text", ["", "...", " \n\t", "!?"])
-    def test_no_tokens_bit_identical(self, text):
-        e = HashedBagEmbedder(8)
-        assert e.embed(text).tobytes() == hashed_embed_oracle(e, text).tobytes()
 
 
 class _FixedEmbedder:
