@@ -18,9 +18,7 @@ from .text import format_triplet, normalized_find
 
 logger = logging.getLogger(__name__)
 
-# Instruction sent before each verification request. The {Input Text} and
-# {Retrieved Triplets} slots are filled literally, never via str.format, so
-# braces in user text survive.
+# Instruction sent before each verification request's input block.
 VERIFICATION_TEMPLATE = """\
 Analyze text against provided triplets, classifying claims as "Attributable", "Contradictory", or "Extrapolatory".
 Justify your classification using the following structure:
@@ -36,8 +34,6 @@ Example:
 "rationale1": "Prediction justification",
 ...
 Input for analysis:
--Text: {Input Text}
--Triplets: {Retrieved Triplets}
 """
 
 # Few-shot instruction for labeling one text span against triplets, used to
@@ -119,13 +115,7 @@ Provide your evaluation in the following JSON format:
 
 **Inputs to Evaluate**
 
-**Full text:** "{full_text}"
-**Text span:** "{text_span}"
-**Triplets:** {triplets}
 """
-
-_VERIFICATION_SPLIT = "Input for analysis:\n"
-_DATAGEN_SPLIT = "**Inputs to Evaluate**\n\n"
 
 
 @dataclass(frozen=True)
@@ -138,25 +128,6 @@ class PromptBundle:
     @property
     def text(self) -> str:
         return self.instruction + self.rendered_input
-
-
-def _render(template: str, slots: list[tuple[str, str]]) -> str:
-    """Fill placeholders in template order.
-
-    Each placeholder is located in the not-yet-consumed remainder of the
-    template, so substituted values can never be mistaken for later slots.
-    """
-    parts: list[str] = []
-    rest = template
-    for placeholder, value in slots:
-        head, sep, tail = rest.partition(placeholder)
-        if not sep:
-            raise PromptError(f"template slot {placeholder!r} missing")
-        parts.append(head)
-        parts.append(value)
-        rest = tail
-    parts.append(rest)
-    return "".join(parts)
 
 
 def serialize_triplets(labeled: Iterable[tuple[str, str, str]]) -> str:
@@ -182,10 +153,7 @@ def build_verification_prompt(text: str, triplets: RetrievedTriplets,
     predicate, object label) lines.
     """
     serialized = serialize_triplets(kg.triplet_labels(t) for t in triplets.triplets)
-    filled = _render(VERIFICATION_TEMPLATE,
-                     [("{Input Text}", text), ("{Retrieved Triplets}", serialized)])
-    instruction, _, rendered_input = filled.partition(_VERIFICATION_SPLIT)
-    return PromptBundle(instruction + _VERIFICATION_SPLIT, rendered_input)
+    return PromptBundle(VERIFICATION_TEMPLATE, f"-Text: {text}\n-Triplets: {serialized}\n")
 
 
 def _span_in_text(full_text: str, text_span: str) -> bool:
@@ -211,11 +179,8 @@ def build_datagen_prompt(full_text: str, text_span: str,
         raise PromptError("text_span must be a substring of full_text")
     items = triplets.triplets if isinstance(triplets, RetrievedTriplets) else triplets
     serialized = serialize_triplets_bracketed(kg.triplet_labels(t) for t in items)
-    filled = _render(DATAGEN_TEMPLATE,
-                     [("{full_text}", full_text), ("{text_span}", text_span),
-                      ("{triplets}", serialized)])
-    instruction, _, rendered_input = filled.partition(_DATAGEN_SPLIT)
-    return PromptBundle(instruction + _DATAGEN_SPLIT, rendered_input)
+    return PromptBundle(DATAGEN_TEMPLATE, f'**Full text:** "{full_text}"\n**Text span:** '
+                                          f'"{text_span}"\n**Triplets:** {serialized}\n')
 
 
 def _default_api_key() -> str:

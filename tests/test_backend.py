@@ -4,6 +4,8 @@ import socket
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from claimver.backend import (BackendConfig, ChatBackend, MockBackend,
                               VERIFICATION_TEMPLATE, build_datagen_prompt,
@@ -11,7 +13,7 @@ from claimver.backend import (BackendConfig, ChatBackend, MockBackend,
 from claimver.errors import (BackendAuthError, BackendError, PromptError,
                              UnknownPromptError)
 from claimver.kg import KgNode, Triplet, build_graph
-from claimver.retrieval import retrieve
+from claimver.retrieval import KgPath, RetrievedTriplets, retrieve
 from claimver.scoring import HttpEmbedder
 
 from conftest import chat_payload
@@ -97,6 +99,69 @@ class TestDatagenPrompt:
     def test_empty_triplets_render_empty_list(self, einstein_kg):
         bundle = build_datagen_prompt("T.", "T.", [], einstein_kg)
         assert "**Triplets:** []" in bundle.rendered_input
+
+
+# Strings built to confuse a placeholder filler: every slot name the prompts
+# ever had, both lines that end an instruction, braces, backslashes, quotes.
+_ADVERSARIAL = st.lists(st.one_of(
+    st.sampled_from(["{Input Text}", "{Retrieved Triplets}", "{full_text}", "{text_span}",
+                     "{triplets}", "Input for analysis:\n", "**Inputs to Evaluate**\n\n",
+                     "{", "}", "{}", "{0}", "\\", "\\n", '"', "%s"]),
+    st.text(max_size=4)), max_size=6).map("".join)
+
+
+@st.composite
+def _labeled_graph(draw):
+    """A graph of 0-3 triplets over adversarially labelled nodes, in order."""
+    n = draw(st.integers(0, 3))
+    nodes = [KgNode(f"N{i}", "L" + draw(_ADVERSARIAL)) for i in range(n + 1)]
+    triplets = [Triplet(f"N{i}", draw(_ADVERSARIAL), f"N{i + 1}") for i in range(n)]
+    return build_graph(nodes, triplets), triplets
+
+
+def _quoted(s):
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+_PLAIN_KG = build_graph([KgNode("N0", "L")], [])
+VERIFICATION_INSTRUCTION = build_verification_prompt(
+    "t", RetrievedTriplets(paths=()), _PLAIN_KG).instruction
+DATAGEN_INSTRUCTION = build_datagen_prompt("t", "t", [], _PLAIN_KG).instruction
+
+
+class TestPromptBlocks:
+    """Each prompt is one fixed instruction followed by its input block."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=_ADVERSARIAL, graph=_labeled_graph())
+    def test_verification(self, text, graph):
+        kg, triplets = graph
+        retrieved = RetrievedTriplets(
+            paths=tuple(KgPath((t.subject, t.object), (t,)) for t in triplets))
+        bundle = build_verification_prompt(text, retrieved, kg)
+        labeled = [kg.triplet_labels(t) for t in triplets]
+        serialized = "\n".join(f"({s}, {p}, {o})" for s, p, o in labeled)
+        assert bundle.instruction == VERIFICATION_INSTRUCTION
+        assert VERIFICATION_INSTRUCTION.endswith("Input for analysis:\n")
+        assert VERIFICATION_TEMPLATE.startswith(VERIFICATION_INSTRUCTION)
+        assert bundle.text == bundle.instruction + bundle.rendered_input
+        assert bundle.rendered_input == f"-Text: {text}\n-Triplets: {serialized}\n"
+
+    @settings(max_examples=150, deadline=None)
+    @given(head=_ADVERSARIAL, span=_ADVERSARIAL, tail=_ADVERSARIAL, graph=_labeled_graph())
+    def test_datagen(self, head, span, tail, graph):
+        kg, triplets = graph
+        full_text = head + span + tail
+        bundle = build_datagen_prompt(full_text, span, triplets, kg)
+        labeled = [kg.triplet_labels(t) for t in triplets]
+        serialized = "[" + ", ".join(
+            f"({_quoted(s)}, {_quoted(p)}, {_quoted(o)})" for s, p, o in labeled) + "]"
+        assert bundle.instruction == DATAGEN_INSTRUCTION
+        assert DATAGEN_INSTRUCTION.endswith("**Inputs to Evaluate**\n\n")
+        assert bundle.text == bundle.instruction + bundle.rendered_input
+        assert bundle.rendered_input == (f'**Full text:** "{full_text}"\n'
+                                         f'**Text span:** "{span}"\n'
+                                         f"**Triplets:** {serialized}\n")
 
 
 class TestBackendConfig:
