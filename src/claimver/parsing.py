@@ -202,16 +202,19 @@ def parse_triplet_field(field: str) -> tuple[list[tuple[str, str, str]], list[st
 
 
 def _locate_span(input_text: str, span: str,
-                 find_normalized: Callable[[str], Optional[tuple[int, int]]]
-                 ) -> tuple[Optional[int], Optional[int], list[str]]:
+                 find_normalized: Callable[..., Optional[tuple[int, int]]],
+                 after: int) -> tuple[Optional[int], Optional[int], list[str]]:
+    """Anchor span at its first occurrence from offset after, else at its
+    first occurrence anywhere."""
     if _is_na(span):
         return None, None, ["text span missing or NA"]
-    at = input_text.find(span)
-    if at != -1:
-        return at, at + len(span), []
-    hit = find_normalized(span)
-    if hit:
-        return hit[0], hit[1], ["span located only after normalization"]
+    for start in ((after, 0) if after else (0,)):
+        at = input_text.find(span, start)
+        if at != -1:
+            return at, at + len(span), []
+        hit = find_normalized(span, start)
+        if hit:
+            return hit[0], hit[1], ["span located only after normalization"]
     return None, None, [f"span not found in input: {span[:60]!r}"]
 
 
@@ -243,7 +246,9 @@ def validate_claims(raws: list[RawClaim], input_text: str, retrieved: RetrievedT
     Unlocatable spans and unreadable predictions become NoAttribution; cited
     triplets survive only if retrieved (or, flagged, present in the graph);
     Attributable/Contradictory claims with no surviving triplet are downgraded
-    to NoAttribution. Claims stay in model order; overlaps are flagged.
+    to NoAttribution. Claims stay in model order; a span is anchored after the
+    previous anchored claim's start when it occurs there, so repeated
+    sentences anchor in claim order, and overlaps are flagged.
     """
     by_labels: dict[tuple[str, str, str], Triplet] = {}
     for t in retrieved.triplets:
@@ -253,7 +258,10 @@ def validate_claims(raws: list[RawClaim], input_text: str, retrieved: RetrievedT
     located: list[tuple[int, int]] = []
     for raw in raws:
         diagnostics: list[str] = []
-        start, end, span_diags = _locate_span(input_text, raw.text_span, find_normalized)
+        # Just past the previous anchor, so a repeated sentence anchors at its
+        # next occurrence.
+        after = located[-1][0] + 1 if located else 0
+        start, end, span_diags = _locate_span(input_text, raw.text_span, find_normalized, after)
         diagnostics.extend(span_diags)
 
         label = _PARSED_LABELS.get(normalize(raw.prediction).strip(' ."\''))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from typing import Callable
 
 _WORD_RE = re.compile(r"\w+")
@@ -47,15 +48,16 @@ def _normalize_with_map(s: str) -> tuple[str, list[tuple[int, int]]]:
     return "".join(chars), spans
 
 
-def normalized_finder(text: str) -> Callable[[str], tuple[int, int] | None]:
+def normalized_finder(text: str) -> Callable[..., tuple[int, int] | None]:
     """normalized_find over one text, building its normalized map at most once.
 
-    The map is built on the first call that needs it and dropped with the
-    returned function.
+    The returned find(needle, start=0) only reports matches that begin at or
+    after text offset start. The map is built on the first call that needs it
+    and dropped with the returned function.
     """
     mapped: tuple[str, list[tuple[int, int]]] | None = None
 
-    def find(needle: str) -> tuple[int, int] | None:
+    def find(needle: str, start: int = 0) -> tuple[int, int] | None:
         nonlocal mapped
         target = normalize(needle)
         if not target:
@@ -63,17 +65,18 @@ def normalized_finder(text: str) -> Callable[[str], tuple[int, int] | None]:
         if mapped is None:
             mapped = _normalize_with_map(text)
         ntext, spans = mapped
-        pos = 0
+        # spans is sorted, so this is the first output char from text[start:].
+        pos = bisect_left(spans, (start,))
         while True:
             j = ntext.find(target, pos)
             if j < 0:
                 return None
-            start = spans[j][0]
-            end = spans[j + len(target) - 1][1]
+            lo = spans[j][0]
+            hi = spans[j + len(target) - 1][1]
             # A case-fold expansion (one source char, several folded chars) can let
             # the normalized match end mid-character; reject those and keep looking.
-            if normalize(text[start:end]) == target:
-                return start, end
+            if normalize(text[lo:hi]) == target:
+                return lo, hi
             pos = j + 1
 
     return find

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from claimver.kg import KgNode, Triplet, build_graph
 from claimver.linking import (chunk_text, link_entities, preprocess,
                               split_sentences)
-from claimver.text import normalize, normalized_find, tokens, word_spans
+from claimver.text import (normalize, normalized_find, normalized_finder, tokens,
+                           word_spans)
 
 
 class TestNormalize:
@@ -50,6 +51,14 @@ class TestNormalizedFind:
         assert hit is not None
         s, e = hit
         assert normalize(text[s:e]) == normalize(needle)
+
+    @given(st.text(alphabet="aAbB \nßẞİı", max_size=30), st.text(alphabet="aAbB \nßẞİı",
+           min_size=1, max_size=6), st.integers(0, 30))
+    @settings(max_examples=300, deadline=None)
+    def test_start_offset_matches_search_of_the_suffix(self, text, needle, start):
+        hit = normalized_finder(text)(needle, start)
+        tail = normalized_find(text[start:], needle)
+        assert hit == (tail and (tail[0] + start, tail[1] + start))
 
 
 @pytest.fixture

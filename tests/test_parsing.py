@@ -6,12 +6,12 @@ from hypothesis import strategies as st
 
 import claimver.text
 from claimver.errors import ResponseParseError
-from claimver.kg import Triplet
+from claimver.kg import Triplet, build_graph
 from claimver.parsing import (ClaimResult, PredictionLabel, RawClaim,
                               format_response, parse_response,
                               parse_triplet_field, validate_claims)
-from claimver.retrieval import RetrievalConfig, retrieve
-from claimver.text import normalized_find
+from claimver.retrieval import RetrievalConfig, RetrievedTriplets, retrieve
+from claimver.text import normalize, normalized_find
 
 from conftest import APOLLO_RESPONSE, APOLLO_TEXT
 
@@ -281,6 +281,41 @@ class TestValidateClaims:
         out = validate_claims(raws, APOLLO_TEXT, apollo_retrieved, apollo_kg)
         assert not any("overlaps" in d for d in out[0].diagnostics)
         assert any("overlaps" in d for d in out[1].diagnostics)
+
+    def test_repeated_sentence_anchors_in_claim_order(self, apollo_kg, apollo_retrieved):
+        text = "Rome is big. Paris is old. Rome is big."
+        raws = [_raw(s, "Extrapolatory", index=i)
+                for i, s in enumerate(["Rome is big.", "Paris is old.", "Rome is big."], 1)]
+        out = validate_claims(raws, text, apollo_retrieved, apollo_kg)
+        assert [(c.start, c.end) for c in out] == [(0, 12), (13, 26), (27, 39)]
+        assert all(c.diagnostics == () for c in out)
+
+    def test_out_of_order_claim_falls_back_to_first_occurrence(self, apollo_kg,
+                                                               apollo_retrieved):
+        text = "Rome is big. Paris is old."
+        raws = [_raw("Paris is old.", "Extrapolatory", index=1),
+                _raw("rome is  BIG.", "Extrapolatory", index=2)]
+        out = validate_claims(raws, text, apollo_retrieved, apollo_kg)
+        assert [(c.start, c.end) for c in out] == [(13, 26), (0, 12)]
+        assert out[1].diagnostics == ("span located only after normalization",)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["Rome is big.", "Paris is old.", "Oslo is cold."]),
+                              st.sampled_from([" ", "\n", "  \t"]), st.booleans()),
+                    min_size=1, max_size=8))
+    def test_repeated_sentences_in_text_order(self, parts):
+        text = "".join(sentence + gap for sentence, gap, _ in parts)
+        raws = [_raw(sentence.upper() if shout else sentence, "Extrapolatory", index=i)
+                for i, (sentence, _, shout) in enumerate(parts, 1)]
+        out = validate_claims(raws, text, RetrievedTriplets(paths=()), build_graph([], []))
+        starts = [c.start for c in out]
+        assert all(a < b for a, b in zip(starts, starts[1:]))
+        for claim, (sentence, _, shout) in zip(out, parts):
+            assert text[claim.start:claim.end] == sentence
+            assert normalize(text[claim.start:claim.end]) == normalize(claim.span)
+            assert not any("overlaps" in d for d in claim.diagnostics)
+            assert claim.diagnostics == (("span located only after normalization",)
+                                         if shout else ())
 
     def test_model_order_preserved(self, apollo_kg, apollo_retrieved):
         raws = [
