@@ -101,7 +101,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     with _open_text(args.input, "r") as source:
         text = source.read()
 
-    backend = BackendConfig(base_url=args.backend_url, model=args.model)
+    backend = ChatBackend(BackendConfig(base_url=args.backend_url, model=args.model))
     embedder = None
     if args.embed_url:
         embedder = FallbackEmbedder(HttpEmbedder(

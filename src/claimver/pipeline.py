@@ -15,8 +15,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from typing import Any, Callable, Iterator, Optional, Sequence
 
-from .backend import (BackendConfig, ChatBackend, PromptBundle,
-                      build_datagen_prompt, build_verification_prompt)
+from .backend import PromptBundle, build_datagen_prompt, build_verification_prompt
 from .errors import BackendError, ClaimverError, PipelineError, ResponseParseError
 from .kg import KnowledgeGraph, NodeId
 from .linking import (LinkedEntity, PreprocessHook, TextChunk, chunk_text,
@@ -35,13 +34,12 @@ _PARALLEL_CHUNKS = 4
 
 
 def _as_completer(backend) -> Completer:
-    if isinstance(backend, BackendConfig):
-        return ChatBackend(backend).complete
     if hasattr(backend, "complete"):
         return backend.complete
     if callable(backend):
         return backend
-    raise TypeError(f"backend must be a BackendConfig, a client, or a callable: {backend!r}")
+    raise TypeError("backend must be a client with complete(prompt) or a callable "
+                    f"(wrap a BackendConfig in ChatBackend): {backend!r}")
 
 
 @contextmanager
@@ -109,11 +107,10 @@ def run_pipeline(kg: KnowledgeGraph, text: str, backend,
                  extra_config: Optional[dict[str, Any]] = None) -> VerificationReport:
     """Verify one input text against the graph and assemble the report.
 
-    backend may be a BackendConfig, any object with complete(prompt) -> str,
-    or a bare callable. A BackendConfig builds a new ChatBackend, and so a new
-    requests.Session, on every call; pass one ChatBackend to reuse one session
-    across calls. Chunks are processed concurrently (bounded) when the input
-    was split; claims keep chunk order and the document score covers them all.
+    backend is any object with complete(prompt) -> str, such as a ChatBackend,
+    or a bare callable. Chunks are processed concurrently (bounded) when the
+    input was split; claims keep chunk order and the document score covers
+    them all.
     """
     retrieval_cfg = retrieval_cfg or RetrievalConfig()
     scoring_cfg = scoring_cfg or ScoringConfig()
@@ -181,11 +178,8 @@ def iter_datagen_records(kg: KnowledgeGraph, text: str,
 
     Each record holds the document, the sentence span, the triplets retrieved
     for that sentence's entities (as label triples), and the rendered prompt;
-    with a backend also the model's response. backend is taken as in
-    run_pipeline: a BackendConfig builds a new ChatBackend, and so a new
-    requests.Session, on every call; pass one ChatBackend to reuse one session
-    across documents. Failures are tagged with the stage that failed, as in
-    run_pipeline.
+    with a backend (taken as in run_pipeline) also the model's response.
+    Failures are tagged with the stage that failed, as in run_pipeline.
     """
     retrieval_cfg = retrieval_cfg or RetrievalConfig()
     completer = _as_completer(backend) if backend is not None else None

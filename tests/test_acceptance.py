@@ -20,7 +20,8 @@ from mpmath import mp, mpf
 
 mp.dps = 50
 
-from claimver.backend import BackendConfig, MockBackend, build_verification_prompt
+from claimver.backend import (BackendConfig, ChatBackend, MockBackend,
+                              build_verification_prompt)
 from claimver.errors import ClaimverError, ResponseParseError
 from claimver.kg import build_graph
 from claimver.linking import link_entities
@@ -357,7 +358,7 @@ def test_criterion_9_optional_live_endpoint(apollo_kg):
     model = os.environ.get("CLAIMVER_LIVE_MODEL", "gpt-4o-mini")
     cfg = BackendConfig(base_url=url, model=model)
     try:
-        report = run_pipeline(apollo_kg, APOLLO_TEXT, cfg)
+        report = run_pipeline(apollo_kg, APOLLO_TEXT, ChatBackend(cfg))
     except ClaimverError as exc:
         print(f"ACCEPTANCE RECORDED (optional): live endpoint failed: {exc}")
         return

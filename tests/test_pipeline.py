@@ -2,7 +2,7 @@
 
 import pytest
 
-from claimver.backend import (BackendConfig, MockBackend,
+from claimver.backend import (BackendConfig, ChatBackend, MockBackend,
                               build_verification_prompt)
 from claimver.errors import PipelineError
 from claimver.linking import chunk_text, link_entities
@@ -56,7 +56,7 @@ class TestRunPipeline:
         server = scripted_server([(401, "denied")])
         cfg = BackendConfig(base_url=server.url, model="m")
         with pytest.raises(PipelineError) as err:
-            run_pipeline(apollo_kg, APOLLO_TEXT, cfg)
+            run_pipeline(apollo_kg, APOLLO_TEXT, ChatBackend(cfg))
         assert err.value.stage == "llm-backend"
 
     def test_unparseable_response_stage(self, apollo_kg):
@@ -73,6 +73,14 @@ class TestRunPipeline:
         report = run_pipeline(apollo_kg, "Apollo 11 landed on the Moondust plain.", fake)
         assert report.n == 1
         assert report.claims[0].prediction == "Extrapolatory"
+
+    @pytest.mark.parametrize("backend", [BackendConfig(base_url="http://x", model="m"), 42],
+                             ids=["config", "non-callable"])
+    def test_backend_must_be_client_or_callable(self, apollo_kg, backend):
+        with pytest.raises(TypeError, match="complete"):
+            run_pipeline(apollo_kg, APOLLO_TEXT, backend)
+        with pytest.raises(TypeError, match="complete"):
+            next(iter_datagen_records(apollo_kg, APOLLO_TEXT, backend=backend))
 
     def test_no_linkable_entities(self, apollo_kg):
         backend = MockBackend(default=(
@@ -178,7 +186,7 @@ class TestDatagen:
         server = scripted_server([(401, "denied")])
         cfg = BackendConfig(base_url=server.url, model="m")
         with pytest.raises(PipelineError) as err:
-            list(iter_datagen_records(apollo_kg, APOLLO_TEXT, backend=cfg))
+            list(iter_datagen_records(apollo_kg, APOLLO_TEXT, backend=ChatBackend(cfg)))
         assert err.value.stage == "llm-backend"
         assert str(err.value) == "[llm-backend] endpoint rejected credentials (HTTP 401)"
 
