@@ -12,8 +12,8 @@ from .errors import (BackendAuthError, BackendError, ClaimverError, KgLoadError,
                      UnknownNodeError, UnknownPromptError)
 from .kg import KgNode, KnowledgeGraph, NodeId, Triplet, build_graph, load_kg
 from .linking import LinkedEntity, TextChunk, chunk_text, link_entities, preprocess
-from .parsing import (ClaimResult, PredictionLabel, RawClaim, format_response,
-                      parse_response, validate_claims)
+from .parsing import (ClaimResult, PredictionLabel, RawClaim, parse_response,
+                      validate_claims)
 from .pipeline import iter_datagen_records, run_pipeline
 from .render import render
 from .report import VerificationReport
@@ -36,7 +36,7 @@ __all__ = [
     "ScoringConfig", "TextChunk", "Triplet", "UnknownNodeError",
     "UnknownPromptError", "VerificationReport", "build_datagen_prompt",
     "build_graph", "build_verification_prompt", "chunk_text", "claim_score",
-    "entity_presence_ratio", "format_response", "iter_datagen_records",
+    "entity_presence_ratio", "iter_datagen_records",
     "kg_attribution_score", "link_entities", "load_kg", "modified_sigmoid",
     "parse_response", "preprocess", "prompt_digest", "render", "retrieve",
     "run_pipeline", "score_claims", "semantic_similarity", "triplets_match_score",

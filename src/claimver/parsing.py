@@ -149,16 +149,6 @@ def parse_response(raw: str, diagnostics: Optional[list[str]] = None) -> list[Ra
     return claims
 
 
-def format_response(claims: list[RawClaim]) -> str:
-    """Render claims back into the numbered output shape the parser reads."""
-    lines = []
-    for c in claims:
-        for key, value in (("text_span", c.text_span), ("prediction", c.prediction),
-                           ("triplets", c.triplets_field), ("rationale", c.rationale)):
-            lines.append(f'"{key}{c.index}": {json.dumps(value, ensure_ascii=False)},')
-    return "\n".join(lines) + "\n"
-
-
 _PAREN_RE = re.compile(r"\(([^()]*)\)")
 
 

@@ -56,10 +56,6 @@ class KgPath:
         if len(set(self.nodes)) != len(self.nodes):
             raise ValueError("path nodes must be distinct")
 
-    @property
-    def hops(self) -> int:
-        return len(self.edges)
-
 
 @dataclass(frozen=True)
 class RetrievedTriplets:

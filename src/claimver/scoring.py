@@ -25,14 +25,6 @@ from .linking import LinkedEntity
 from .parsing import ClaimResult, PredictionLabel
 from .text import format_triplet, tokens
 
-__all__ = [
-    "ScoringConfig", "ScoredClaim", "AttributionResult", "Embedder",
-    "HashedBagEmbedder", "HttpEmbedder", "FallbackEmbedder",
-    "claim_score", "entity_presence_ratio", "semantic_similarity",
-    "triplets_match_score", "modified_sigmoid", "kg_attribution_score",
-    "score_claims", "cosine",
-]
-
 
 @dataclass(frozen=True)
 class ScoringConfig:

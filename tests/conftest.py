@@ -92,6 +92,16 @@ APOLLO_RESPONSE = """\
 """
 
 
+def format_response(claims) -> str:
+    """Render RawClaims back into the numbered output shape the parser reads."""
+    lines = []
+    for c in claims:
+        for key, value in (("text_span", c.text_span), ("prediction", c.prediction),
+                           ("triplets", c.triplets_field), ("rationale", c.rationale)):
+            lines.append(f'"{key}{c.index}": {json.dumps(value, ensure_ascii=False)},')
+    return "\n".join(lines) + "\n"
+
+
 def chat_payload(content: str) -> dict:
     """Response body shape of a chat-completion endpoint."""
     return {"choices": [{"message": {"content": content}}]}

@@ -26,7 +26,7 @@ from claimver.errors import ClaimverError, ResponseParseError
 from claimver.kg import build_graph
 from claimver.linking import link_entities
 from claimver.parsing import (ClaimResult, PredictionLabel, RawClaim,
-                              format_response, parse_response, validate_claims)
+                              parse_response, validate_claims)
 from claimver.pipeline import run_pipeline
 from claimver.render import render_json
 from claimver.retrieval import RetrievalConfig, retrieve
@@ -34,7 +34,8 @@ from claimver.scoring import (ScoredClaim, ScoringConfig, claim_score,
                               kg_attribution_score, modified_sigmoid,
                               triplets_match_score)
 
-from conftest import APOLLO_NODES, APOLLO_RESPONSE, APOLLO_TEXT, APOLLO_TRIPLETS
+from conftest import (APOLLO_NODES, APOLLO_RESPONSE, APOLLO_TEXT, APOLLO_TRIPLETS,
+                      format_response)
 from graphgen import enumerate_paths_oracle, random_graph, random_seeds
 
 

@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 import claimver.text
 from claimver.errors import ResponseParseError
 from claimver.kg import Triplet, build_graph
-from claimver.parsing import (ClaimResult, PredictionLabel, RawClaim,
-                              format_response, parse_response,
+from claimver.parsing import (ClaimResult, PredictionLabel, RawClaim, parse_response,
                               parse_triplet_field, validate_claims)
 from claimver.retrieval import RetrievalConfig, RetrievedTriplets, retrieve
 from claimver.text import normalize, normalized_find
 
-from conftest import APOLLO_RESPONSE, APOLLO_TEXT
+from conftest import APOLLO_RESPONSE, APOLLO_TEXT, format_response
 
 
 class TestParseResponse:

@@ -29,7 +29,7 @@ class TestKgPath:
     def test_invariants(self):
         t = Triplet("A", "p", "B")
         path = KgPath(nodes=("A", "B"), edges=(t,))
-        assert (path.nodes[0], path.nodes[-1]) == ("A", "B") and path.hops == 1
+        assert (path.nodes[0], path.nodes[-1]) == ("A", "B") and len(path.edges) == 1
 
     def test_rejects_short_path(self):
         with pytest.raises(ValueError):
