@@ -179,8 +179,9 @@ def build_datagen_prompt(full_text: str, text_span: str,
         raise PromptError("text_span must be a substring of full_text")
     items = triplets.triplets if isinstance(triplets, RetrievedTriplets) else triplets
     serialized = serialize_triplets_bracketed(kg.triplet_labels(t) for t in items)
-    return PromptBundle(DATAGEN_TEMPLATE, f'**Full text:** "{full_text}"\n**Text span:** '
-                                          f'"{text_span}"\n**Triplets:** {serialized}\n')
+    return PromptBundle(DATAGEN_TEMPLATE, f'**Full text:** "{full_text}"\n'
+                                          f'**Text span:** "{text_span}"\n'
+                                          f"**Triplets:** {serialized}\n")
 
 
 def _default_api_key() -> str:
