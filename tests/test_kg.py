@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from claimver.errors import KgLoadError, UnknownNodeError
 from claimver import kg as kg_module
 from claimver.kg import KgNode, Triplet, build_graph, load_kg
-from claimver.text import normalize
+from claimver.text import format_triplet, normalize
 
 from graphgen import contains_triplet_oracle, edge_between_oracle, neighbors_oracle
 
@@ -27,7 +27,7 @@ def small_graphs(draw):
     ids = st.sampled_from([n.id for n in nodes])
     triplets = draw(st.lists(st.builds(Triplet, ids, st.sampled_from(_PREDICATES), ids),
                              max_size=30))
-    return build_graph(nodes, triplets)
+    return build_graph(nodes, triplets), triplets
 
 
 class TestNodeAndTriplet:
@@ -41,7 +41,7 @@ class TestNodeAndTriplet:
 
     def test_duplicate_aliases_after_casefold_rejected(self):
         with pytest.raises(ValueError):
-            KgNode("Q1", "x", aliases=("USA", "usa"))
+            build_graph([KgNode("Q1", "x", aliases=("USA", "usa"))], [])
 
     def test_triplet_is_hashable_value(self):
         assert Triplet("a", "p", "b") == Triplet("a", "p", "b")
@@ -125,7 +125,8 @@ class TestLookups:
 class TestStoreAgainstOracle:
     @given(small_graphs())
     @settings(max_examples=200, deadline=None)
-    def test_lookups_match_brute_force(self, kg):
+    def test_lookups_match_brute_force(self, graph):
+        kg, _ = graph
         for a in kg.nodes:
             assert kg.neighbors(a) == neighbors_oracle(kg, a)
             for b in kg.nodes:
@@ -139,6 +140,16 @@ class TestStoreAgainstOracle:
             labels = kg.triplet_labels(t)
             assert kg.contains_triplet(*labels) is not None
             assert kg.contains_triplet(*labels) == contains_triplet_oracle(kg, *labels)
+
+    @given(small_graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_duplicates_dropped_and_self_loops_reported_once(self, graph):
+        kg, triplets = graph
+        distinct = tuple(dict.fromkeys(triplets))
+        assert kg.edges == distinct
+        assert list(kg.load_report) == [
+            f"self-loop triplet kept: {format_triplet(t.subject, t.predicate, t.object)}"
+            for t in distinct if t.subject == t.object]
 
 
 class TestLoadTsv:

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import json
 import tempfile
-from dataclasses import astuple
 from pathlib import Path
 
 import pytest
 
 from claimver.errors import KgLoadError
-from claimver.kg import KnowledgeGraph, load_kg
+from claimver.kg import KnowledgeGraph, Triplet, load_kg
 
 GOLDEN = Path(__file__).parent / "golden" / "kg_load.json"
 
@@ -140,16 +139,19 @@ CASES: dict[str, tuple[str, str, str | None]] = {
 }
 
 
+def _fields(t: Triplet) -> list[str]:
+    return [t.subject, t.predicate, t.object]
+
+
 def _summary(kg: KnowledgeGraph) -> dict:
     return {
         "nodes": [[n.id, n.label, n.description, list(n.aliases)] for n in kg.nodes.values()],
-        "edges": [list(astuple(t)) for t in kg.edges],
+        "edges": [_fields(t) for t in kg.edges],
         "load_report": list(kg.load_report),
         "label_index": {k: list(v) for k, v in kg.label_index.items()},
-        "neighbors": {nid: [[nbr, *astuple(kg.edge_between(nid, nbr))]
+        "neighbors": {nid: [[nbr, *_fields(kg.edge_between(nid, nbr))]
                             for nbr in kg.neighbors(nid)] for nid in kg.nodes},
-        "triplet_hits": [list(astuple(kg.contains_triplet(*kg.triplet_labels(t))))
-                         for t in kg.edges],
+        "triplet_hits": [_fields(kg.contains_triplet(*kg.triplet_labels(t))) for t in kg.edges],
     }
 
 

@@ -1,6 +1,11 @@
 """End-to-end pipeline orchestration with the mock backend."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
+
+import claimver.pipeline
 
 from claimver.backend import (BackendConfig, ChatBackend, MockBackend,
                               build_verification_prompt)
@@ -196,3 +201,15 @@ class TestDatagen:
         with pytest.raises(PipelineError) as err:
             list(iter_datagen_records(apollo_kg, APOLLO_TEXT, hooks=[broken]))
         assert str(err.value) == "[preprocess] hook broke"
+
+
+def test_traced_benchmark_stages_are_bound():
+    """bench/spans.py wraps these claimver.pipeline attributes by name and
+    skips a missing one, which would silently zero its per-layer metrics."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.PIPELINE_CALLS
+    assert [attr for attr, _ in spans.PIPELINE_CALLS
+            if not callable(getattr(claimver.pipeline, attr, None))] == []
