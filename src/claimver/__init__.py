@@ -10,7 +10,7 @@ from .backend import (BackendConfig, ChatBackend, MockBackend, PromptBundle,
 from .errors import (BackendAuthError, BackendError, ClaimverError, KgLoadError,
                      PipelineError, PromptError, ResponseParseError,
                      UnknownNodeError, UnknownPromptError)
-from .kg import KgNode, KnowledgeGraph, NodeId, Triplet, build_graph, load_kg
+from .kg import KgNode, KnowledgeGraph, NodeId, Triplet, load_kg
 from .linking import LinkedEntity, TextChunk, chunk_text, link_entities, preprocess
 from .parsing import (ClaimResult, PredictionLabel, RawClaim, parse_response,
                       validate_claims)
@@ -35,7 +35,7 @@ __all__ = [
     "ResponseParseError", "RetrievalConfig", "RetrievedTriplets", "ScoredClaim",
     "ScoringConfig", "TextChunk", "Triplet", "UnknownNodeError",
     "UnknownPromptError", "VerificationReport", "build_datagen_prompt",
-    "build_graph", "build_verification_prompt", "chunk_text", "claim_score",
+    "build_verification_prompt", "chunk_text", "claim_score",
     "entity_presence_ratio", "iter_datagen_records",
     "kg_attribution_score", "link_entities", "load_kg", "modified_sigmoid",
     "parse_response", "preprocess", "prompt_digest", "render", "retrieve",

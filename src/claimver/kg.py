@@ -14,7 +14,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 from sys import intern
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .errors import KgLoadError, UnknownNodeError
 from .text import format_triplet, normalize
@@ -38,13 +38,9 @@ class KgNode:
             raise ValueError("node id must be non-empty")
         if not self.label:
             raise ValueError(f"node {self.id!r} has an empty label")
-        folded = [normalize(a) for a in self.aliases]
-        if len(set(folded)) != len(folded):
-            raise ValueError(f"node {self.id!r} has duplicate aliases after case-folding")
 
 
-@dataclass(frozen=True)
-class Triplet:
+class Triplet(NamedTuple):
     """One stored fact: (subject id, predicate label, object id)."""
 
     subject: NodeId
@@ -60,31 +56,27 @@ def triplet_key(subject_label: str, predicate: str, object_label: str) -> tuple[
 class KnowledgeGraph:
     """Node table plus adjacency and label indexes over a triplet snapshot.
 
-    Adjacency is undirected (each edge is reachable from both endpoints);
-    triplet direction is preserved in the stored edges for display.
-    Instances are read-only after construction.
+    Nodes are kept sorted by id; a node's aliases must stay distinct after
+    normalization (ValueError). Every triplet endpoint must be a node
+    (UnknownNodeError). Duplicate triplets are dropped, the first kept;
+    self-loops are kept and noted in the load report. Adjacency is undirected
+    (each edge is reachable from both endpoints); triplet direction is
+    preserved in the stored edges for display. Instances are read-only after
+    construction.
     """
 
-    def __init__(self, nodes: dict[NodeId, KgNode], edges: tuple[Triplet, ...],
-                 load_report: tuple[str, ...] = ()):
-        self.nodes = nodes
-        self.edges = edges
-        self.load_report = load_report
+    def __init__(self, nodes: Iterable[KgNode], triplets: Iterable[Triplet],
+                 load_report: Iterable[str] = ()):
+        self.nodes = {n.id: n for n in sorted(nodes, key=lambda n: n.id)}
 
-        first_edge: dict[NodeId, dict[NodeId, Triplet]] = {nid: {} for nid in nodes}
-        for t in edges:
-            first_edge[t.subject].setdefault(t.object, t)
-            first_edge[t.object].setdefault(t.subject, t)
-        # node -> (sorted distinct neighbors, first edge in file order to each)
-        self._adjacency: dict[NodeId, tuple[tuple[NodeId, ...], tuple[Triplet, ...]]] = {}
-        for nid, to in first_edge.items():
-            nbrs = tuple(sorted(to))
-            self._adjacency[nid] = nbrs, tuple(map(to.__getitem__, nbrs))
-
-        norm_labels = {nid: normalize(node.label) for nid, node in nodes.items()}
+        norm_labels: dict[NodeId, str] = {}
         label_index: dict[str, set[NodeId]] = {}
-        for nid, node in nodes.items():
-            for key in (norm_labels[nid], *map(normalize, node.aliases)):
+        for nid, node in self.nodes.items():
+            norm_labels[nid] = normalize(node.label)
+            folded = [normalize(a) for a in node.aliases]
+            if len(set(folded)) != len(folded):
+                raise ValueError(f"node {nid!r} has duplicate aliases after case-folding")
+            for key in (norm_labels[nid], *folded):
                 if key:
                     label_index.setdefault(key, set()).add(nid)
         self.label_index: dict[str, tuple[NodeId, ...]] = {
@@ -92,14 +84,39 @@ class KnowledgeGraph:
         }
         self.max_label_tokens = max((len(k.split()) for k in self.label_index), default=0)
 
-        # Keyed as triplet_key(*self.triplet_labels(t)), normalizing each label
-        # and each distinct predicate once.
-        norm_predicates = {p: normalize(p) for p in {t.predicate for t in edges}}
+        # One pass: check, deduplicate, report, and index each triplet. The
+        # triplet index is keyed as triplet_key(*self.triplet_labels(t)),
+        # normalizing each label and each distinct predicate once.
+        report = list(load_report)
+        kept: dict[Triplet, None] = {}
+        first_edge: dict[NodeId, dict[NodeId, Triplet]] = {nid: {} for nid in self.nodes}
+        norm_predicates: dict[str, str] = {}
         triplet_index: dict[tuple[str, str, str], Triplet] = {}
-        for t in edges:
-            key = norm_labels[t.subject], norm_predicates[t.predicate], norm_labels[t.object]
-            triplet_index.setdefault(key, t)
+        for t in triplets:
+            s, p, o = t
+            if s not in first_edge:
+                raise UnknownNodeError(s)
+            if o not in first_edge:
+                raise UnknownNodeError(o)
+            if t in kept:
+                continue
+            kept[t] = None
+            if s == o:
+                report.append(f"self-loop triplet kept: {format_triplet(s, p, o)}")
+            first_edge[s].setdefault(o, t)
+            first_edge[o].setdefault(s, t)
+            if p not in norm_predicates:
+                norm_predicates[p] = normalize(p)
+            triplet_index.setdefault((norm_labels[s], norm_predicates[p], norm_labels[o]), t)
+        self.edges = tuple(kept)
+        self.load_report = tuple(report)
         self._triplet_index = triplet_index
+
+        # node -> (sorted distinct neighbors, first edge in file order to each)
+        self._adjacency: dict[NodeId, tuple[tuple[NodeId, ...], tuple[Triplet, ...]]] = {}
+        for nid, to in first_edge.items():
+            nbrs = tuple(sorted(to))
+            self._adjacency[nid] = nbrs, tuple(map(to.__getitem__, nbrs))
 
     def __contains__(self, node_id: NodeId) -> bool:
         return node_id in self.nodes
@@ -133,32 +150,6 @@ class KnowledgeGraph:
                          object_label: str) -> Optional[Triplet]:
         """The stored triplet whose labels match the candidate, if any."""
         return self._triplet_index.get(triplet_key(subject_label, predicate, object_label))
-
-
-def build_graph(nodes: Iterable[KgNode], triplets: Iterable[Triplet],
-                load_report: Iterable[str] = ()) -> KnowledgeGraph:
-    """Assemble an indexed graph from node and triplet records.
-
-    Duplicate triplets are dropped (first occurrence kept); self-loops are kept
-    but noted in the load report. Node iteration order is sorted by id.
-    """
-    node_map = {n.id: n for n in sorted(nodes, key=lambda n: n.id)}
-    report = list(load_report)
-    seen: set[Triplet] = set()
-    kept: list[Triplet] = []
-    for t in triplets:
-        if t.subject not in node_map:
-            raise UnknownNodeError(t.subject)
-        if t.object not in node_map:
-            raise UnknownNodeError(t.object)
-        if t in seen:
-            continue
-        seen.add(t)
-        if t.subject == t.object:
-            loop = format_triplet(t.subject, t.predicate, t.object)
-            report.append(f"self-loop triplet kept: {loop}")
-        kept.append(t)
-    return KnowledgeGraph(node_map, tuple(kept), tuple(report))
 
 
 # A row decoder's output: (line number, the row's fields or the message
@@ -246,9 +237,9 @@ class _SnapshotReader:
                    aliases=tuple(self.aliases.get(nid, ())))
             for nid, label in self.labels.items()
         ]
-        triplets = [t for t in self.triplets
-                    if t.subject not in dangling and t.object not in dangling]
-        return build_graph(nodes, triplets, self.report)
+        triplets = (t for t in self.triplets
+                    if t.subject not in dangling and t.object not in dangling)
+        return KnowledgeGraph(nodes, triplets, self.report)
 
 
 def _tsv_rows(lines: Iterable[str], node_file: bool) -> _Rows:

@@ -9,7 +9,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from claimver.kg import KgNode, KnowledgeGraph, Triplet, build_graph
+from claimver.kg import KgNode, KnowledgeGraph, Triplet
 
 APOLLO_NODES = [
     KgNode("Q43653", "Apollo 11", "first crewed Moon landing mission", ("Apollo XI",)),
@@ -33,7 +33,7 @@ APOLLO_TRIPLETS = [
 
 @pytest.fixture
 def apollo_kg() -> KnowledgeGraph:
-    return build_graph(APOLLO_NODES, APOLLO_TRIPLETS)
+    return KnowledgeGraph(APOLLO_NODES, APOLLO_TRIPLETS)
 
 
 def write_apollo_tsv(directory) -> str:

@@ -6,7 +6,7 @@ import random
 from typing import Optional
 
 from claimver.errors import UnknownNodeError
-from claimver.kg import KgNode, KnowledgeGraph, NodeId, Triplet, build_graph, triplet_key
+from claimver.kg import KgNode, KnowledgeGraph, NodeId, Triplet, triplet_key
 
 PREDICATES = ("rel_a", "rel_b", "rel_c")
 
@@ -24,7 +24,7 @@ def random_graph(rng: random.Random, max_nodes: int = 50,
         if s == o and rng.random() < 0.8:
             o = (o + 1) % n
         triplets.append(Triplet(f"N{s:03d}", rng.choice(PREDICATES), f"N{o:03d}"))
-    return build_graph(nodes, triplets)
+    return KnowledgeGraph(nodes, triplets)
 
 
 def hub_graph(rng: random.Random, max_nodes: int = 40,
@@ -48,7 +48,7 @@ def hub_graph(rng: random.Random, max_nodes: int = 40,
     for _ in range(rng.randint(0, len(core))):
         triplets.append(Triplet(rng.choice(core), rng.choice(PREDICATES), rng.choice(core)))
     rng.shuffle(triplets)
-    return build_graph([KgNode(i, f"node {i}") for i in ids], triplets)
+    return KnowledgeGraph([KgNode(i, f"node {i}") for i in ids], triplets)
 
 
 def random_seeds(rng: random.Random, kg: KnowledgeGraph, max_seeds: int = 5) -> list[str]:

@@ -23,7 +23,7 @@ mp.dps = 50
 from claimver.backend import (BackendConfig, ChatBackend, MockBackend,
                               build_verification_prompt)
 from claimver.errors import ClaimverError, ResponseParseError
-from claimver.kg import build_graph
+from claimver.kg import KnowledgeGraph
 from claimver.linking import link_entities
 from claimver.parsing import (ClaimResult, PredictionLabel, RawClaim,
                               parse_response, validate_claims)
@@ -274,7 +274,7 @@ def _corrupt(claims: list[RawClaim], rng: random.Random) -> str:
 def test_criterion_6_parser_corpus():
     with criterion("500 well-formed responses round-trip; 500 corrupted degrade with diagnostics"):
         rng = random.Random(60466176)
-        kg = build_graph(APOLLO_NODES, APOLLO_TRIPLETS)
+        kg = KnowledgeGraph(APOLLO_NODES, APOLLO_TRIPLETS)
         entities = link_entities(kg, APOLLO_TEXT)
         retrieved = retrieve(kg, [e.node for e in entities])
 

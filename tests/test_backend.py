@@ -12,7 +12,7 @@ from claimver.backend import (BackendConfig, ChatBackend, MockBackend,
                               build_verification_prompt, prompt_digest)
 from claimver.errors import (BackendAuthError, BackendError, PromptError,
                              UnknownPromptError)
-from claimver.kg import KgNode, Triplet, build_graph
+from claimver.kg import KgNode, KnowledgeGraph, Triplet
 from claimver.retrieval import KgPath, RetrievedTriplets, retrieve
 from claimver.scoring import HttpEmbedder
 
@@ -30,7 +30,7 @@ ENDPOINT_CLIENTS = pytest.mark.parametrize("client", [
 
 @pytest.fixture
 def einstein_kg():
-    return build_graph(
+    return KnowledgeGraph(
         [KgNode("E1", "Albert Einstein"), KgNode("E2", "Nobel Prize in Physics")],
         [Triplet("E1", "award received", "E2")])
 
@@ -116,14 +116,14 @@ def _labeled_graph(draw):
     n = draw(st.integers(0, 3))
     nodes = [KgNode(f"N{i}", "L" + draw(_ADVERSARIAL)) for i in range(n + 1)]
     triplets = [Triplet(f"N{i}", draw(_ADVERSARIAL), f"N{i + 1}") for i in range(n)]
-    return build_graph(nodes, triplets), triplets
+    return KnowledgeGraph(nodes, triplets), triplets
 
 
 def _quoted(s):
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-_PLAIN_KG = build_graph([KgNode("N0", "L")], [])
+_PLAIN_KG = KnowledgeGraph([KgNode("N0", "L")], [])
 VERIFICATION_INSTRUCTION = build_verification_prompt(
     "t", RetrievedTriplets(paths=()), _PLAIN_KG).instruction
 DATAGEN_INSTRUCTION = build_datagen_prompt("t", "t", [], _PLAIN_KG).instruction

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from claimver.kg import build_graph
+from claimver.kg import KnowledgeGraph
 from claimver.pipeline import iter_datagen_records, run_pipeline
 from claimver.render import render
 
@@ -62,7 +62,7 @@ class _Recorder:
 
 
 def golden_outputs() -> dict[str, str]:
-    kg = build_graph(APOLLO_NODES, APOLLO_TRIPLETS)
+    kg = KnowledgeGraph(APOLLO_NODES, APOLLO_TRIPLETS)
     out: dict[str, str] = {}
     prompts: list[str] = []
     runs = (("apollo", {APOLLO_TEXT: APOLLO_RESPONSE}, None),

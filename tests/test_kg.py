@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from claimver.errors import KgLoadError, UnknownNodeError
 from claimver import kg as kg_module
-from claimver.kg import KgNode, Triplet, build_graph, load_kg
+from claimver.kg import KgNode, KnowledgeGraph, Triplet, load_kg
 from claimver.text import format_triplet, normalize
 
 from graphgen import contains_triplet_oracle, edge_between_oracle, neighbors_oracle
@@ -27,7 +27,7 @@ def small_graphs(draw):
     ids = st.sampled_from([n.id for n in nodes])
     triplets = draw(st.lists(st.builds(Triplet, ids, st.sampled_from(_PREDICATES), ids),
                              max_size=30))
-    return build_graph(nodes, triplets), triplets
+    return KnowledgeGraph(nodes, triplets), triplets
 
 
 class TestNodeAndTriplet:
@@ -41,7 +41,7 @@ class TestNodeAndTriplet:
 
     def test_duplicate_aliases_after_casefold_rejected(self):
         with pytest.raises(ValueError):
-            build_graph([KgNode("Q1", "x", aliases=("USA", "usa"))], [])
+            KnowledgeGraph([KgNode("Q1", "x", aliases=("USA", "usa"))], [])
 
     def test_triplet_is_hashable_value(self):
         assert Triplet("a", "p", "b") == Triplet("a", "p", "b")
@@ -54,15 +54,15 @@ class TestBuildGraph:
 
     def test_duplicate_triplets_dropped_keep_first(self):
         nodes = [KgNode("A", "a"), KgNode("B", "b")]
-        g = build_graph(nodes, [Triplet("A", "p", "B"), Triplet("A", "p", "B")])
+        g = KnowledgeGraph(nodes, [Triplet("A", "p", "B"), Triplet("A", "p", "B")])
         assert g.edges == (Triplet("A", "p", "B"),)
 
     def test_unknown_endpoint_rejected(self):
         with pytest.raises(UnknownNodeError):
-            build_graph([KgNode("A", "a")], [Triplet("A", "p", "Zzz")])
+            KnowledgeGraph([KgNode("A", "a")], [Triplet("A", "p", "Zzz")])
 
     def test_self_loop_kept_and_reported(self):
-        g = build_graph([KgNode("A", "a")], [Triplet("A", "p", "A")])
+        g = KnowledgeGraph([KgNode("A", "a")], [Triplet("A", "p", "A")])
         assert g.edges == (Triplet("A", "p", "A"),)
         assert any("self-loop" in line for line in g.load_report)
 
@@ -88,7 +88,7 @@ class TestLookups:
 
     def test_ambiguous_surface_sorted(self):
         nodes = [KgNode("Q9", "Mercury"), KgNode("Q5", "Mercury"), KgNode("Q1", "x")]
-        g = build_graph(nodes, [Triplet("Q9", "p", "Q1")])
+        g = KnowledgeGraph(nodes, [Triplet("Q9", "p", "Q1")])
         assert g.label_index.get(normalize("mercury"), ()) == ("Q5", "Q9")
 
     def test_neighbors_sorted_unique(self, apollo_kg):
@@ -106,7 +106,7 @@ class TestLookups:
 
     def test_edge_between_picks_first_parallel_edge(self):
         nodes = [KgNode("A", "a"), KgNode("B", "b")]
-        g = build_graph(nodes, [Triplet("A", "first", "B"), Triplet("B", "second", "A")])
+        g = KnowledgeGraph(nodes, [Triplet("A", "first", "B"), Triplet("B", "second", "A")])
         assert g.edge_between("A", "B") == Triplet("A", "first", "B")
         assert g.edge_between("B", "A") == Triplet("A", "first", "B")
 

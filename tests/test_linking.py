@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from claimver.kg import KgNode, Triplet, build_graph
+from claimver.kg import KgNode, KnowledgeGraph, Triplet
 from claimver.linking import (chunk_text, link_entities, preprocess,
                               split_sentences)
 from claimver.text import (normalize, normalized_find, normalized_finder, tokens,
@@ -71,7 +71,7 @@ def linking_kg():
         KgNode("Q9", "Mercury"),   # planet; same surface, larger id
     ]
     triplets = [Triplet("Q1615", "citizen of", "Q30"), Triplet("Q9", "near", "Q405")]
-    return build_graph(nodes, triplets)
+    return KnowledgeGraph(nodes, triplets)
 
 
 class TestLinkEntities:

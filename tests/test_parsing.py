@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import claimver.text
 from claimver.errors import ResponseParseError
-from claimver.kg import Triplet, build_graph
+from claimver.kg import KnowledgeGraph, Triplet
 from claimver.parsing import (ClaimResult, PredictionLabel, RawClaim, parse_response,
                               parse_triplet_field, validate_claims)
 from claimver.retrieval import RetrievalConfig, RetrievedTriplets, retrieve
@@ -306,7 +306,7 @@ class TestValidateClaims:
         text = "".join(sentence + gap for sentence, gap, _ in parts)
         raws = [_raw(sentence.upper() if shout else sentence, "Extrapolatory", index=i)
                 for i, (sentence, _, shout) in enumerate(parts, 1)]
-        out = validate_claims(raws, text, RetrievedTriplets(paths=()), build_graph([], []))
+        out = validate_claims(raws, text, RetrievedTriplets(paths=()), KnowledgeGraph([], []))
         starts = [c.start for c in out]
         assert all(a < b for a, b in zip(starts, starts[1:]))
         for claim, (sentence, _, shout) in zip(out, parts):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from claimver.errors import UnknownNodeError
-from claimver.kg import KgNode, Triplet, build_graph
+from claimver.kg import KgNode, KnowledgeGraph, Triplet
 from claimver.retrieval import KgPath, RetrievalConfig, RetrievedTriplets, retrieve
 
 from graphgen import enumerate_paths_oracle, hub_graph, random_graph, random_seeds
@@ -95,7 +95,7 @@ class TestRetrieveFixture:
         assert list(result.triplets) == expected
 
     def test_parallel_edges_use_first_stored(self):
-        g = build_graph(
+        g = KnowledgeGraph(
             [KgNode("A", "a"), KgNode("B", "b")],
             [Triplet("A", "early", "B"), Triplet("B", "late", "A")])
         result = retrieve(g, ["A", "B"])
@@ -107,7 +107,7 @@ class TestRetrieveFixture:
         # step looks up V's ball, where C is found after Z (BFS order).
         edges = [("V", "A"), ("V", "B"), ("A", "Z"), ("B", "C"), ("U", "A"),
                  ("U", "B"), ("U", "C"), ("U", "Z")] + [("U", f"X{i}") for i in range(9)]
-        g = build_graph([KgNode(i, i.lower()) for i in {n for e in edges for n in e}],
+        g = KnowledgeGraph([KgNode(i, i.lower()) for i in {n for e in edges for n in e}],
                         [Triplet(s, "p", o) for s, o in edges])
         result = retrieve(g, ["U", "V"], RetrievalConfig(max_hops=3, max_paths_per_pair=3))
         assert [p.nodes for p in result.paths] == [
@@ -118,7 +118,7 @@ class TestRetrieveFixture:
 class TestOracle:
     def test_hand_checked_diamond(self):
         #   A-B, A-C, B-D, C-D, B-C: two 2-hop paths A..D plus two 3-hop ones
-        g = build_graph(
+        g = KnowledgeGraph(
             [KgNode(i, i.lower()) for i in "ABCD"],
             [Triplet("A", "p", "B"), Triplet("A", "p", "C"), Triplet("B", "p", "D"),
              Triplet("C", "p", "D"), Triplet("B", "p", "C")])
