@@ -108,7 +108,8 @@ def parse_response(raw: str, diagnostics: Optional[list[str]] = None) -> list[Ra
     """Extract numbered claim groups from a model response.
 
     Unnumbered keys count as group 1; duplicate keys keep the first value;
-    groups missing some keys are padded with "NA" and reported. A response
+    a key whose number int() cannot read is ignored and reported; groups
+    missing some keys are padded with "NA" and reported. A response
     with no complete group at all fails with ResponseParseError.
     """
     sink = diagnostics if diagnostics is not None else []
@@ -119,8 +120,12 @@ def parse_response(raw: str, diagnostics: Optional[list[str]] = None) -> list[Ra
         if m is None:
             break
         key = m.group(1).lower()
-        index = int(m.group(2) or "1")
         value, pos = _read_value(raw, m.end())
+        try:
+            index = int(m.group(2) or "1")
+        except ValueError:  # more digits than int() reads
+            sink.append(f"{key} key with a {len(m.group(2))}-digit number ignored")
+            continue
         bucket = groups.setdefault(index, {})
         if key in bucket:
             sink.append(f"duplicate key {key}{index} ignored")

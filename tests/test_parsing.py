@@ -1,7 +1,7 @@
 """Tolerant response parsing and claim validation."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import claimver.text
@@ -13,6 +13,14 @@ from claimver.retrieval import RetrievalConfig, RetrievedTriplets, retrieve
 from claimver.text import normalize, normalized_find
 
 from conftest import APOLLO_RESPONSE, APOLLO_TEXT, format_response
+
+
+# Fragments of the key/value shapes parse_response reads, mixed with noise.
+_RESPONSE_PIECES = st.one_of(
+    st.sampled_from(["text_span", "prediction", "triplets", "rationale", "TEXT-SPAN", "1",
+                     "23", "_", ":", "=", '"', "'", "\\", "[", "]", "(", ")", ",", " ",
+                     "\n", "NA", "Attributable"]),
+    st.text(max_size=8))
 
 
 class TestParseResponse:
@@ -104,6 +112,27 @@ class TestParseResponse:
     def test_prose_without_keys_fails(self):
         with pytest.raises(ResponseParseError):
             parse_response("The text seems broadly accurate to me.")
+
+    def test_unreadable_claim_number_ignored(self):
+        sink = []
+        raw = APOLLO_RESPONSE + '\n"text_span' + "1" * 5000 + '": "x"'
+        assert parse_response(raw, sink) == parse_response(APOLLO_RESPONSE)
+        assert sink == ["text_span key with a 5000-digit number ignored"]
+
+    def test_only_unreadable_claim_numbers_fail(self):
+        with pytest.raises(ResponseParseError):
+            parse_response('"text_span' + "9" * 5000 + '": "x"')
+
+    @given(st.one_of(st.text(), st.lists(_RESPONSE_PIECES, max_size=40).map("".join)))
+    @example('"text_span' + "1" * 5000 + '": "x"')
+    @example(APOLLO_RESPONSE + "\nprediction" + "7" * 4301 + ": Attributable")
+    @settings(max_examples=300, deadline=None)
+    def test_any_text_parses_or_fails_as_parse_error(self, raw):
+        try:
+            claims = parse_response(raw)
+        except ResponseParseError:
+            return
+        assert claims and all(isinstance(c, RawClaim) for c in claims)
 
 
 class TestFormatRoundTrip:
