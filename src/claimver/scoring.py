@@ -36,6 +36,8 @@ class ScoringConfig:
     gamma_pos: float = 1.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.alpha, self.beta, self.gamma_neg, self.gamma_pos))):
+            raise ValueError("alpha, beta, gamma_neg and gamma_pos must be finite")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be >= 0")
         if self.alpha + self.beta <= 0:

@@ -112,6 +112,13 @@ class TestVerify:
         assert main(_verify_args(tsv_kg_path, input_file, refused_url,
                                  "--alpha", "-1")) == 2
 
+    def test_non_finite_scoring_weight_exit_2(self, tsv_kg_path, input_file, refused_url,
+                                              capsys):
+        assert main(_verify_args(tsv_kg_path, input_file, refused_url,
+                                 "--alpha", "nan")) == 2
+        assert capsys.readouterr().err == (
+            "error: alpha, beta, gamma_neg and gamma_pos must be finite\n")
+
     def test_missing_required_flag_exits_2(self, tsv_kg_path):
         with pytest.raises(SystemExit) as err:
             main(["verify", "--kg", tsv_kg_path])

@@ -35,6 +35,8 @@ class TestConfig:
     @pytest.mark.parametrize("kwargs", [
         {"alpha": -0.1}, {"beta": -1}, {"alpha": 0, "beta": 0},
         {"gamma_neg": 1, "gamma_pos": 2}, {"gamma_pos": -1, "gamma_neg": 0},
+        {"alpha": float("nan")}, {"beta": float("inf")}, {"gamma_neg": float("inf")},
+        {"gamma_pos": float("nan")}, {"alpha": float("-inf")},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
