@@ -12,9 +12,13 @@ import json
 import logging
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress, groupby
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from sys import intern
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
+
+import numpy as np
 
 from .errors import KgLoadError, UnknownNodeError
 from .text import format_triplet, normalize
@@ -24,7 +28,7 @@ logger = logging.getLogger(__name__)
 NodeId = str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KgNode:
     """One entity: id, display label, optional description and aliases."""
 
@@ -56,67 +60,78 @@ def triplet_key(subject_label: str, predicate: str, object_label: str) -> tuple[
 class KnowledgeGraph:
     """Node table plus adjacency and label indexes over a triplet snapshot.
 
-    Nodes are kept sorted by id; a node's aliases must stay distinct after
-    normalization (ValueError). Every triplet endpoint must be a node
-    (UnknownNodeError). Duplicate triplets are dropped, the first kept;
-    self-loops are kept and noted in the load report. Adjacency is undirected
-    (each edge is reachable from both endpoints); triplet direction is
-    preserved in the stored edges for display. Instances are read-only after
-    construction.
+    Nodes are kept sorted by id; node ids must be distinct and a node's
+    aliases must stay distinct after normalization (ValueError). Every
+    triplet endpoint must be a node (UnknownNodeError). Duplicate triplets
+    are dropped, the first kept; self-loops are kept and noted in the load
+    report. Adjacency is undirected (each edge is reachable from both
+    endpoints); triplet direction is preserved in the stored edges for
+    display. Instances are read-only after construction.
+
+    The indexes are built by numpy sorts over integer codes (node
+    positions, predicate numbers) instead of per-node dictionaries. The
+    triplet index is three code columns sorted together and searched with
+    np.searchsorted.
     """
 
     def __init__(self, nodes: Iterable[KgNode], triplets: Iterable[Triplet],
                  load_report: Iterable[str] = ()):
-        self.nodes = {n.id: n for n in sorted(nodes, key=lambda n: n.id)}
-
-        norm_labels: dict[NodeId, str] = {}
-        label_index: dict[str, set[NodeId]] = {}
-        for nid, node in self.nodes.items():
-            norm_labels[nid] = normalize(node.label)
-            folded = [normalize(a) for a in node.aliases]
-            if len(set(folded)) != len(folded):
-                raise ValueError(f"node {nid!r} has duplicate aliases after case-folding")
-            for key in (norm_labels[nid], *folded):
-                if key:
-                    label_index.setdefault(key, set()).add(nid)
-        self.label_index: dict[str, tuple[NodeId, ...]] = {
-            key: tuple(sorted(ids)) for key, ids in sorted(label_index.items())
-        }
+        ordered = sorted(nodes, key=attrgetter("id"))
+        self.nodes = {n.id: n for n in ordered}
+        if len(self.nodes) != len(ordered):
+            dup = next(a.id for a, b in zip(ordered, ordered[1:]) if a.id == b.id)
+            raise ValueError(f"duplicate node id {dup!r}")
+        ids = list(self.nodes)
+        self.label_index, primary = _label_index(ordered)
         self.max_label_tokens = max((len(k.split()) for k in self.label_index), default=0)
+        # Each distinct normalized primary label is coded by its rank.
+        label_keys, label_code = np.unique(np.array(primary, dtype=object), return_inverse=True)
+        self._label_keys: list[str] = label_keys.tolist()
 
-        # One pass: check, deduplicate, report, and index each triplet. The
-        # triplet index is keyed as triplet_key(*self.triplet_labels(t)),
-        # normalizing each label and each distinct predicate once.
-        report = list(load_report)
-        kept: dict[Triplet, None] = {}
-        first_edge: dict[NodeId, dict[NodeId, Triplet]] = {nid: {} for nid in self.nodes}
-        norm_predicates: dict[str, str] = {}
-        triplet_index: dict[tuple[str, str, str], Triplet] = {}
-        for t in triplets:
-            s, p, o = t
-            if s not in first_edge:
-                raise UnknownNodeError(s)
-            if o not in first_edge:
-                raise UnknownNodeError(o)
-            if t in kept:
-                continue
-            kept[t] = None
-            if s == o:
-                report.append(f"self-loop triplet kept: {format_triplet(s, p, o)}")
-            first_edge[s].setdefault(o, t)
-            first_edge[o].setdefault(s, t)
-            if p not in norm_predicates:
-                norm_predicates[p] = normalize(p)
-            triplet_index.setdefault((norm_labels[s], norm_predicates[p], norm_labels[o]), t)
-        self.edges = tuple(kept)
-        self.load_report = tuple(report)
-        self._triplet_index = triplet_index
+        # Code columns: endpoint positions (which follow sorted ids) and raw
+        # predicate numbers. Codes are 1:1 with ids and predicates, so a
+        # repeated triplet is a repeated row.
+        rows = list(triplets)
+        s, o = _endpoint_codes(ids, rows)
+        predicates = {q: i for i, q in enumerate(dict.fromkeys(map(itemgetter(1), rows)))}
+        p = _codes(predicates, map(itemgetter(1), rows), len(rows))
+        keep = np.zeros(len(rows), dtype=bool)
+        keep[_run_heads(s, p, o)] = True
+        self.edges = tuple(compress(rows, keep.tolist()))
+        del rows
+        s, p, o = s[keep], p[keep], o[keep]
+        self.load_report = (*load_report, *(
+            f"self-loop triplet kept: {format_triplet(*self.edges[i])}"
+            for i in np.flatnonzero(s == o).tolist()))
 
+        # Triplet index: (label, normalized predicate, label) code columns
+        # sorted together, with the first edge in file order per key.
+        self._predicate_codes: dict[str, int] = {}
+        to_normalized = np.array(
+            [self._predicate_codes.setdefault(normalize(q), len(self._predicate_codes))
+             for q in predicates], dtype=np.intp)
+        columns = label_code[s], to_normalized[p], label_code[o]
+        self._triplet_edges = _run_heads(*columns)
+        self._triplet_columns = tuple(c[self._triplet_edges] for c in columns)
+        del label_code, p, columns
+
+        # Adjacency: entry 2i is edge i seen from its subject, 2i+1 from its
+        # object. One sort by (node, neighbor) keeps the first edge in file
+        # order per pair; positions follow sorted ids, so neighbors come out
+        # sorted by id.
+        ends = np.column_stack((s, o)).ravel()
+        others = np.column_stack((o, s)).ravel()
+        del s, o
+        heads = _run_heads(ends, others)
+        bounds = np.searchsorted(ends[heads], np.arange(len(ids) + 1)).tolist()
+        nbrs = np.array(ids, dtype=object)[others[heads]].tolist()
+        first = np.fromiter(self.edges, dtype=object, count=len(self.edges))[heads // 2].tolist()
+        del ends, others, heads
         # node -> (sorted distinct neighbors, first edge in file order to each)
-        self._adjacency: dict[NodeId, tuple[tuple[NodeId, ...], tuple[Triplet, ...]]] = {}
-        for nid, to in first_edge.items():
-            nbrs = tuple(sorted(to))
-            self._adjacency[nid] = nbrs, tuple(map(to.__getitem__, nbrs))
+        self._adjacency: dict[NodeId, tuple[tuple[NodeId, ...], tuple[Triplet, ...]]] = {
+            nid: (tuple(nbrs[a:b]), tuple(first[a:b]))
+            for nid, a, b in zip(ids, bounds, bounds[1:])
+        }
 
     def __contains__(self, node_id: NodeId) -> bool:
         return node_id in self.nodes
@@ -149,7 +164,77 @@ class KnowledgeGraph:
     def contains_triplet(self, subject_label: str, predicate: str,
                          object_label: str) -> Optional[Triplet]:
         """The stored triplet whose labels match the candidate, if any."""
-        return self._triplet_index.get(triplet_key(subject_label, predicate, object_label))
+        s_key, p_key, o_key = triplet_key(subject_label, predicate, object_label)
+        codes = (_rank(self._label_keys, s_key), self._predicate_codes.get(p_key),
+                 _rank(self._label_keys, o_key))
+        if None in codes:
+            return None
+        lo, hi = 0, len(self._triplet_edges)
+        for column, code in zip(self._triplet_columns, codes):
+            first, end = column[lo:hi].searchsorted((code, code + 1)).tolist()
+            lo, hi = lo + first, lo + end
+        return self.edges[self._triplet_edges[lo]] if lo < hi else None
+
+
+def _label_index(nodes: list[KgNode]) -> tuple[dict[str, tuple[NodeId, ...]], list[str]]:
+    """The label index of nodes sorted by id, and each node's normalized label.
+
+    (key, id) pairs are grouped by a stable sort on the key, so each group
+    keeps the sorted id order; a node whose label and alias share a key is
+    listed once.
+    """
+    primary: list[str] = []
+    keys: list[str] = []
+    owners: list[NodeId] = []
+    for node in nodes:
+        label = normalize(node.label)
+        folded = [normalize(a) for a in node.aliases]
+        if len(set(folded)) != len(folded):
+            raise ValueError(f"node {node.id!r} has duplicate aliases after case-folding")
+        primary.append(label)
+        for key in (label, *folded):
+            if key:
+                keys.append(key)
+                owners.append(node.id)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    index = {key: tuple(dict.fromkeys(map(owners.__getitem__, group)))
+             for key, group in groupby(order, keys.__getitem__)}
+    return index, primary
+
+
+def _endpoint_codes(ids: list[NodeId], rows: list[Triplet]) -> tuple[np.ndarray, np.ndarray]:
+    """Positions in ids of each row's subject and object; UnknownNodeError
+    names the first endpoint, in row order, that is not in ids."""
+    position = dict(zip(ids, range(len(ids))))
+    try:
+        return (_codes(position, map(itemgetter(0), rows), len(rows)),
+                _codes(position, map(itemgetter(2), rows), len(rows)))
+    except KeyError:
+        unknown = next(end for s, _, o in rows for end in (s, o) if end not in position)
+        raise UnknownNodeError(unknown) from None
+
+
+def _codes(table: dict, keys: Iterable, count: int) -> np.ndarray:
+    """table[k] for each of count keys, as an integer array (KeyError if absent)."""
+    return np.fromiter(map(table.__getitem__, keys), dtype=np.intp, count=count)
+
+
+def _rank(keys: list[str], key: str) -> Optional[int]:
+    """Position of key in the sorted list keys, or None if absent."""
+    i = bisect_left(keys, key)
+    return i if i < len(keys) and keys[i] == key else None
+
+
+def _run_heads(*columns: np.ndarray) -> np.ndarray:
+    """For each distinct row of the equal-length columns, the index of its
+    first occurrence; ordered by row, the first column most significant."""
+    order = np.lexsort(columns[::-1])
+    head = np.zeros(len(order), dtype=bool)
+    head[:1] = True
+    for column in columns:
+        ranked = column[order]
+        head[1:] |= ranked[1:] != ranked[:-1]
+    return order[head]
 
 
 # A row decoder's output: (line number, the row's fields or the message
@@ -190,13 +275,18 @@ class _SnapshotReader:
 
     def read_edges(self, rows: _Rows):
         """Rows of (s_id, s_label, predicate, o_id, o_label)."""
+        # A node whose label is already known has its first reference too,
+        # and offering the same label again changes nothing.
+        labels = self.labels
         for line_no, row in rows:
             if isinstance(row, str):
                 self.errors.append(f"line {line_no}: {row}")
                 continue
             s_id, s_label, pred, o_id, o_label = row
-            self.offer_label(s_id, s_label, line_no)
-            self.offer_label(o_id, o_label, line_no)
+            if labels.get(s_id) != s_label:
+                self.offer_label(s_id, s_label, line_no)
+            if labels.get(o_id) != o_label:
+                self.offer_label(o_id, o_label, line_no)
             self.triplets.append(Triplet(s_id, pred, o_id))
 
     def read_nodes(self, rows: _Rows):
@@ -222,6 +312,8 @@ class _SnapshotReader:
                 self.add_aliases(node_id, aliases)
 
     def finish(self, lenient: bool) -> KnowledgeGraph:
+        """The graph of everything read; empties the reader's row tables
+        first, so they are freed before the graph is indexed."""
         dangling = {nid for nid in self.first_ref if nid not in self.labels}
         for nid in sorted(dangling):
             self.errors.append(
@@ -239,6 +331,9 @@ class _SnapshotReader:
         ]
         triplets = (t for t in self.triplets
                     if t.subject not in dangling and t.object not in dangling)
+        for table in (self.labels, self.descriptions, self.aliases, self.first_ref):
+            table.clear()
+        self.triplets = []
         return KnowledgeGraph(nodes, triplets, self.report)
 
 
@@ -324,8 +419,9 @@ def load_kg(path: str | Path, format: str = "tsv", *,
     row fails the load (KgLoadError). With lenient=True they are skipped and
     recorded in the returned graph's load_report.
 
-    The load builds over a million small containers, so it pauses the cyclic
-    garbage collector while it reads and indexes. That switch is
+    A 200k-edge load keeps about half a million small containers (the
+    triplets, the nodes and the per-node index tuples), so the load pauses
+    the cyclic garbage collector while it reads and indexes. That switch is
     process-global: other threads run without cyclic collection until the
     load returns, and the collector is re-enabled only if it was enabled on
     entry.

@@ -7,6 +7,7 @@ from typing import Optional
 
 from claimver.errors import UnknownNodeError
 from claimver.kg import KgNode, KnowledgeGraph, NodeId, Triplet, triplet_key
+from claimver.text import normalize
 
 PREDICATES = ("rel_a", "rel_b", "rel_c")
 
@@ -108,3 +109,12 @@ def contains_triplet_oracle(kg: KnowledgeGraph, subject_label: str, predicate: s
     """First edge in file order whose normalized labels match the candidate."""
     key = triplet_key(subject_label, predicate, object_label)
     return next((t for t in kg.edges if triplet_key(*kg.triplet_labels(t)) == key), None)
+
+
+def label_index_oracle(kg: KnowledgeGraph) -> dict[str, tuple[NodeId, ...]]:
+    """Each non-empty normalized label or alias, in sorted order, mapped to the
+    sorted ids of the nodes carrying it, by a scan of every node."""
+    surfaces = {nid: {normalize(x) for x in (n.label, *n.aliases)} - {""}
+                for nid, n in kg.nodes.items()}
+    return {key: tuple(sorted(nid for nid, keys in surfaces.items() if key in keys))
+            for key in sorted(set().union(*surfaces.values()))}
