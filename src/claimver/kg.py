@@ -10,13 +10,15 @@ from __future__ import annotations
 import gc
 import json
 import logging
+import math
 from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import compress, groupby
+from functools import cached_property, partial
+from itertools import filterfalse, groupby, repeat
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from sys import intern
-from typing import Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, TextIO, Union
 
 import numpy as np
 
@@ -68,44 +70,77 @@ class KnowledgeGraph:
     endpoints); triplet direction is preserved in the stored edges for
     display. Instances are read-only after construction.
 
-    The indexes are built by numpy sorts over integer codes (node
-    positions, predicate numbers) instead of per-node dictionaries. The
-    triplet index is three code columns sorted together and searched with
-    np.searchsorted.
+    The store is columnar. A node's code is its position in sorted id
+    order; labels, descriptions and aliases are lists indexed by code, and
+    the distinct edges are int32 code columns in file order. Adjacency is
+    CSR over the codes: each entry also holds the first edge in file order
+    to that neighbor, and each node keeps a prebuilt tuple of its neighbor
+    ids so that neighbors() is one lookup. The triplet index is three code
+    columns sorted together and searched with np.searchsorted. Python
+    objects are built only when a lookup asks: kg.nodes is a read-only
+    mapping that makes a KgNode on access, and kg.edges, the tuple of
+    Triplet in file order, is built on first access.
     """
 
     def __init__(self, nodes: Iterable[KgNode], triplets: Iterable[Triplet],
                  load_report: Iterable[str] = ()):
         ordered = sorted(nodes, key=attrgetter("id"))
-        self.nodes = {n.id: n for n in ordered}
-        if len(self.nodes) != len(ordered):
-            dup = next(a.id for a, b in zip(ordered, ordered[1:]) if a.id == b.id)
+        ids = [n.id for n in ordered]
+        position = dict(zip(ids, range(len(ids))))
+        if len(position) != len(ids):
+            dup = next(a for a, b in zip(ids, ids[1:]) if a == b)
             raise ValueError(f"duplicate node id {dup!r}")
-        ids = list(self.nodes)
-        self.label_index, primary = _label_index(ordered)
-        self.max_label_tokens = max((len(k.split()) for k in self.label_index), default=0)
-        # Each distinct normalized primary label is coded by its rank.
-        label_keys, label_code = np.unique(np.array(primary, dtype=object), return_inverse=True)
-        self._label_keys: list[str] = label_keys.tolist()
-
-        # Code columns: endpoint positions (which follow sorted ids) and raw
-        # predicate numbers. Codes are 1:1 with ids and predicates, so a
-        # repeated triplet is a repeated row.
         rows = list(triplets)
-        s, o = _endpoint_codes(ids, rows)
+        s, o = _endpoint_codes(position, rows)
         predicates = {q: i for i, q in enumerate(dict.fromkeys(map(itemgetter(1), rows)))}
         p = _codes(predicates, map(itemgetter(1), rows), len(rows))
-        keep = np.zeros(len(rows), dtype=bool)
-        keep[_run_heads(s, p, o)] = True
-        self.edges = tuple(compress(rows, keep.tolist()))
         del rows
-        s, p, o = s[keep], p[keep], o[keep]
+        self._index(ids, position, [n.label for n in ordered],
+                    [n.description for n in ordered], [n.aliases for n in ordered],
+                    list(predicates), s, p, o, load_report)
+
+    def _index(self, ids: list[NodeId], position: dict[NodeId, int], labels: list[str],
+               descriptions: list[str], aliases: list[tuple[str, ...]], predicates: list[str],
+               s: np.ndarray, p: np.ndarray, o: np.ndarray, load_report: Iterable[str]):
+        """Build the store. ids are sorted and distinct, position maps each to
+        its code, and the node columns are indexed by code. s, p and o code
+        each triplet in file order, repeats included."""
+        self._ids, self._position, self._labels = ids, position, labels
+        self._predicates = predicates
+        self.nodes: Mapping[NodeId, KgNode] = _NodeTable(ids, position, labels,
+                                                         descriptions, aliases)
+
+        # Codes are 1:1 with ids and predicates, so a repeated triplet is a
+        # repeated row; the first in file order is kept.
+        keep = np.zeros(len(s), dtype=bool)
+        keep[_run_heads(s, p, o)] = True
+        self._s, self._p, self._o = s, p, o = s[keep], p[keep], o[keep]
+        del keep
         self.load_report = (*load_report, *(
-            f"self-loop triplet kept: {format_triplet(*self.edges[i])}"
-            for i in np.flatnonzero(s == o).tolist()))
+            f"self-loop triplet kept: {format_triplet(*self._triplet(e))}"
+            for e in np.flatnonzero(s == o).tolist()))
+
+        # Adjacency: entry 2i is edge i seen from its subject, 2i+1 from its
+        # object. One sort by (node, neighbor) keeps the first edge in file
+        # order per pair; codes follow sorted ids, so neighbors come out
+        # sorted by id.
+        ends = np.column_stack((s, o)).ravel()
+        others = np.column_stack((o, s)).ravel()
+        heads = _run_heads(ends, others)
+        self._indptr = np.searchsorted(ends[heads], np.arange(len(ids) + 1)).astype(np.int32)
+        self._first_edge = (heads // 2).astype(np.int32)
+        nbrs = np.array(ids, dtype=object)[others[heads]].tolist()
+        del ends, others, heads
+        bounds = self._indptr.tolist()
+        self._neighbors = [tuple(nbrs[a:b]) for a, b in zip(bounds, bounds[1:])]
+        del nbrs, bounds
 
         # Triplet index: (label, normalized predicate, label) code columns
-        # sorted together, with the first edge in file order per key.
+        # sorted together, with the first edge in file order per key. Each
+        # distinct normalized primary label is coded by its rank.
+        primary = list(map(normalize, labels))
+        label_keys, label_code = np.unique(np.array(primary, dtype=object), return_inverse=True)
+        self._label_keys: list[str] = label_keys.tolist()
         self._predicate_codes: dict[str, int] = {}
         to_normalized = np.array(
             [self._predicate_codes.setdefault(normalize(q), len(self._predicate_codes))
@@ -113,34 +148,36 @@ class KnowledgeGraph:
         columns = label_code[s], to_normalized[p], label_code[o]
         self._triplet_edges = _run_heads(*columns)
         self._triplet_columns = tuple(c[self._triplet_edges] for c in columns)
-        del label_code, p, columns
+        del label_keys, label_code, columns
 
-        # Adjacency: entry 2i is edge i seen from its subject, 2i+1 from its
-        # object. One sort by (node, neighbor) keeps the first edge in file
-        # order per pair; positions follow sorted ids, so neighbors come out
-        # sorted by id.
-        ends = np.column_stack((s, o)).ravel()
-        others = np.column_stack((o, s)).ravel()
-        del s, o
-        heads = _run_heads(ends, others)
-        bounds = np.searchsorted(ends[heads], np.arange(len(ids) + 1)).tolist()
-        nbrs = np.array(ids, dtype=object)[others[heads]].tolist()
-        first = np.fromiter(self.edges, dtype=object, count=len(self.edges))[heads // 2].tolist()
-        del ends, others, heads
-        # node -> (sorted distinct neighbors, first edge in file order to each)
-        self._adjacency: dict[NodeId, tuple[tuple[NodeId, ...], tuple[Triplet, ...]]] = {
-            nid: (tuple(nbrs[a:b]), tuple(first[a:b]))
-            for nid, a, b in zip(ids, bounds, bounds[1:])
-        }
+        self.label_index = _label_index(ids, primary, aliases)
+        # Keys are normalized: single spaces between tokens.
+        self.max_label_tokens = max(map(str.count, self.label_index, repeat(" ")), default=-1) + 1
+
+    @cached_property
+    def edges(self) -> tuple[Triplet, ...]:
+        """The distinct stored triplets in file order."""
+        ids, predicates = self._ids, self._predicates
+        return tuple(map(Triplet, map(ids.__getitem__, self._s.tolist()),
+                         map(predicates.__getitem__, self._p.tolist()),
+                         map(ids.__getitem__, self._o.tolist())))
+
+    def _triplet(self, edge: int) -> Triplet:
+        """The stored triplet with index edge in the code columns."""
+        ids, predicates = self._ids, self._predicates
+        # As Triplet._make does, without its Python-level call: retrieval
+        # materializes every path edge through here.
+        return tuple.__new__(Triplet, (ids[self._s.item(edge)], predicates[self._p.item(edge)],
+                                       ids[self._o.item(edge)]))
 
     def __contains__(self, node_id: NodeId) -> bool:
-        return node_id in self.nodes
+        return node_id in self._position
 
     def label_of(self, node_id: NodeId) -> str:
-        node = self.nodes.get(node_id)
-        if node is None:
-            raise UnknownNodeError(node_id)
-        return node.label
+        try:
+            return self._labels[self._position[node_id]]
+        except KeyError:
+            raise UnknownNodeError(node_id) from None
 
     def triplet_labels(self, t: Triplet) -> tuple[str, str, str]:
         """A stored triplet as (subject label, predicate, object label)."""
@@ -149,17 +186,18 @@ class KnowledgeGraph:
     def neighbors(self, node_id: NodeId) -> tuple[NodeId, ...]:
         """Sorted distinct neighbors of a node, both edge directions."""
         try:
-            return self._adjacency[node_id][0]
+            return self._neighbors[self._position[node_id]]
         except KeyError:
             raise UnknownNodeError(node_id) from None
 
     def edge_between(self, a: NodeId, b: NodeId) -> Triplet:
         """Canonical stored edge joining two adjacent nodes (first in file order)."""
-        nbrs, edges = self._adjacency.get(a, ((), ()))
+        code = self._position.get(a)
+        nbrs = () if code is None else self._neighbors[code]
         i = bisect_left(nbrs, b)
         if i == len(nbrs) or nbrs[i] != b:
             raise KeyError(f"no edge between {a!r} and {b!r}")
-        return edges[i]
+        return self._triplet(self._first_edge.item(self._indptr.item(code) + i))
 
     def contains_triplet(self, subject_label: str, predicate: str,
                          object_label: str) -> Optional[Triplet]:
@@ -173,39 +211,63 @@ class KnowledgeGraph:
         for column, code in zip(self._triplet_columns, codes):
             first, end = column[lo:hi].searchsorted((code, code + 1)).tolist()
             lo, hi = lo + first, lo + end
-        return self.edges[self._triplet_edges[lo]] if lo < hi else None
+        return self._triplet(self._triplet_edges.item(lo)) if lo < hi else None
 
 
-def _label_index(nodes: list[KgNode]) -> tuple[dict[str, tuple[NodeId, ...]], list[str]]:
-    """The label index of nodes sorted by id, and each node's normalized label.
+class _NodeTable(Mapping):
+    """Read-only id -> KgNode view of a graph's node columns, in id order;
+    each lookup builds its KgNode."""
+
+    __slots__ = ("_ids", "_position", "_labels", "_descriptions", "_aliases")
+
+    def __init__(self, ids: list[NodeId], position: dict[NodeId, int], labels: list[str],
+                 descriptions: list[str], aliases: list[tuple[str, ...]]):
+        self._ids, self._position, self._labels = ids, position, labels
+        self._descriptions, self._aliases = descriptions, aliases
+
+    def __getitem__(self, node_id: NodeId) -> KgNode:
+        code = self._position[node_id]
+        return KgNode(self._ids[code], self._labels[code], self._descriptions[code],
+                      self._aliases[code])
+
+    def __iter__(self) -> Iterator[NodeId]:
+        return iter(self._ids)
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __contains__(self, node_id) -> bool:
+        return node_id in self._position
+
+
+def _label_index(ids: list[NodeId], primary: list[str],
+                 aliases: list[tuple[str, ...]]) -> dict[str, tuple[NodeId, ...]]:
+    """The label index of nodes sorted by id, given each node's normalized
+    label and its aliases.
 
     (key, id) pairs are grouped by a stable sort on the key, so each group
     keeps the sorted id order; a node whose label and alias share a key is
     listed once.
     """
-    primary: list[str] = []
     keys: list[str] = []
     owners: list[NodeId] = []
-    for node in nodes:
-        label = normalize(node.label)
-        folded = [normalize(a) for a in node.aliases]
+    for nid, label, names in zip(ids, primary, aliases):
+        folded = [normalize(a) for a in names]
         if len(set(folded)) != len(folded):
-            raise ValueError(f"node {node.id!r} has duplicate aliases after case-folding")
-        primary.append(label)
+            raise ValueError(f"node {nid!r} has duplicate aliases after case-folding")
         for key in (label, *folded):
             if key:
                 keys.append(key)
-                owners.append(node.id)
+                owners.append(nid)
     order = sorted(range(len(keys)), key=keys.__getitem__)
-    index = {key: tuple(dict.fromkeys(map(owners.__getitem__, group)))
-             for key, group in groupby(order, keys.__getitem__)}
-    return index, primary
+    return {key: tuple(dict.fromkeys(map(owners.__getitem__, group)))
+            for key, group in groupby(order, keys.__getitem__)}
 
 
-def _endpoint_codes(ids: list[NodeId], rows: list[Triplet]) -> tuple[np.ndarray, np.ndarray]:
-    """Positions in ids of each row's subject and object; UnknownNodeError
-    names the first endpoint, in row order, that is not in ids."""
-    position = dict(zip(ids, range(len(ids))))
+def _endpoint_codes(position: dict[NodeId, int],
+                    rows: list[Triplet]) -> tuple[np.ndarray, np.ndarray]:
+    """Codes of each row's subject and object; UnknownNodeError names the
+    first endpoint, in row order, that has no code."""
     try:
         return (_codes(position, map(itemgetter(0), rows), len(rows)),
                 _codes(position, map(itemgetter(2), rows), len(rows)))
@@ -215,8 +277,15 @@ def _endpoint_codes(ids: list[NodeId], rows: list[Triplet]) -> tuple[np.ndarray,
 
 
 def _codes(table: dict, keys: Iterable, count: int) -> np.ndarray:
-    """table[k] for each of count keys, as an integer array (KeyError if absent)."""
-    return np.fromiter(map(table.__getitem__, keys), dtype=np.intp, count=count)
+    """table[k] for each of count keys, as an int32 array (KeyError if absent)."""
+    return np.fromiter(map(table.__getitem__, keys), dtype=np.int32, count=count)
+
+
+def _add_codes(table: dict, keys: Iterable) -> list:
+    """Give each key not yet in table the next free code; the new keys, in order."""
+    new = list(filterfalse(table.__contains__, dict.fromkeys(keys)))
+    table.update(zip(new, range(len(table), len(table) + len(new))))
+    return new
 
 
 def _rank(keys: list[str], key: str) -> Optional[int]:
@@ -226,8 +295,17 @@ def _rank(keys: list[str], key: str) -> Optional[int]:
 
 
 def _run_heads(*columns: np.ndarray) -> np.ndarray:
-    """For each distinct row of the equal-length columns, the index of its
-    first occurrence; ordered by row, the first column most significant."""
+    """For each distinct row of the equal-length columns of non-negative
+    integers, the index of its first occurrence; ordered by row, the first
+    column most significant."""
+    sizes = [int(c.max()) + 1 if len(c) else 1 for c in columns]
+    if math.prod(sizes) <= np.iinfo(np.int64).max:
+        # Each row as one mixed-radix number, so the sort has a single key.
+        key = np.zeros(len(columns[0]), dtype=np.int64)
+        for column, size in zip(columns, sizes):
+            key *= size
+            key += column
+        columns = (key,)
     order = np.lexsort(columns[::-1])
     head = np.zeros(len(order), dtype=bool)
     head[:1] = True
@@ -235,6 +313,19 @@ def _run_heads(*columns: np.ndarray) -> np.ndarray:
         ranked = column[order]
         head[1:] |= ranked[1:] != ranked[:-1]
     return order[head]
+
+
+def _merge_aliases(known: tuple[str, ...], names: Iterable[str]) -> tuple[str, ...]:
+    """known plus each stripped, non-empty name whose normalized form is new."""
+    merged = list(known)
+    seen = set(map(normalize, known))
+    for alias in names:
+        alias = alias.strip()
+        key = normalize(alias)
+        if alias and key not in seen:
+            merged.append(alias)
+            seen.add(key)
+    return tuple(merged)
 
 
 # A row decoder's output: (line number, the row's fields or the message
@@ -248,7 +339,7 @@ class _SnapshotReader:
     def __init__(self):
         self.labels: dict[NodeId, str] = {}
         self.descriptions: dict[NodeId, str] = {}
-        self.aliases: dict[NodeId, list[str]] = {}
+        self.aliases: dict[NodeId, tuple[str, ...]] = {}
         self.first_ref: dict[NodeId, int] = {}
         self.triplets: list[Triplet] = []
         self.errors: list[str] = []
@@ -262,16 +353,6 @@ class _SnapshotReader:
         if known != label and normalize(known) != normalize(label):
             self.report.append(
                 f"line {line}: conflicting label {label!r} for {node_id!r}; kept {known!r}")
-
-    def add_aliases(self, node_id: NodeId, aliases: Iterable[str]):
-        bucket = self.aliases.setdefault(node_id, [])
-        seen = {normalize(a) for a in bucket}
-        for alias in aliases:
-            alias = alias.strip()
-            key = normalize(alias)
-            if alias and key not in seen:
-                bucket.append(alias)
-                seen.add(key)
 
     def read_edges(self, rows: _Rows):
         """Rows of (s_id, s_label, predicate, o_id, o_label)."""
@@ -309,7 +390,7 @@ class _SnapshotReader:
             if description:
                 self.descriptions.setdefault(node_id, description)
             if aliases:
-                self.add_aliases(node_id, aliases)
+                self.aliases[node_id] = _merge_aliases(self.aliases.get(node_id, ()), aliases)
 
     def finish(self, lenient: bool) -> KnowledgeGraph:
         """The graph of everything read; empties the reader's row tables
@@ -326,7 +407,7 @@ class _SnapshotReader:
         nodes = [
             KgNode(id=nid, label=label,
                    description=self.descriptions.get(nid, ""),
-                   aliases=tuple(self.aliases.get(nid, ())))
+                   aliases=self.aliases.get(nid, ()))
             for nid, label in self.labels.items()
         ]
         triplets = (t for t in self.triplets
@@ -347,7 +428,7 @@ def _tsv_rows(lines: Iterable[str], node_file: bool) -> _Rows:
                 yield line_no, f"expected 2 or 3 tab-separated columns, got {len(cols)}"
                 continue
             aliases = cols[2].split("|") if len(cols) == 3 else ()
-            yield line_no, (intern(cols[0].strip()), None, cols[1].strip(), aliases)
+            yield line_no, (cols[0].strip(), None, cols[1].strip(), aliases)
         elif len(cols) != 5:
             yield line_no, f"expected 5 tab-separated columns, got {len(cols)}"
         else:
@@ -355,7 +436,7 @@ def _tsv_rows(lines: Iterable[str], node_file: bool) -> _Rows:
             if not s_id or not pred or not o_id:
                 yield line_no, "empty subject id, predicate, or object id"
             else:
-                yield line_no, (intern(s_id), s_label, intern(pred), intern(o_id), o_label)
+                yield line_no, (s_id, s_label, pred, o_id, o_label)
 
 
 def _jsonl_rows(lines: Iterable[str], node_file: bool) -> _Rows:
@@ -385,14 +466,119 @@ def _jsonl_rows(lines: Iterable[str], node_file: bool) -> _Rows:
                 yield line_no, "aliases must be a list of strings"
                 continue
             node_id, label, description = values
-            yield line_no, (intern(node_id), label, description,
+            yield line_no, (node_id, label, description,
                             [a for a in aliases if a is not None])
         else:
             s_id, s_label, pred, o_id, o_label = values
             if not s_id or not pred or not o_id:
                 yield line_no, "missing s_id, p, or o_id"
             else:
-                yield line_no, (intern(s_id), s_label, intern(pred), intern(o_id), o_label)
+                yield line_no, (s_id, s_label, pred, o_id, o_label)
+
+
+# Characters per block of a TSV snapshot: readlines() ends a block with the
+# line that takes it past this many.
+_BLOCK_CHARS = 1 << 16
+
+
+def _load_clean_tsv(path: Path, nodes_path: str | Path | None) -> Optional[KnowledgeGraph]:
+    """The graph of a clean TSV snapshot (see load_kg), decoded block by
+    block straight to codes; None for any other snapshot."""
+    with path.open(encoding="utf-8") as lines:
+        decoded = _decode_edge_blocks(lines)
+    if decoded is None:
+        return None
+    position, labels, predicates, s, p, o = decoded
+    del decoded
+    sidecar = _node_file(path, nodes_path)
+
+    # Recode the nodes by their position in sorted id order.
+    ids = sorted(position)
+    old = _codes(position, ids, len(ids))
+    new = np.empty_like(old)
+    new[old] = np.arange(len(ids), dtype=np.int32)
+    s, o = new[s], new[o]
+    labels = list(map(labels.__getitem__, old.tolist()))
+    position = dict(zip(ids, range(len(ids))))
+    del old, new
+
+    descriptions, aliases = [""] * len(ids), [()] * len(ids)
+    if sidecar:
+        with sidecar.open(encoding="utf-8") as lines:
+            if not _read_clean_node_rows(lines, position, descriptions, aliases):
+                return None
+    graph = KnowledgeGraph.__new__(KnowledgeGraph)
+    graph._index(ids, position, labels, descriptions, aliases, list(predicates), s, p, o, ())
+    return graph
+
+
+def _decode_edge_blocks(lines: TextIO) -> Optional[tuple]:
+    """(id -> code in order of first occurrence, labels by code, predicate ->
+    code, s, p and o code columns) of a clean snapshot, or None at the
+    first block with a row that is not clean."""
+    position: dict[NodeId, int] = {}
+    labels: list[str] = []
+    predicates: dict[str, int] = {}
+    columns = []
+    for block in iter(partial(lines.readlines, _BLOCK_CHARS), []):
+        text = "".join(block)
+        if not text.endswith("\n"):
+            text += "\n"
+        if not (_tabs_per_line(text) == 4).all():
+            return None
+        fields = list(map(str.strip, text[:-1].replace("\n", "\t").split("\t")))
+        if "" in fields:
+            return None
+        ends, names, preds = fields[0::5] + fields[3::5], fields[1::5] + fields[4::5], fields[2::5]
+        first = dict(zip(ends, names))
+        labels.extend(map(first.__getitem__, _add_codes(position, first)))
+        codes = list(map(position.__getitem__, ends))
+        if list(map(labels.__getitem__, codes)) != names:  # an id with two labels
+            return None
+        _add_codes(predicates, preds)
+        both = np.array(codes, dtype=np.int32)
+        columns.append((both[:len(preds)], _codes(predicates, preds, len(preds)),
+                        both[len(preds):]))
+    s, p, o = ((np.concatenate(c) for c in zip(*columns)) if columns
+               else (np.zeros(0, dtype=np.int32),) * 3)
+    return position, labels, predicates, s, p, o
+
+
+def _tabs_per_line(text: str) -> np.ndarray:
+    """The number of tabs on each line of text, which ends with a newline."""
+    # Tab and newline are single bytes in UTF-8 and never part of another character.
+    data = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    ends = np.searchsorted(np.flatnonzero(data == 9), np.flatnonzero(data == 10))
+    return np.diff(ends, prepend=0)
+
+
+def _read_clean_node_rows(lines: Iterable[str], position: dict[NodeId, int],
+                          descriptions: list[str], aliases: list[tuple[str, ...]]) -> bool:
+    """Fill in descriptions and aliases, by code, from the rows of a TSV node
+    file; False at the first row the row decoder would skip or reject."""
+    for cols in map(str.split, lines, repeat("\t")):
+        code = position.get(cols[0].strip()) if 2 <= len(cols) <= 3 else None
+        if code is None:
+            return False
+        description = cols[1].strip()
+        if description and not descriptions[code]:
+            descriptions[code] = description
+        names = cols[2].strip() if len(cols) == 3 else ""
+        if names:
+            aliases[code] = _merge_aliases(aliases[code], names.split("|"))
+    return True
+
+
+def _node_file(path: Path, nodes_path: str | Path | None) -> Optional[Path]:
+    """The node file to read with the snapshot at path, if any: nodes_path
+    (KgLoadError if it is not a file) or else "<stem>.nodes<suffix>"."""
+    sidecar = (Path(nodes_path) if nodes_path
+               else path.with_name(f"{path.stem}.nodes{path.suffix}"))
+    if sidecar.is_file():
+        return sidecar
+    if nodes_path:
+        raise KgLoadError([f"no such node file: {sidecar}"])
+    return None
 
 
 def load_kg(path: str | Path, format: str = "tsv", *,
@@ -419,9 +605,19 @@ def load_kg(path: str | Path, format: str = "tsv", *,
     row fails the load (KgLoadError). With lenient=True they are skipped and
     recorded in the returned graph's load_report.
 
-    A 200k-edge load keeps about half a million small containers (the
-    triplets, the nodes and the per-node index tuples), so the load pauses
-    the cyclic garbage collector while it reads and indexes. That switch is
+    A clean TSV snapshot is decoded readlines() block by block straight to
+    node and predicate codes, which go to the graph's columns without a
+    Triplet or KgNode object. Clean means that the row decoder would take
+    every row as it stands: no blank line, five fields per line, no empty
+    id, predicate or label, one spelling of each id's label, and node-file
+    rows of 2 or 3 columns that name a known id. Any other file, and every
+    JSONL file, is read again from the start by the row decoder, which
+    reports each row it rejects; both decoders feed the same index builder.
+    The loaded graph builds a KgNode when kg.nodes is looked up and the
+    tuple kg.edges on its first access.
+
+    The row decoder builds a few containers per row, so the load pauses the
+    cyclic garbage collector while it reads and indexes. That switch is
     process-global: other threads run without cyclic collection until the
     load returns, and the collector is re-enabled only if it was enabled on
     entry.
@@ -432,25 +628,22 @@ def load_kg(path: str | Path, format: str = "tsv", *,
     if format not in ("tsv", "jsonl"):
         raise ValueError(f"unknown format {format!r} (expected 'tsv' or 'jsonl')")
 
-    decode = _tsv_rows if format == "tsv" else _jsonl_rows
-    reader = _SnapshotReader()
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        with path.open(encoding="utf-8") as lines:
-            reader.read_edges(decode(lines, node_file=False))
-
-        sidecar = (Path(nodes_path) if nodes_path
-                   else path.with_name(f"{path.stem}.nodes{path.suffix}"))
-        if sidecar.is_file():
-            with sidecar.open(encoding="utf-8") as lines:
-                reader.read_nodes(decode(lines, node_file=True))
-        elif nodes_path:
-            raise KgLoadError([f"no such node file: {sidecar}"])
-
-        graph = reader.finish(lenient)
+        graph = _load_clean_tsv(path, nodes_path) if format == "tsv" else None
+        if graph is None:
+            decode = _tsv_rows if format == "tsv" else _jsonl_rows
+            reader = _SnapshotReader()
+            with path.open(encoding="utf-8") as lines:
+                reader.read_edges(decode(lines, node_file=False))
+            sidecar = _node_file(path, nodes_path)
+            if sidecar:
+                with sidecar.open(encoding="utf-8") as lines:
+                    reader.read_nodes(decode(lines, node_file=True))
+            graph = reader.finish(lenient)
     finally:
         if gc_was_enabled:
             gc.enable()
-    logger.debug("loaded %d nodes, %d edges from %s", len(graph.nodes), len(graph.edges), path)
+    logger.debug("loaded %d nodes, %d edges from %s", len(graph.nodes), len(graph._s), path)
     return graph

@@ -2,8 +2,8 @@
 
 Claim spans are painted over the input text by prediction: green for
 Attributable, amber for Extrapolatory, red for Contradictory, gray for
-NoAttribution. Overlapping spans let the later claim win, and offsets outside
-the text are clamped to it. Decoration never changes the text itself:
+NoAttribution. Overlapping spans let the later claim win; a report's offsets
+always lie within its text. Decoration never changes the text itself:
 stripping codes or tags gives back the input.
 """
 
@@ -45,14 +45,10 @@ pre.text { white-space: pre-wrap; border: 1px solid #ccc; padding: 1em; }
 
 def _span_colors(report: VerificationReport) -> list[Optional[str]]:
     """Per-character prediction, later claims overriding earlier ones."""
-    n = len(report.input_text)
-    colors: list[Optional[str]] = [None] * n
+    colors: list[Optional[str]] = [None] * len(report.input_text)
     for claim in report.claims:
-        if claim.start is None or claim.end is None:
-            continue
-        start = min(max(claim.start, 0), n)
-        end = min(max(claim.end, start), n)
-        colors[start:end] = [claim.prediction] * (end - start)
+        if claim.start is not None:
+            colors[claim.start:claim.end] = [claim.prediction] * (claim.end - claim.start)
     return colors
 
 

@@ -162,6 +162,13 @@ class PathRecord(_Record):
     edges: tuple[TripletRecord, ...]
 
 
+def _check_offsets(what: str, start: Any, end: Any):
+    """ValueError unless start and end are integers with 0 <= start <= end."""
+    if not (isinstance(start, int) and isinstance(end, int) and 0 <= start <= end):
+        raise ValueError(f"{what} offsets start={start!r}, end={end!r} "
+                         f"are not integers with 0 <= start <= end")
+
+
 @dataclass(frozen=True)
 class EntityRecord(_Record):
     mention: str
@@ -171,6 +178,9 @@ class EntityRecord(_Record):
     label: str
     description: str = ""
     alternates: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        _check_offsets(f"entity {self.mention!r}", self.start, self.end)
 
 
 @dataclass(frozen=True)
@@ -186,6 +196,11 @@ class ClaimRecord(_Record):
     tms: float
     claim_score: int
     diagnostics: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        """Offsets are both None (the span was not found) or both set."""
+        if self.start is not None or self.end is not None:
+            _check_offsets(f"claim {self.span!r}", self.start, self.end)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -203,8 +218,15 @@ class VerificationReport(_Record):
     diagnostics: tuple[str, ...] = ()
 
     def __post_init__(self):
+        """Claim and entity offsets lie within input_text."""
         if self.n != len(self.claims):
             raise ValueError(f"n={self.n} does not match {len(self.claims)} claims")
+        length = len(self.input_text)
+        for what, record in (*(("entity", e) for e in self.entities),
+                             *(("claim", c) for c in self.claims)):
+            if record.end is not None and record.end > length:
+                raise ValueError(f"{what} offsets start={record.start}, end={record.end} "
+                                 f"run past input_text ({length} characters)")
 
 
 def triplet_record(kg: KnowledgeGraph, t: Triplet) -> TripletRecord:

@@ -195,6 +195,18 @@ def _painted_report(text, claims):
                               claims=records, n=len(records), kas=0.5)
 
 
+def _spans(length: int):
+    """(start, end) pairs with 0 <= start <= end <= length."""
+    return st.tuples(st.integers(0, length), st.integers(0, length)).map(sorted)
+
+
+@st.composite
+def _painted_claims(draw):
+    text = draw(st.text(st.sampled_from("ab <>&\"'\n月"), max_size=30))
+    spans = draw(st.lists(_spans(len(text)), max_size=5))
+    return text, [(start, end, draw(_LABELS)) for start, end in spans]
+
+
 class TestOverlapPainting:
     def test_later_claim_wins(self, apollo_kg):
         text = "Apollo 11 landed on the Moon."
@@ -211,24 +223,16 @@ class TestOverlapPainting:
         stripped = _ANSI_RE.sub("", out)
         assert stripped.startswith(text + "\n")
 
-    def test_negative_start_clamped(self):
-        report = _painted_report("hello world", [(-2, 1, "Contradictory")])
-        assert render_ansi(report).split("\n")[0] == "\x1b[31mh\x1b[0mello world"
-        assert '<pre class="text"><span class="contradictory">h</span>ello world</pre>' \
-            in render_html(report)
-
-    @pytest.mark.parametrize("start, end", [(-9, -2), (12, 15), (5, 3), (-1, 99)])
+    @pytest.mark.parametrize("start, end", [(-9, -2), (12, 15), (5, 3), (-1, 99), (-2, 1)])
     def test_offsets_outside_text(self, start, end):
-        report = _painted_report("hello world", [(start, end, "Attributable")])
-        colors = render_mod._span_colors(report)
-        assert len(colors) == 11
-        painted = set(range(max(start, 0), min(end, 11)))
-        assert [i for i, c in enumerate(colors) if c] == sorted(painted)
+        # Such a report cannot be built, so the painter never sees one.
+        with pytest.raises(ValueError, match="offsets"):
+            _painted_report("hello world", [(start, end, "Attributable")])
 
-    @given(st.text(st.sampled_from("ab <>&\"'\n月"), max_size=30),
-           st.lists(st.tuples(st.integers(0, 32), st.integers(0, 35), _LABELS), max_size=5))
+    @given(_painted_claims())
     @settings(max_examples=300, deadline=None)
-    def test_matches_per_character_painter(self, text, claims):
+    def test_matches_per_character_painter(self, text_and_claims):
+        text, claims = text_and_claims
         report = _painted_report(text, claims)
         ansi, page = render_ansi(report), render_html(report)
         with pytest.MonkeyPatch.context() as mp:
@@ -246,7 +250,6 @@ _TEXT = st.text(_CHARS, max_size=6)
 _FLOATS = st.one_of(st.floats(), st.sampled_from(
     [-0.0, 5e-324, 1e16, math.nan, math.inf, -math.inf]))
 _INTS = st.integers(-2**70, 2**70)
-_OFFSETS = st.none() | st.integers(-5, 50)
 _JSON = st.recursive(st.none() | st.booleans() | _INTS | _FLOATS | _TEXT,
                      lambda inner: st.lists(inner, max_size=3)
                      | st.dictionaries(_TEXT, inner, max_size=3),
@@ -258,23 +261,80 @@ def _tuples(elements, max_size=2):
 
 
 _TRIPLETS = st.builds(TripletRecord, _TEXT, _TEXT, _TEXT, _TEXT, _TEXT)
-_REPORTS = st.builds(
-    lambda claims, **kw: VerificationReport(claims=claims, n=len(claims), **kw),
-    input_text=_TEXT,
-    entities=_tuples(st.builds(EntityRecord, mention=_TEXT, start=_INTS, end=_INTS,
-                               node=_TEXT, label=_TEXT, description=_TEXT,
-                               alternates=_tuples(_TEXT))),
-    retrieved_triplets=_tuples(_TRIPLETS),
-    retrieved_paths=_tuples(st.builds(PathRecord, nodes=_tuples(_TEXT),
-                                      edges=_tuples(_TRIPLETS))),
-    claims=_tuples(st.builds(ClaimRecord, span=_TEXT, start=_OFFSETS, end=_OFFSETS,
-                             prediction=_TEXT, triplets=_tuples(_TRIPLETS),
-                             rationale=_TEXT, ss=_FLOATS, epr=_FLOATS, tms=_FLOATS,
-                             claim_score=_INTS, diagnostics=_tuples(_TEXT))),
-    kas=_FLOATS,
-    config=st.dictionaries(_TEXT, _JSON, max_size=4),
-    diagnostics=_tuples(_TEXT),
-)
+
+
+def _entities(spans):
+    return _tuples(spans.flatmap(lambda span: st.builds(
+        EntityRecord, mention=_TEXT, start=st.just(span[0]), end=st.just(span[1]),
+        node=_TEXT, label=_TEXT, description=_TEXT, alternates=_tuples(_TEXT))))
+
+
+def _claims(spans):
+    return _tuples(spans.flatmap(lambda span: st.builds(
+        ClaimRecord, span=_TEXT, start=st.just(span[0]), end=st.just(span[1]),
+        prediction=_TEXT, triplets=_tuples(_TRIPLETS), rationale=_TEXT, ss=_FLOATS,
+        epr=_FLOATS, tms=_FLOATS, claim_score=_INTS, diagnostics=_tuples(_TEXT))))
+
+
+def _reports(entity_spans, claim_spans):
+    """Reports whose offsets into a drawn input_text come from the two span
+    strategies, each given the text's length."""
+    return _TEXT.flatmap(lambda text: st.builds(
+        lambda claims, **kw: VerificationReport(claims=claims, n=len(claims), **kw),
+        input_text=st.just(text),
+        entities=_entities(entity_spans(len(text))),
+        retrieved_triplets=_tuples(_TRIPLETS),
+        retrieved_paths=_tuples(st.builds(PathRecord, nodes=_tuples(_TEXT),
+                                          edges=_tuples(_TRIPLETS))),
+        claims=_claims(claim_spans(len(text))),
+        kas=_FLOATS,
+        config=st.dictionaries(_TEXT, _JSON, max_size=4),
+        diagnostics=_tuples(_TEXT),
+    ))
+
+
+_REPORTS = _reports(_spans, lambda length: st.just((None, None)) | _spans(length))
+
+
+def _offsets_fit(length, entity_spans, claim_spans) -> bool:
+    """Entity offsets, and claim offsets other than (None, None), are
+    integers with 0 <= start <= end <= length."""
+    placed = [*entity_spans, *(span for span in claim_spans if span != (None, None))]
+    return all(None not in span and 0 <= span[0] <= span[1] <= length for span in placed)
+
+
+_ANY_OFFSET = st.integers(-3, 12)
+
+
+class TestOffsetsCheckedWhenBuilt:
+    def test_entity_record(self):
+        with pytest.raises(ValueError, match="offsets"):
+            EntityRecord(mention="x", start=-2, end=99, node="Q1", label="X")
+
+    @pytest.mark.parametrize("start, end", [(None, 3), (3, None), (4, 2), (-1, 0)])
+    def test_claim_record(self, start, end):
+        with pytest.raises(ValueError, match="offsets"):
+            ClaimRecord(span="x", start=start, end=end, prediction="NoAttribution",
+                        triplets=(), rationale="", ss=0, epr=0, tms=0, claim_score=0)
+
+    @given(st.text(max_size=8), st.lists(st.tuples(_ANY_OFFSET, _ANY_OFFSET), max_size=3),
+           st.lists(st.tuples(st.none() | _ANY_OFFSET, st.none() | _ANY_OFFSET), max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_from_dict_accepts_exactly_offsets_in_text(self, text, entity_spans, claim_spans):
+        d = {"input_text": text,
+             "entities": [{"mention": "m", "start": s, "end": e, "node": "Q1", "label": "L"}
+                          for s, e in entity_spans],
+             "retrieved_triplets": [],
+             "claims": [{"span": "c", "start": s, "end": e, "prediction": "NoAttribution",
+                         "triplets": [], "rationale": "", "ss": 0.0, "epr": 0.0, "tms": 0.0,
+                         "claim_score": 0} for s, e in claim_spans],
+             "n": len(claim_spans), "kas": 0.5}
+        if _offsets_fit(len(text), entity_spans, claim_spans):
+            report = VerificationReport.from_dict(d)
+            assert VerificationReport.from_dict(json.loads(render_json(report))) == report
+        else:
+            with pytest.raises(ValueError, match="offsets"):
+                VerificationReport.from_dict(d)
 
 
 class TestRenderJsonMatchesDumps:
