@@ -10,7 +10,6 @@ from __future__ import annotations
 import gc
 import json
 import logging
-import math
 from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -151,8 +150,7 @@ class KnowledgeGraph:
         del label_keys, label_code, columns
 
         self.label_index = _label_index(ids, primary, aliases)
-        # Keys are normalized: single spaces between tokens.
-        self.max_label_tokens = max(map(str.count, self.label_index, repeat(" ")), default=-1) + 1
+        self.max_label_tokens = max((len(k.split()) for k in self.label_index), default=0)
 
     @cached_property
     def edges(self) -> tuple[Triplet, ...]:
@@ -295,17 +293,8 @@ def _rank(keys: list[str], key: str) -> Optional[int]:
 
 
 def _run_heads(*columns: np.ndarray) -> np.ndarray:
-    """For each distinct row of the equal-length columns of non-negative
-    integers, the index of its first occurrence; ordered by row, the first
-    column most significant."""
-    sizes = [int(c.max()) + 1 if len(c) else 1 for c in columns]
-    if math.prod(sizes) <= np.iinfo(np.int64).max:
-        # Each row as one mixed-radix number, so the sort has a single key.
-        key = np.zeros(len(columns[0]), dtype=np.int64)
-        for column, size in zip(columns, sizes):
-            key *= size
-            key += column
-        columns = (key,)
+    """For each distinct row of the equal-length columns, the index of its
+    first occurrence; ordered by row, the first column most significant."""
     order = np.lexsort(columns[::-1])
     head = np.zeros(len(order), dtype=bool)
     head[:1] = True
@@ -344,6 +333,9 @@ class _SnapshotReader:
         self.triplets: list[Triplet] = []
         self.errors: list[str] = []
         self.report: list[str] = []
+        # One string per distinct id and predicate, shared by every triplet
+        # that names it, so each row's own copies are freed as it is read.
+        self.names: dict[str, str] = {}
 
     def offer_label(self, node_id: NodeId, label: str, line: int):
         self.first_ref.setdefault(node_id, line)
@@ -358,12 +350,13 @@ class _SnapshotReader:
         """Rows of (s_id, s_label, predicate, o_id, o_label)."""
         # A node whose label is already known has its first reference too,
         # and offering the same label again changes nothing.
-        labels = self.labels
+        labels, name = self.labels, self.names.setdefault
         for line_no, row in rows:
             if isinstance(row, str):
                 self.errors.append(f"line {line_no}: {row}")
                 continue
             s_id, s_label, pred, o_id, o_label = row
+            s_id, pred, o_id = name(s_id, s_id), name(pred, pred), name(o_id, o_id)
             if labels.get(s_id) != s_label:
                 self.offer_label(s_id, s_label, line_no)
             if labels.get(o_id) != o_label:
@@ -412,7 +405,7 @@ class _SnapshotReader:
         ]
         triplets = (t for t in self.triplets
                     if t.subject not in dangling and t.object not in dangling)
-        for table in (self.labels, self.descriptions, self.aliases, self.first_ref):
+        for table in (self.labels, self.descriptions, self.aliases, self.first_ref, self.names):
             table.clear()
         self.triplets = []
         return KnowledgeGraph(nodes, triplets, self.report)
@@ -521,7 +514,10 @@ def _decode_edge_blocks(lines: TextIO) -> Optional[tuple]:
     predicates: dict[str, int] = {}
     columns = []
     for block in iter(partial(lines.readlines, _BLOCK_CHARS), []):
-        text = "".join(block)
+        # The row decoder skips whitespace-only lines and reports nothing.
+        text = "".join(filterfalse(str.isspace, block))
+        if not text:
+            continue
         if not text.endswith("\n"):
             text += "\n"
         if not (_tabs_per_line(text) == 4).all():
@@ -555,8 +551,8 @@ def _tabs_per_line(text: str) -> np.ndarray:
 def _read_clean_node_rows(lines: Iterable[str], position: dict[NodeId, int],
                           descriptions: list[str], aliases: list[tuple[str, ...]]) -> bool:
     """Fill in descriptions and aliases, by code, from the rows of a TSV node
-    file; False at the first row the row decoder would skip or reject."""
-    for cols in map(str.split, lines, repeat("\t")):
+    file; False at the first row the row decoder would reject."""
+    for cols in map(str.split, filterfalse(str.isspace, lines), repeat("\t")):
         code = position.get(cols[0].strip()) if 2 <= len(cols) <= 3 else None
         if code is None:
             return False
@@ -608,11 +604,13 @@ def load_kg(path: str | Path, format: str = "tsv", *,
     A clean TSV snapshot is decoded readlines() block by block straight to
     node and predicate codes, which go to the graph's columns without a
     Triplet or KgNode object. Clean means that the row decoder would take
-    every row as it stands: no blank line, five fields per line, no empty
-    id, predicate or label, one spelling of each id's label, and node-file
-    rows of 2 or 3 columns that name a known id. Any other file, and every
-    JSONL file, is read again from the start by the row decoder, which
-    reports each row it rejects; both decoders feed the same index builder.
+    every row as it stands. Both decoders skip whitespace-only lines; every
+    other line has five fields, no empty id, predicate or label, and one
+    spelling of each id's label, and every node-file row has 2 or 3 columns
+    and names a known id. Any other file, and every JSONL file, is read
+    again from the start by the row decoder, which reports each row it
+    rejects and shares one string per distinct id; both decoders feed the
+    same index builder.
     The loaded graph builds a KgNode when kg.nodes is looked up and the
     tuple kg.edges on its first access.
 

@@ -427,9 +427,11 @@ _TSV_LABELS = {"A": "Alpha", "B": "Beta two", "Q1": "alpha", "Q10": "Gamma", "b"
 _TSV_PREDICATES = ("rel", "REL", "rel a", "other")
 _PADS = ("", " ", "\u3000", "\x0c ")
 _SIDECAR_ALIASES = ("USA", "usa", " Alpha ", "Beta  Two", "x", "")
+# Whitespace-only lines, which both decoders skip without a message.
+_BLANKS = ("", " ", "\u3000", "\t \t\t\t")
 # Defects each make the row decoder report or skip a row, so the block
 # decoder must refuse the snapshot.
-_DEFECTS = ("blank line", "second label spelling", "empty label", "empty id",
+_DEFECTS = ("second label spelling", "empty label", "empty id",
             "four columns", "sidecar unknown id", "sidecar one column")
 
 
@@ -453,9 +455,7 @@ def tsv_snapshots(draw):
     if defect and defect.startswith("sidecar") and node_lines is None:
         defect = None
     at = draw(st.integers(0, len(lines) - 1)) if lines else 0
-    if defect == "blank line":
-        lines.insert(at, [draw(st.sampled_from(_PADS))])
-    elif defect == "second label spelling":
+    if defect == "second label spelling":
         spelling = draw(st.sampled_from((lines[at][1].upper(), lines[at][1] + " x")))
         lines.append([lines[at][0], spelling, *lines[at][2:]])
     elif defect == "empty label":
@@ -468,6 +468,9 @@ def tsv_snapshots(draw):
         node_lines.append(["Zzz", "desc"])
     elif defect == "sidecar one column":
         node_lines.append([referenced[0]])
+    for rows in filter(None, (lines, node_lines)):
+        for _ in range(draw(st.integers(0, 2))):
+            rows.insert(draw(st.integers(0, len(rows))), [draw(st.sampled_from(_BLANKS))])
 
     def text(rows):
         ends = [draw(st.sampled_from(("\n", "\r\n", "\r"))) for _ in rows]
@@ -524,6 +527,7 @@ class TestBlockDecoder:
 
     @given(tsv_snapshots())
     @example(("A\tAlpha\trel\tA\tAlpha\r\nA\tAlpha\trel\tA\tAlpha", "A\t\tUSA|usa\n", None))
+    @example(("A\tAlpha\trel\tA\tAlpha\n\n", "A\tdesc\n \t\n", None))
     @settings(max_examples=300, deadline=None)
     def test_same_graph_as_row_decoder(self, snapshot):
         text, nodes, defect = snapshot
@@ -535,6 +539,20 @@ class TestBlockDecoder:
             else:
                 assert fast is not None
                 assert _graph_summary(fast) == _graph_summary(_row_decoded(path))
+
+
+class TestRowDecoderSharesNames:
+    @pytest.mark.parametrize("decode, line", [
+        (kg_module._tsv_rows, "Q1\tOne\trel\tQ2\tTwo\n"),
+        (kg_module._jsonl_rows, '{"s_id": "Q1", "s_label": "One", "p": "rel", '
+                                '"o_id": "Q2", "o_label": "Two"}\n'),
+    ])
+    def test_one_string_per_distinct_id_and_predicate(self, decode, line):
+        reader = kg_module._SnapshotReader()
+        reader.read_edges(decode([line, line], node_file=False))
+        first, second = reader.triplets
+        assert first == second
+        assert all(a is b for a, b in zip(first, second))
 
 
 class TestViews:
@@ -572,9 +590,6 @@ class TestRunHeads:
                           key=rows.__getitem__)
         arrays = [np.array(c, dtype=np.int32) for c in columns]
         assert kg_module._run_heads(*arrays).tolist() == expected
-        # Rows too wide for one int64 key take the column-wise sort.
-        wide = [a.astype(np.int64) + 2**40 for a in arrays]
-        assert kg_module._run_heads(*wide).tolist() == expected
 
 
 class TestLoadPausesGc:
