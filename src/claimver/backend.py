@@ -7,14 +7,15 @@ import logging
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
-
-import requests
+from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from .errors import BackendAuthError, BackendError, PromptError, UnknownPromptError
 from .kg import KnowledgeGraph, Triplet
 from .retrieval import RetrievedTriplets
 from .text import format_triplet, normalized_find
+
+if TYPE_CHECKING:
+    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -238,11 +239,17 @@ class _EndpointClient:
     _kind = "request"
 
     def __init__(self, config: BackendConfig):
+        # The HTTP stack is loaded only by a client, so importing the package
+        # or running with a callable or mock backend never loads it.
+        import requests
+
         self.config = config
         self._session = requests.Session()
 
     def _post(self, path: str, body: dict) -> Any:
         """The decoded JSON body of a 200 response to POST {base_url}{path}."""
+        import requests
+
         cfg = self.config
         url = cfg.base_url.rstrip("/") + path
         headers = {}

@@ -70,15 +70,19 @@ class KnowledgeGraph:
     display. Instances are read-only after construction.
 
     The store is columnar. A node's code is its position in sorted id
-    order; labels, descriptions and aliases are lists indexed by code, and
-    the distinct edges are int32 code columns in file order. Adjacency is
-    CSR over the codes: each entry also holds the first edge in file order
-    to that neighbor, and each node keeps a prebuilt tuple of its neighbor
-    ids so that neighbors() is one lookup. The triplet index is three code
-    columns sorted together and searched with np.searchsorted. Python
-    objects are built only when a lookup asks: kg.nodes is a read-only
-    mapping that makes a KgNode on access, and kg.edges, the tuple of
-    Triplet in file order, is built on first access.
+    order, so ordering codes orders ids; labels, descriptions and aliases
+    are lists indexed by code, and the distinct edges are int32 code columns
+    in file order. Adjacency is CSR over the codes: _indptr bounds each
+    node's entries, _nbr_codes (int32) holds the neighbor codes in sorted
+    order and _first_edge the first edge in file order to each neighbor.
+    Each node also keeps _adjacency[code], a prebuilt tuple of its neighbor
+    codes; all these tuples share one int object per code. Retrieval works
+    on these codes and maps them to ids only for the paths it returns;
+    neighbors() builds the sorted id tuple on each call. The triplet index
+    is three int32 code columns sorted together and searched with
+    np.searchsorted. Python objects are built only when a lookup asks:
+    kg.nodes is a read-only mapping that makes a KgNode on access, and
+    kg.edges, the tuple of Triplet in file order, is built on first access.
     """
 
     def __init__(self, nodes: Iterable[KgNode], triplets: Iterable[Triplet],
@@ -128,10 +132,13 @@ class KnowledgeGraph:
         heads = _run_heads(ends, others)
         self._indptr = np.searchsorted(ends[heads], np.arange(len(ids) + 1)).astype(np.int32)
         self._first_edge = (heads // 2).astype(np.int32)
-        nbrs = np.array(ids, dtype=object)[others[heads]].tolist()
+        self._nbr_codes = others[heads]
         del ends, others, heads
+        # Indexing one object array of the codes makes every tuple share one
+        # int per code, not one per entry.
+        nbrs = np.array(range(len(ids)), dtype=object)[self._nbr_codes].tolist()
         bounds = self._indptr.tolist()
-        self._neighbors = [tuple(nbrs[a:b]) for a, b in zip(bounds, bounds[1:])]
+        self._adjacency = [tuple(nbrs[a:b]) for a, b in zip(bounds, bounds[1:])]
         del nbrs, bounds
 
         # Triplet index: (label, normalized predicate, label) code columns
@@ -143,9 +150,10 @@ class KnowledgeGraph:
         self._predicate_codes: dict[str, int] = {}
         to_normalized = np.array(
             [self._predicate_codes.setdefault(normalize(q), len(self._predicate_codes))
-             for q in predicates], dtype=np.intp)
+             for q in predicates], dtype=np.int32)
+        label_code = label_code.astype(np.int32)
         columns = label_code[s], to_normalized[p], label_code[o]
-        self._triplet_edges = _run_heads(*columns)
+        self._triplet_edges = _run_heads(*columns).astype(np.int32)
         self._triplet_columns = tuple(c[self._triplet_edges] for c in columns)
         del label_keys, label_code, columns
 
@@ -184,18 +192,27 @@ class KnowledgeGraph:
     def neighbors(self, node_id: NodeId) -> tuple[NodeId, ...]:
         """Sorted distinct neighbors of a node, both edge directions."""
         try:
-            return self._neighbors[self._position[node_id]]
+            code = self._position[node_id]
         except KeyError:
             raise UnknownNodeError(node_id) from None
+        return tuple(map(self._ids.__getitem__, self._adjacency[code]))
+
+    def _edge_code(self, a: int, b: int) -> Optional[int]:
+        """The index of the canonical edge joining the nodes with codes a and
+        b, or None if they are not adjacent."""
+        nbrs = self._adjacency[a]
+        i = bisect_left(nbrs, b)
+        if i == len(nbrs) or nbrs[i] != b:
+            return None
+        return self._first_edge.item(self._indptr.item(a) + i)
 
     def edge_between(self, a: NodeId, b: NodeId) -> Triplet:
         """Canonical stored edge joining two adjacent nodes (first in file order)."""
-        code = self._position.get(a)
-        nbrs = () if code is None else self._neighbors[code]
-        i = bisect_left(nbrs, b)
-        if i == len(nbrs) or nbrs[i] != b:
+        codes = self._position.get(a), self._position.get(b)
+        edge = None if None in codes else self._edge_code(*codes)
+        if edge is None:
             raise KeyError(f"no edge between {a!r} and {b!r}")
-        return self._triplet(self._first_edge.item(self._indptr.item(code) + i))
+        return self._triplet(edge)
 
     def contains_triplet(self, subject_label: str, predicate: str,
                          object_label: str) -> Optional[Triplet]:
@@ -205,9 +222,11 @@ class KnowledgeGraph:
                  _rank(self._label_keys, o_key))
         if None in codes:
             return None
+        # int32 keys: Python ints would make searchsorted cast the whole column.
+        keys = np.array([(code, code + 1) for code in codes], dtype=np.int32)
         lo, hi = 0, len(self._triplet_edges)
-        for column, code in zip(self._triplet_columns, codes):
-            first, end = column[lo:hi].searchsorted((code, code + 1)).tolist()
+        for column, key in zip(self._triplet_columns, keys):
+            first, end = column[lo:hi].searchsorted(key).tolist()
             lo, hi = lo + first, lo + end
         return self._triplet(self._triplet_edges.item(lo)) if lo < hi else None
 

@@ -3,15 +3,22 @@
 Each one is the plain form the package used before it was sped up:
 - render_json_oracle: the report through to_dict() and json.dumps(indent=2);
 - span_colors_oracle and paint_oracle: the per-character span painter, valid
-  for claim offsets inside the text.
+  for claim offsets inside the text;
+- retrieve_oracle: path retrieval on node ids through kg.neighbors and
+  kg.edge_between, with a bisection of every ball member at a hub step.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Optional
+from bisect import bisect_left
+from itertools import combinations, islice
+from typing import Iterable, Optional
 
+from claimver.errors import UnknownNodeError
+from claimver.kg import KnowledgeGraph, NodeId
 from claimver.report import VerificationReport
+from claimver.retrieval import KgPath, RetrievalConfig, RetrievedTriplets
 
 
 def render_json_oracle(report: VerificationReport) -> str:
@@ -42,3 +49,69 @@ def paint_oracle(text: str, colors: list[Optional[str]], open_code, close_code, 
     if current is not None:
         out.append(close_code(current))
     return "".join(out)
+
+
+def _distances_from_oracle(kg: KnowledgeGraph, source: NodeId,
+                           limit: int) -> tuple[dict[NodeId, int], list[int]]:
+    """Hop distance to every node within limit of source, in BFS order; the
+    ball of radius b is the dict's first ends[b] keys."""
+    dist = {source: 0}
+    ends = [1]
+    frontier = [source]
+    for d in range(1, limit + 1):
+        nxt = []
+        for node in frontier:
+            for nbr in kg.neighbors(node):
+                if nbr not in dist:
+                    dist[nbr] = d
+                    nxt.append(nbr)
+        frontier = nxt
+        ends.append(len(dist))
+    return dist, ends
+
+
+def _pair_paths_oracle(kg: KnowledgeGraph, u: NodeId, v: NodeId,
+                       ball: tuple[dict[NodeId, int], list[int]],
+                       config: RetrievalConfig) -> list[tuple[NodeId, ...]]:
+    """Shortest simple u-v paths, level-synchronous over partial paths in
+    lexicographic order; each step scans the tail's neighbors or the ball."""
+    dist_v, ends = ball
+    found: list[tuple[NodeId, ...]] = []
+    frontier: list[tuple[NodeId, ...]] = [(u,)]
+    budget = config.max_hops
+    while frontier and len(found) < config.max_paths_per_pair:
+        budget -= 1
+        size = ends[budget]
+        nxt: list[tuple[NodeId, ...]] = []
+        for partial in frontier:
+            nbrs = kg.neighbors(partial[-1])
+            if size < len(nbrs):
+                steps = sorted(m for m in islice(dist_v, size)
+                               if (i := bisect_left(nbrs, m)) < len(nbrs) and nbrs[i] == m)
+            else:
+                steps = [n for n in nbrs if dist_v.get(n, budget + 1) <= budget]
+            for nbr in steps:
+                if nbr == v:
+                    found.append(partial + (v,))
+                elif nbr not in partial:
+                    nxt.append(partial + (nbr,))
+        frontier = nxt
+    return found[:config.max_paths_per_pair]
+
+
+def retrieve_oracle(kg: KnowledgeGraph, seeds: Iterable[NodeId],
+                    config: RetrievalConfig | None = None) -> RetrievedTriplets:
+    config = config or RetrievalConfig()
+    unique = sorted(set(seeds))
+    for seed in unique:
+        if seed not in kg:
+            raise UnknownNodeError(seed)
+    by_pair: dict[tuple[NodeId, NodeId], list[KgPath]] = {}
+    for j, v in enumerate(unique[1:], 1):
+        ball = _distances_from_oracle(kg, v, config.max_hops - 1)
+        for u in unique[:j]:
+            by_pair[u, v] = [
+                KgPath(nodes=p, edges=tuple(kg.edge_between(a, b) for a, b in zip(p, p[1:])))
+                for p in _pair_paths_oracle(kg, u, v, ball, config)]
+    return RetrievedTriplets(paths=tuple(
+        p for pair in combinations(unique, 2) for p in by_pair[pair]))

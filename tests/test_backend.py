@@ -1,12 +1,17 @@
 """Prompt building and the chat-completion clients."""
 
+import os
 import socket
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import claimver
 from claimver.backend import (BackendConfig, ChatBackend, MockBackend,
                               VERIFICATION_TEMPLATE, build_datagen_prompt,
                               build_verification_prompt, prompt_digest)
@@ -16,7 +21,7 @@ from claimver.kg import KgNode, KnowledgeGraph, Triplet
 from claimver.retrieval import KgPath, RetrievedTriplets, retrieve
 from claimver.scoring import HttpEmbedder
 
-from conftest import chat_payload
+from conftest import APOLLO_RESPONSE, APOLLO_TEXT, chat_payload
 
 # Both endpoint clients share one retry policy; each is given as (send one
 # request with a config, a 200 body it accepts, the value that body decodes to).
@@ -302,3 +307,19 @@ class TestMock:
     def test_mock_backend_no_default_raises(self):
         with pytest.raises(UnknownPromptError):
             MockBackend().complete("p")
+
+
+class TestHttpStackLoadedLazily:
+    def test_callable_backend_never_imports_requests(self, tsv_kg_path):
+        # Only building an endpoint client loads requests and its dependencies.
+        script = ("import sys, claimver\n"
+                  "kg = claimver.load_kg(sys.argv[1])\n"
+                  "report = claimver.run_pipeline(kg, sys.argv[2], lambda prompt: sys.argv[3])\n"
+                  "print(report.n, 'requests' in sys.modules)\n")
+        src = str(Path(claimver.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", script, tsv_kg_path, APOLLO_TEXT,
+                              APOLLO_RESPONSE], capture_output=True, text=True, env=env,
+                             timeout=60, check=True)
+        assert out.stdout.split() == ["2", "False"]

@@ -2,16 +2,19 @@
 
 import random
 from itertools import combinations
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from claimver import retrieval
 from claimver.errors import UnknownNodeError
 from claimver.kg import KgNode, KnowledgeGraph, Triplet
 from claimver.retrieval import KgPath, RetrievalConfig, RetrievedTriplets, retrieve
 
 from graphgen import enumerate_paths_oracle, hub_graph, random_graph, random_seeds
+from oracles import retrieve_oracle
 
 
 class TestConfig:
@@ -114,6 +117,23 @@ class TestRetrieveFixture:
             ("U", "A", "V"), ("U", "B", "V"), ("U", "C", "B", "V")]
         assert [p.nodes for p in result.paths] == enumerate_paths_oracle(g, "U", "V", 3)[:3]
 
+    @pytest.mark.parametrize("max_hops", [2, 3])
+    def test_hub_step_searches_large_ball(self, max_hops):
+        # V's radius-1 ball (V, X00-X19, Y0-Y9) is large enough for U's first
+        # step to search it in U's CSR row: V sorts before that row and the
+        # Y nodes after it.
+        edges = ([("U", f"X{i:02d}") for i in range(40)] + [("V", f"X{i:02d}") for i in range(20)]
+                 + [("V", f"Y{i}") for i in range(10)] + [("X05", "X30"), ("X30", "Y3")])
+        g = KnowledgeGraph([KgNode(i, i.lower()) for i in {n for e in edges for n in e}],
+                           [Triplet(s, "p", o) for s, o in edges])
+        cfg = RetrievalConfig(max_hops=max_hops, max_paths_per_pair=30)
+        result = retrieve(g, ["U", "V"], cfg)
+        expected = [("U", f"X{i:02d}", "V") for i in range(20)]
+        if max_hops == 3:
+            expected += [("U", "X30", "X05", "V"), ("U", "X30", "Y3", "V")]
+        assert [p.nodes for p in result.paths] == expected
+        assert result == retrieve_oracle(g, ["U", "V"], cfg)
+
 
 class TestOracle:
     def test_hand_checked_diamond(self):
@@ -179,6 +199,33 @@ class TestRetrieveMatchesOracle:
         for u, v in combinations(sorted(seeds), 2):
             expected = enumerate_paths_oracle(kg, u, v, max_hops)
             assert got.get((u, v), []) == expected[:max_paths]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(1, 4), st.integers(1, 6),
+           st.sampled_from([40, 80]), st.sampled_from([1, retrieval._SEARCHSORTED_MIN]))
+    def test_hub_graphs_match_id_level_reference(self, rng, max_hops, max_paths, max_nodes,
+                                                 searchsorted_min):
+        # The whole result, path edges and triplet order included, against
+        # the id-level implementation. A few edges get a parallel twin in the
+        # other direction, placed before or after them in file order, and
+        # the busiest node a self-loop. Few balls in these graphs reach the
+        # searchsorted size, so half the examples lower it to search every
+        # ball a hub step meets.
+        base = hub_graph(rng, max_nodes=max_nodes)
+        triplets = list(base.edges)
+        by_degree = sorted(base.nodes, key=lambda n: -len(base.neighbors(n)))
+        extra = [Triplet(t.object, "rel_z", t.subject)
+                 for t in rng.sample(triplets, min(3, len(triplets)))]
+        for t in [*extra, Triplet(by_degree[0], "rel_z", by_degree[0])]:
+            triplets.insert(rng.randint(0, len(triplets)), t)
+        kg = KnowledgeGraph(base.nodes.values(), triplets)
+        seeds = {*by_degree[:2], *random_seeds(rng, kg, max_seeds=4), max(kg.nodes)}
+        cfg = RetrievalConfig(max_hops=max_hops, max_paths_per_pair=max_paths)
+        with patch.object(retrieval, "_SEARCHSORTED_MIN", searchsorted_min):
+            got = retrieve(kg, seeds, cfg)
+        expected = retrieve_oracle(kg, seeds, cfg)
+        assert got.paths == expected.paths
+        assert got.triplets == expected.triplets
 
     def test_determinism(self, apollo_kg):
         seeds = ["Q43653", "Q1615", "Q405", "Q30"]
