@@ -74,10 +74,11 @@ class KnowledgeGraph:
     are lists indexed by code, and the distinct edges are int32 code columns
     in file order. Adjacency is CSR over the codes: _indptr bounds each
     node's entries, _nbr_codes (int32) holds the neighbor codes in sorted
-    order and _first_edge the first edge in file order to each neighbor.
-    Each node also keeps _adjacency[code], a prebuilt tuple of its neighbor
-    codes; all these tuples share one int object per code. Retrieval works
-    on these codes and maps them to ids only for the paths it returns;
+    order and _first_edge the first edge in file order to each neighbor;
+    _adjacency[code] is the node's neighbor codes again as a tuple, and all
+    these tuples share one int object per code. Retrieval works on codes
+    through _code, _id, _neighbor_codes, _neighbors_among, _edge_code and
+    _triplet, and maps codes to ids only for the paths it returns;
     neighbors() builds the sorted id tuple on each call. The triplet index
     is three int32 code columns sorted together and searched with
     np.searchsorted. Python objects are built only when a lookup asks:
@@ -191,11 +192,31 @@ class KnowledgeGraph:
 
     def neighbors(self, node_id: NodeId) -> tuple[NodeId, ...]:
         """Sorted distinct neighbors of a node, both edge directions."""
+        return tuple(map(self._ids.__getitem__, self._adjacency[self._code(node_id)]))
+
+    def _code(self, node_id: NodeId) -> int:
+        """The code of a node id."""
         try:
-            code = self._position[node_id]
+            return self._position[node_id]
         except KeyError:
             raise UnknownNodeError(node_id) from None
-        return tuple(map(self._ids.__getitem__, self._adjacency[code]))
+
+    def _id(self, code: int) -> NodeId:
+        """The node id with a code."""
+        return self._ids[code]
+
+    def _neighbor_codes(self, code: int) -> tuple[int, ...]:
+        """Sorted distinct neighbor codes of the node with a code."""
+        return self._adjacency[code]
+
+    def _neighbors_among(self, code: int, members: np.ndarray) -> list[int]:
+        """The codes in members (sorted, int32) that are neighbors of the
+        node with a code, by one np.searchsorted in its CSR row."""
+        row = self._nbr_codes[self._indptr.item(code):self._indptr.item(code + 1)]
+        if not len(row):
+            return []
+        at = row.searchsorted(members)
+        return members[row[np.minimum(at, len(row) - 1)] == members].tolist()
 
     def _edge_code(self, a: int, b: int) -> Optional[int]:
         """The index of the canonical edge joining the nodes with codes a and

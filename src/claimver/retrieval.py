@@ -15,9 +15,9 @@ distinct v, to radius max_hops - 1, gives the ball levels that every pair
 ending at v shares: a step that leaves `budget` edges may only enter the
 ball of radius `budget`. Each step scans the smaller side. A tail with no
 more neighbors than the ball has members filters its neighbor codes through
-the ball in Python; a hub looks up the ball's sorted codes in its neighbors,
-by bisection when the ball is small and else with one np.searchsorted in
-its CSR row.
+the ball; a hub looks up the ball's sorted codes in its neighbors, by
+bisection when the ball is small and else with one np.searchsorted in its
+CSR row.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import UnknownNodeError
 from .kg import KnowledgeGraph, NodeId, Triplet
 
 
@@ -81,10 +80,14 @@ class RetrievedTriplets:
         object.__setattr__(self, "triplets", tuple(seen))
 
 
-# Ball size from which a hub step looks up the ball's members with one
-# np.searchsorted rather than one bisection each. Per step, timed on hub rows
-# of the verify-hubs graph: 8 members 2.3 us by bisection against 4.6 us by
-# searchsorted, 16 members 5.8 against 5.4 us, 32 members 10.6 against 6.5 us.
+# Ball size from which a hub step looks the ball's members up with one
+# np.searchsorted in the hub's CSR row rather than one bisection each. Per
+# step, timed on hub rows of the verify-hubs graph: 8 members 2.3 us by
+# bisection against 4.6 us by searchsorted, 16 members 5.8 against 5.4 us,
+# 32 members 10.6 against 6.5 us. At 2 hops only 3.5% of verify-hubs hub
+# steps reach 16 members, but they hold 78% of the members looked up, and
+# without this branch retrieval of the first 30 documents took 1.7 rather
+# than 1.25 ms CPU per document.
 _SEARCHSORTED_MIN = 16
 
 
@@ -92,52 +95,34 @@ class _Ball:
     """The nodes within each radius of a target, by BFS over codes.
 
     dist holds the codes in BFS order with their hop distances, so the ball
-    of radius b is its first ends[b] keys. A radius's members are made on
-    first use as a set, to filter a tail's neighbors, and in sorted order,
-    to be looked up in a hub's row.
+    of radius b is its first ends[b] keys. A radius's members are sorted on
+    first use, to be looked up in a hub's neighbors.
     """
 
-    __slots__ = ("dist", "ends", "_inside", "_sorted")
+    __slots__ = ("dist", "ends", "_sorted")
 
     def __init__(self, dist: dict[int, int], ends: list[int]):
         self.dist, self.ends = dist, ends
-        self._inside: dict[int, set[int]] = {}
-        self._sorted: dict[int, list[int] | np.ndarray] = {}
+        self._sorted: dict[int, list[int]] = {}
 
-    def inside(self, radius: int) -> set[int] | dict[int, int]:
-        """The codes within radius hops, for membership tests."""
-        if radius == len(self.ends) - 1:
-            return self.dist
-        members = self._inside.get(radius)
-        if members is None:
-            members = self._inside[radius] = set(islice(self.dist, self.ends[radius]))
-        return members
-
-    def sorted_members(self, radius: int) -> list[int] | np.ndarray:
-        """The codes within radius hops in ascending order: a list below
-        _SEARCHSORTED_MIN members, else an int32 array."""
+    def sorted_members(self, radius: int) -> list[int]:
+        """The codes within radius hops in ascending order."""
         members = self._sorted.get(radius)
         if members is None:
-            size = self.ends[radius]
-            if size < _SEARCHSORTED_MIN:
-                members = sorted(islice(self.dist, size))
-            else:
-                members = np.fromiter(self.dist, dtype=np.int32, count=size)
-                members.sort()
-            self._sorted[radius] = members
+            members = self._sorted[radius] = sorted(islice(self.dist, self.ends[radius]))
         return members
 
 
 def _distances_from(kg: KnowledgeGraph, source: int, limit: int) -> _Ball:
     """The ball of radius limit around the node with code source."""
-    adjacency = kg._adjacency
+    neighbor_codes = kg._neighbor_codes
     dist = {source: 0}
     ends = [1]
     frontier = [source]
     for d in range(1, limit + 1):
         nxt = []
         for node in frontier:
-            for nbr in adjacency[node]:
+            for nbr in neighbor_codes(node):
                 if nbr not in dist:
                     dist[nbr] = d
                     nxt.append(nbr)
@@ -158,22 +143,20 @@ def _pair_paths(kg: KnowledgeGraph, u: int, v: int, ball: _Ball,
     edges left after it), so a partial path that cannot reach v in time is
     never made. The step scans the smaller side: the tail's neighbor codes
     filtered by the ball, or the ball's sorted codes looked up in the tail's
-    neighbors, by bisection for a small ball and else with one
-    np.searchsorted in the tail's CSR row.
+    neighbors: by bisection for a small ball, else with one np.searchsorted.
     """
-    adjacency, indptr, row_codes = kg._adjacency, kg._indptr, kg._nbr_codes
+    neighbor_codes, dist_v = kg._neighbor_codes, ball.dist
     found: list[tuple[int, ...]] = []
     frontier: list[tuple[int, ...]] = [(u,)]
     budget = config.max_hops
     while frontier and len(found) < config.max_paths_per_pair:
         budget -= 1  # edges left after one more step
         size = ball.ends[budget]
-        inside = ball.inside(budget)
-        members = None
+        members = keys = None
         nxt: list[tuple[int, ...]] = []
         for partial in frontier:
             tail = partial[-1]
-            nbrs = adjacency[tail]
+            nbrs = neighbor_codes(tail)
             if size < len(nbrs):
                 if members is None:
                     members = ball.sorted_members(budget)
@@ -181,11 +164,11 @@ def _pair_paths(kg: KnowledgeGraph, u: int, v: int, ball: _Ball,
                     steps = [m for m in members
                              if (i := bisect_left(nbrs, m)) < len(nbrs) and nbrs[i] == m]
                 else:
-                    row = row_codes[indptr.item(tail):indptr.item(tail + 1)]
-                    at = row.searchsorted(members)
-                    steps = members[row[np.minimum(at, len(row) - 1)] == members].tolist()
+                    if keys is None:
+                        keys = np.array(members, dtype=np.int32)
+                    steps = kg._neighbors_among(tail, keys)
             else:
-                steps = [n for n in nbrs if n in inside]
+                steps = [n for n in nbrs if dist_v.get(n, budget + 1) <= budget]
             for nbr in steps:
                 if nbr == v:
                     found.append(partial + (v,))
@@ -205,7 +188,7 @@ def _materialize(kg: KnowledgeGraph, codes: tuple[int, ...],
         if triplet is None:
             triplet = triplets[edge] = kg._triplet(edge)
         edges.append(triplet)
-    return KgPath(nodes=tuple(map(kg._ids.__getitem__, codes)), edges=tuple(edges))
+    return KgPath(nodes=tuple(map(kg._id, codes)), edges=tuple(edges))
 
 
 def retrieve(kg: KnowledgeGraph, seeds: Iterable[NodeId],
@@ -216,11 +199,7 @@ def retrieve(kg: KnowledgeGraph, seeds: Iterable[NodeId],
     Fewer than two distinct seeds yields an empty result.
     """
     config = config or RetrievalConfig()
-    unique = sorted(set(seeds))
-    for seed in unique:
-        if seed not in kg:
-            raise UnknownNodeError(seed)
-    codes = [kg._position[seed] for seed in unique]
+    codes = [kg._code(seed) for seed in sorted(set(seeds))]
     triplets: dict[int, Triplet] = {}
     by_pair: dict[tuple[int, int], list[KgPath]] = {}
     for j, v in enumerate(codes[1:], 1):

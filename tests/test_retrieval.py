@@ -2,7 +2,6 @@
 
 import random
 from itertools import combinations
-from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -202,15 +201,12 @@ class TestRetrieveMatchesOracle:
 
     @settings(max_examples=150, deadline=None)
     @given(st.randoms(use_true_random=False), st.integers(1, 4), st.integers(1, 6),
-           st.sampled_from([40, 80]), st.sampled_from([1, retrieval._SEARCHSORTED_MIN]))
-    def test_hub_graphs_match_id_level_reference(self, rng, max_hops, max_paths, max_nodes,
-                                                 searchsorted_min):
+           st.sampled_from([40, 80]))
+    def test_hub_graphs_match_id_level_reference(self, rng, max_hops, max_paths, max_nodes):
         # The whole result, path edges and triplet order included, against
         # the id-level implementation. A few edges get a parallel twin in the
         # other direction, placed before or after them in file order, and
-        # the busiest node a self-loop. Few balls in these graphs reach the
-        # searchsorted size, so half the examples lower it to search every
-        # ball a hub step meets.
+        # the busiest node a self-loop.
         base = hub_graph(rng, max_nodes=max_nodes)
         triplets = list(base.edges)
         by_degree = sorted(base.nodes, key=lambda n: -len(base.neighbors(n)))
@@ -221,8 +217,31 @@ class TestRetrieveMatchesOracle:
         kg = KnowledgeGraph(base.nodes.values(), triplets)
         seeds = {*by_degree[:2], *random_seeds(rng, kg, max_seeds=4), max(kg.nodes)}
         cfg = RetrievalConfig(max_hops=max_hops, max_paths_per_pair=max_paths)
-        with patch.object(retrieval, "_SEARCHSORTED_MIN", searchsorted_min):
-            got = retrieve(kg, seeds, cfg)
+        got = retrieve(kg, seeds, cfg)
+        expected = retrieve_oracle(kg, seeds, cfg)
+        assert got.paths == expected.paths
+        assert got.triplets == expected.triplets
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(1, 3), st.integers(1, 40))
+    def test_large_balls_match_id_level_reference(self, rng, max_hops, max_paths):
+        # Hub H shares a pool with hub P25x, whose radius-1 ball is large
+        # enough for H's first step to search it in H's CSR row. Pool codes
+        # sort on both sides of P25x; a few pool edges, a parallel twin and
+        # pool seeds add steps that bisect or scan.
+        pool = [f"P{i:02d}" for i in range(60)]
+        small = rng.sample(pool, rng.randint(retrieval._SEARCHSORTED_MIN, 40))
+        large = rng.sample(pool, rng.randint(len(small) + 2, 60))
+        pairs = ([("H", p) for p in large] + [("P25x", p) for p in small]
+                 + [tuple(rng.sample(pool, 2)) for _ in range(rng.randint(0, 20))])
+        triplets = [Triplet(*((a, "p", b) if rng.random() < 0.5 else (b, "p", a)))
+                    for a, b in pairs]
+        twin = rng.choice(triplets)
+        triplets.insert(rng.randint(0, len(triplets)), Triplet(twin.object, "q", twin.subject))
+        kg = KnowledgeGraph([KgNode(i, i.lower()) for i in ["H", "P25x", *pool]], triplets)
+        seeds = ["H", "P25x", *rng.sample(pool, rng.randint(0, 3))]
+        cfg = RetrievalConfig(max_hops=max_hops, max_paths_per_pair=max_paths)
+        got = retrieve(kg, seeds, cfg)
         expected = retrieve_oracle(kg, seeds, cfg)
         assert got.paths == expected.paths
         assert got.triplets == expected.triplets
