@@ -1,8 +1,9 @@
 """Triplet knowledge-graph store: snapshot loading, indexing, and lookups.
 
-A graph is immutable after load and safe to share across threads. Matching of
-labels, aliases, and predicates uses one normalization everywhere: Unicode
-case-fold, collapse internal whitespace, trim.
+A graph does not change after load, apart from caching what lookups build,
+and is safe to share across threads. Matching of labels, aliases, and
+predicates uses one normalization everywhere: Unicode case-fold, collapse
+internal whitespace, trim.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import filterfalse, groupby, repeat
+from itertools import filterfalse, repeat
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, TextIO, Union
@@ -67,23 +68,33 @@ class KnowledgeGraph:
     are dropped, the first kept; self-loops are kept and noted in the load
     report. Adjacency is undirected (each edge is reachable from both
     endpoints); triplet direction is preserved in the stored edges for
-    display. Instances are read-only after construction.
+    display. Instances are read-only after construction, apart from the
+    neighbor tuples built on first use (below).
 
     The store is columnar. A node's code is its position in sorted id
     order, so ordering codes orders ids; labels, descriptions and aliases
     are lists indexed by code, and the distinct edges are int32 code columns
     in file order. Adjacency is CSR over the codes: _indptr bounds each
     node's entries, _nbr_codes (int32) holds the neighbor codes in sorted
-    order and _first_edge the first edge in file order to each neighbor;
-    _adjacency[code] is the node's neighbor codes again as a tuple, and all
-    these tuples share one int object per code. Retrieval works on codes
-    through _code, _id, _neighbor_codes, _neighbors_among, _edge_code and
-    _triplet, and maps codes to ids only for the paths it returns;
-    neighbors() builds the sorted id tuple on each call. The triplet index
-    is three int32 code columns sorted together and searched with
-    np.searchsorted. Python objects are built only when a lookup asks:
-    kg.nodes is a read-only mapping that makes a KgNode on access, and
-    kg.edges, the tuple of Triplet in file order, is built on first access.
+    order and _first_edge the first edge in file order to each neighbor.
+    Each distinct-row pass (repeated triplets, adjacency pairs, triplet
+    index keys) sorts one packed integer key per row (see _run_heads).
+    Retrieval works on codes through _code, _id, _neighbor_codes,
+    _neighbors_among, _edge_code and _triplet, and maps codes to ids only
+    for the paths it returns; neighbors() builds the sorted id tuple on each
+    call. _neighbor_codes builds a node's tuple of neighbor codes from its
+    CSR row the first time it is asked and keeps it in _adjacency, which
+    starts as all None; every tuple takes its ints from one list, so they
+    share one int object per code. Two threads that race on one node build
+    equal tuples and storing into a list is atomic, so this needs no lock.
+
+    The label index is built in one pass over the nodes in id order, so
+    each key's owners arrive in id order; its sorted keys also code the
+    labels in the triplet index, which is three int32 code columns sorted
+    together and searched with np.searchsorted. Python objects are built
+    only when a lookup asks: kg.nodes is a read-only mapping that makes a
+    KgNode on access, and kg.edges, the tuple of Triplet in file order, is
+    built on first access.
     """
 
     def __init__(self, nodes: Iterable[KgNode], triplets: Iterable[Triplet],
@@ -135,31 +146,25 @@ class KnowledgeGraph:
         self._first_edge = (heads // 2).astype(np.int32)
         self._nbr_codes = others[heads]
         del ends, others, heads
-        # Indexing one object array of the codes makes every tuple share one
-        # int per code, not one per entry.
-        nbrs = np.array(range(len(ids)), dtype=object)[self._nbr_codes].tolist()
-        bounds = self._indptr.tolist()
-        self._adjacency = [tuple(nbrs[a:b]) for a, b in zip(bounds, bounds[1:])]
-        del nbrs, bounds
+        # Each node's tuple of neighbor codes is built by _neighbor_codes on
+        # first use; all tuples take their ints from this list, one per code.
+        self._code_ints = list(range(len(ids)))
+        self._adjacency: list[Optional[tuple[int, ...]]] = [None] * len(ids)
 
         # Triplet index: (label, normalized predicate, label) code columns
-        # sorted together, with the first edge in file order per key. Each
-        # distinct normalized primary label is coded by its rank.
-        primary = list(map(normalize, labels))
-        label_keys, label_code = np.unique(np.array(primary, dtype=object), return_inverse=True)
-        self._label_keys: list[str] = label_keys.tolist()
+        # sorted together, with the first edge in file order per key. A
+        # normalized label is coded by its position among the sorted label
+        # index keys, so an alias-only key has a code that no edge uses.
+        self.label_index, self.max_label_tokens, self._label_keys, label_code = _label_index(
+            ids, labels, aliases)
         self._predicate_codes: dict[str, int] = {}
         to_normalized = np.array(
             [self._predicate_codes.setdefault(normalize(q), len(self._predicate_codes))
              for q in predicates], dtype=np.int32)
-        label_code = label_code.astype(np.int32)
         columns = label_code[s], to_normalized[p], label_code[o]
         self._triplet_edges = _run_heads(*columns).astype(np.int32)
         self._triplet_columns = tuple(c[self._triplet_edges] for c in columns)
-        del label_keys, label_code, columns
-
-        self.label_index = _label_index(ids, primary, aliases)
-        self.max_label_tokens = max((len(k.split()) for k in self.label_index), default=0)
+        del label_code, columns
 
     @cached_property
     def edges(self) -> tuple[Triplet, ...]:
@@ -192,7 +197,7 @@ class KnowledgeGraph:
 
     def neighbors(self, node_id: NodeId) -> tuple[NodeId, ...]:
         """Sorted distinct neighbors of a node, both edge directions."""
-        return tuple(map(self._ids.__getitem__, self._adjacency[self._code(node_id)]))
+        return tuple(map(self._ids.__getitem__, self._neighbor_codes(self._code(node_id))))
 
     def _code(self, node_id: NodeId) -> int:
         """The code of a node id."""
@@ -207,7 +212,11 @@ class KnowledgeGraph:
 
     def _neighbor_codes(self, code: int) -> tuple[int, ...]:
         """Sorted distinct neighbor codes of the node with a code."""
-        return self._adjacency[code]
+        nbrs = self._adjacency[code]
+        if nbrs is None:
+            row = self._nbr_codes[self._indptr.item(code):self._indptr.item(code + 1)]
+            nbrs = self._adjacency[code] = tuple(map(self._code_ints.__getitem__, row.tolist()))
+        return nbrs
 
     def _neighbors_among(self, code: int, members: np.ndarray) -> list[int]:
         """The codes in members (sorted, int32) that are neighbors of the
@@ -221,7 +230,7 @@ class KnowledgeGraph:
     def _edge_code(self, a: int, b: int) -> Optional[int]:
         """The index of the canonical edge joining the nodes with codes a and
         b, or None if they are not adjacent."""
-        nbrs = self._adjacency[a]
+        nbrs = self._neighbor_codes(a)
         i = bisect_left(nbrs, b)
         if i == len(nbrs) or nbrs[i] != b:
             return None
@@ -278,28 +287,46 @@ class _NodeTable(Mapping):
         return node_id in self._position
 
 
-def _label_index(ids: list[NodeId], primary: list[str],
-                 aliases: list[tuple[str, ...]]) -> dict[str, tuple[NodeId, ...]]:
-    """The label index of nodes sorted by id, given each node's normalized
-    label and its aliases.
+def _label_index(ids: list[NodeId], labels: list[str], aliases: list[tuple[str, ...]]
+                 ) -> tuple[dict[str, tuple[NodeId, ...]], int, list[str], np.ndarray]:
+    """The label index of nodes sorted by id, its longest key in tokens, its
+    keys in sorted order, and the position in that order of each node's
+    normalized label (int32).
 
-    (key, id) pairs are grouped by a stable sort on the key, so each group
-    keeps the sorted id order; a node whose label and alias share a key is
-    listed once.
+    One pass in id order appends each key's owners in id order; a node whose
+    label and alias share a key is listed once. A key's first owner is
+    stored as a 1-tuple, the final form of most keys, and only a key that
+    gains a second owner collects them in a list; a list for every key
+    would raise the peak memory of a 50k-node load by about 3 MB. The keys
+    are then sorted once, and the token counts and label positions read off
+    them. A label that normalizes to "" has a position but no entry in the
+    index.
     """
-    keys: list[str] = []
-    owners: list[NodeId] = []
+    primary = list(map(normalize, labels))
+    index: dict[str, Union[tuple[NodeId, ...], list[NodeId]]] = {}
+    shared = []  # the keys with a second owner, whose owners are a list
     for nid, label, names in zip(ids, primary, aliases):
-        folded = [normalize(a) for a in names]
-        if len(set(folded)) != len(folded):
-            raise ValueError(f"node {nid!r} has duplicate aliases after case-folding")
-        for key in (label, *folded):
-            if key:
-                keys.append(key)
+        keys = (label,)
+        if names:
+            folded = [normalize(a) for a in names]
+            if len(set(folded)) != len(folded):
+                raise ValueError(f"node {nid!r} has duplicate aliases after case-folding")
+            keys += tuple(folded)
+        for key in keys:
+            owners = index.get(key)
+            if owners is None:
+                index[key] = (nid,)
+            elif owners[-1] != nid:
+                if type(owners) is tuple:
+                    owners = index[key] = list(owners)
+                    shared.append(key)
                 owners.append(nid)
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    return {key: tuple(dict.fromkeys(map(owners.__getitem__, group)))
-            for key, group in groupby(order, keys.__getitem__)}
+    for key in shared:
+        index[key] = tuple(index[key])
+    keys = sorted(index)
+    code = _codes(dict(zip(keys, range(len(keys)))), primary, len(primary))
+    return ({key: index[key] for key in keys if key},
+            max(map(len, map(str.split, keys)), default=0), keys, code)
 
 
 def _endpoint_codes(position: dict[NodeId, int],
@@ -320,8 +347,9 @@ def _codes(table: dict, keys: Iterable, count: int) -> np.ndarray:
 
 
 def _add_codes(table: dict, keys: Iterable) -> list:
-    """Give each key not yet in table the next free code; the new keys, in order."""
-    new = list(filterfalse(table.__contains__, dict.fromkeys(keys)))
+    """Give each of the distinct keys not yet in table the next free code;
+    the new keys, in order."""
+    new = list(filterfalse(table.__contains__, keys))
     table.update(zip(new, range(len(table), len(table) + len(new))))
     return new
 
@@ -333,15 +361,46 @@ def _rank(keys: list[str], key: str) -> Optional[int]:
 
 
 def _run_heads(*columns: np.ndarray) -> np.ndarray:
-    """For each distinct row of the equal-length columns, the index of its
-    first occurrence; ordered by row, the first column most significant."""
-    order = np.lexsort(columns[::-1])
-    head = np.zeros(len(order), dtype=bool)
+    """For each distinct row of the equal-length, non-negative columns, the
+    index of its first occurrence; ordered by row, the first column most
+    significant.
+
+    Each row is packed into one int64 key with its index as the least
+    significant digit, so the keys are distinct and one plain sort puts
+    equal rows together in file order. np.lexsort is the fallback for keys
+    that do not fit int64.
+    """
+    count = len(columns[0])
+    key = _packed_key((*columns, np.arange(count, dtype=np.int32)))
+    if key is None:
+        order = np.lexsort(columns[::-1])
+        ranked = [column[order] for column in columns]
+    else:
+        key.sort()
+        order = key % max(count, 1)
+        key //= max(count, 1)  # the packed columns alone
+        ranked = [key]
+    head = np.zeros(count, dtype=bool)
     head[:1] = True
-    for column in columns:
-        ranked = column[order]
-        head[1:] |= ranked[1:] != ranked[:-1]
+    for column in ranked:
+        head[1:] |= column[1:] != column[:-1]
     return order[head]
+
+
+def _packed_key(columns: tuple[np.ndarray, ...]) -> Optional[np.ndarray]:
+    """The rows of the non-negative columns as one mixed-radix int64 each,
+    the first column most significant; None if int64 does not hold them."""
+    radices = [int(c.max()) + 1 if len(c) else 1 for c in columns]
+    span = 1
+    for radix in radices:
+        span *= radix
+    if span - 1 > np.iinfo(np.int64).max:
+        return None
+    key = columns[0].astype(np.int64)
+    for column, radix in zip(columns[1:], radices[1:]):
+        key *= radix
+        key += column
+    return key
 
 
 def _merge_aliases(known: tuple[str, ...], names: Iterable[str]) -> tuple[str, ...]:
@@ -571,7 +630,7 @@ def _decode_edge_blocks(lines: TextIO) -> Optional[tuple]:
         codes = list(map(position.__getitem__, ends))
         if list(map(labels.__getitem__, codes)) != names:  # an id with two labels
             return None
-        _add_codes(predicates, preds)
+        _add_codes(predicates, dict.fromkeys(preds))
         both = np.array(codes, dtype=np.int32)
         columns.append((both[:len(preds)], _codes(predicates, preds, len(preds)),
                         both[len(preds):]))

@@ -118,15 +118,14 @@ def _distances_from(kg: KnowledgeGraph, source: int, limit: int) -> _Ball:
     neighbor_codes = kg._neighbor_codes
     dist = {source: 0}
     ends = [1]
-    frontier = [source]
+    start = 0  # where the nodes at distance d - 1 begin in dist
     for d in range(1, limit + 1):
-        nxt = []
+        frontier = list(islice(dist, start, None))
+        start = len(dist)
         for node in frontier:
             for nbr in neighbor_codes(node):
                 if nbr not in dist:
                     dist[nbr] = d
-                    nxt.append(nbr)
-        frontier = nxt
         ends.append(len(dist))
     return _Ball(dist, ends)
 

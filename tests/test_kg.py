@@ -3,7 +3,9 @@
 import gc
 import json
 import random
+import sys
 import tempfile
+import threading
 import tracemalloc
 from collections.abc import Mapping
 from pathlib import Path
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 from claimver.errors import KgLoadError, UnknownNodeError
 from claimver import kg as kg_module
 from claimver.kg import KgNode, KnowledgeGraph, Triplet, load_kg
-from claimver.retrieval import retrieve
+from claimver.retrieval import RetrievalConfig, retrieve
 from claimver.text import format_triplet, normalize
 
 from conftest import APOLLO_NODES
@@ -54,6 +56,12 @@ def aliased_graphs(draw):
                                        st.sampled_from(ids)), max_size=30))
     return KnowledgeGraph(nodes, triplets)
 
+
+# Labels and an alias that normalize to "": no label index key, but the
+# triplet index still matches such a label.
+_BLANK_LABELS = KnowledgeGraph(
+    [KgNode("A", " "), KgNode("B", "Beta", aliases=("\t",)), KgNode("C", "  ", aliases=("Delta",))],
+    [Triplet("A", "rel", "B"), Triplet("B", "rel", "C")])
 
 # Query surfaces: every label and alias, plus an unknown label and predicate.
 _QUERY_LABELS = (*_LABELS, *_ALIASES, "Zeta")
@@ -195,6 +203,7 @@ class TestStoreAgainstOracle:
             assert kg.contains_triplet(*labels) == contains_triplet_oracle(kg, *labels)
 
     @given(aliased_graphs())
+    @example(_BLANK_LABELS)
     @settings(max_examples=200, deadline=None)
     def test_label_index_matches_brute_force(self, kg):
         expected = label_index_oracle(kg)
@@ -208,6 +217,8 @@ class TestStoreAgainstOracle:
                             [Triplet("A", "rel", "B")]),
              [("alpha", "REL", "beta"), ("Delta", "rel", "Beta"), ("Alpha", "unknown rel", "Beta"),
               ("Alpha", "rel", "Zeta"), ("Beta", "rel", "Alpha")])
+    @example(_BLANK_LABELS, [(" ", "rel", "Beta"), ("", "rel", "beta"), ("Beta", "rel", "  "),
+                             ("Delta", "rel", "")])
     @settings(max_examples=200, deadline=None)
     def test_contains_triplet_matches_brute_force(self, kg, queries):
         for query in queries:
@@ -583,15 +594,102 @@ class TestViews:
         assert g.edges is g.edges
 
 
+def _ring_with_hubs(n: int = 600) -> KnowledgeGraph:
+    """n nodes in a ring, every seventh also joined to one of three hubs; more
+    than 256 nodes, so most codes are ints that Python does not cache."""
+    ids = [f"N{i:04d}" for i in range(n)]
+    triplets = [Triplet(ids[i], "next", ids[(i + 1) % n]) for i in range(n)]
+    triplets += [Triplet(ids[i], "hub", ids[i % 3]) for i in range(3, n, 7)]
+    return KnowledgeGraph([KgNode(i, f"node {i}") for i in ids], triplets)
+
+
+class TestNeighborTuples:
+    def test_built_on_first_use_from_the_csr_row(self, tsv_kg_path):
+        for g in (load_kg(tsv_kg_path), _ring_with_hubs()):
+            assert g._adjacency == [None] * len(g.nodes)
+            for code in range(len(g.nodes)):
+                row = g._nbr_codes[g._indptr[code]:g._indptr[code + 1]].tolist()
+                nbrs = g._neighbor_codes(code)
+                assert nbrs == tuple(row)
+                assert g._adjacency[code] is nbrs and g._neighbor_codes(code) is nbrs
+
+    def test_one_int_per_code(self):
+        g = _ring_with_hubs()
+        shared = {}
+        for code in range(len(g.nodes)):
+            for nbr in g._neighbor_codes(code):
+                assert shared.setdefault(nbr, nbr) is nbr
+        assert max(shared) > 256
+
+    def test_threads_racing_on_first_use_get_equal_tuples(self):
+        g = _ring_with_hubs()
+        codes = list(range(len(g.nodes)))
+        barrier = threading.Barrier(4)
+        results = [None] * 4
+
+        def first_use(slot):
+            barrier.wait(timeout=10)
+            results[slot] = [g._neighbor_codes(c) for c in codes]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=first_use, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        expected = [tuple(g._nbr_codes[g._indptr[c]:g._indptr[c + 1]].tolist()) for c in codes]
+        assert results == [expected] * 4
+
+    @pytest.mark.parametrize("max_hops", [2, 3])
+    def test_retrieve_same_on_fresh_and_fully_built_graphs(self, max_hops):
+        config = RetrievalConfig(max_hops=max_hops, max_paths_per_pair=4)
+        seeds = ["N0000", "N0001", "N0100", "N0297", "N0450"]
+        built = _ring_with_hubs()
+        for code in range(len(built.nodes)):
+            built._neighbor_codes(code)
+        result = retrieve(_ring_with_hubs(), seeds, config)
+        assert result.paths
+        assert result == retrieve(built, seeds, config)
+
+
+def _first_occurrences(columns: list[list[int]]) -> list[int]:
+    """The index of each distinct row's first occurrence, ordered by row."""
+    rows = list(zip(*columns))
+    return sorted(dict(map(reversed, reversed(list(enumerate(rows))))).values(),
+                  key=rows.__getitem__)
+
+
+# Three columns this wide, with the row index, overflow an int64 key.
+_WIDE = [[v * 2**29 for v in (3, 0, 3, 0, 1, 3)]] * 3
+
+
 class TestRunHeads:
-    @given(st.lists(st.lists(st.integers(0, 3), min_size=6, max_size=6), min_size=1, max_size=3))
+    # Column values are 0-3 times a scale: rows with at most one wide column
+    # pack into an int64 key, and rows with more leave np.lexsort to sort.
+    @given(st.lists(st.tuples(st.sampled_from((1, 2**29)),
+                              st.lists(st.integers(0, 3), min_size=6, max_size=6)),
+                    min_size=1, max_size=3))
+    @example([(2**29, [3, 0, 3, 0, 1, 3])] * 3)
     @settings(max_examples=200, deadline=None)
-    def test_first_occurrence_of_each_distinct_row(self, columns):
-        rows = list(zip(*columns))
-        expected = sorted(dict(map(reversed, reversed(list(enumerate(rows))))).values(),
-                          key=rows.__getitem__)
+    def test_first_occurrence_of_each_distinct_row(self, scaled):
+        columns = [[v * scale for v in values] for scale, values in scaled]
         arrays = [np.array(c, dtype=np.int32) for c in columns]
-        assert kg_module._run_heads(*arrays).tolist() == expected
+        assert kg_module._run_heads(*arrays).tolist() == _first_occurrences(columns)
+
+    def test_wide_rows_fall_back_to_lexsort(self, monkeypatch):
+        arrays = [np.array(c, dtype=np.int32) for c in _WIDE]
+        index = np.arange(len(_WIDE[0]), dtype=np.int32)
+        assert kg_module._packed_key((*arrays, index)) is None
+        lexsort = np.lexsort
+        sorts = []
+        monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(keys) or lexsort(keys))
+        assert kg_module._run_heads(*arrays).tolist() == _first_occurrences(_WIDE)
+        assert len(sorts) == 1
 
 
 class TestLoadPausesGc:
@@ -632,9 +730,11 @@ class TestLoadPausesGc:
 
 class TestLoadMemory:
     # Peak traced memory over memory retained after the load. The columnar
-    # store gives about 1.20 on this graph (3.8 MB over 3.2 MB); sorted-array
-    # indexes over Triplet tuples gave about 1.18 (5.8 over 4.9 MB), and
-    # per-node dictionaries with a dict-of-tuples triplet index about 1.67.
+    # store, with neighbor tuples built on first use, gives about 1.19 on
+    # this graph (3.2 MB over 2.7 MB); building every tuple at load gave
+    # about 1.20 (3.7 over 3.1 MB), sorted-array indexes over Triplet tuples
+    # about 1.18 (5.8 over 4.9 MB), and per-node dictionaries with a
+    # dict-of-tuples triplet index about 1.67.
     PEAK_OVER_RETAINED = 1.35
 
     def test_peak_stays_near_retained(self, tmp_path, tsv_kg_path):
