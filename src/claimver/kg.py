@@ -15,7 +15,7 @@ from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import filterfalse, repeat
+from itertools import filterfalse
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, TextIO, Union
@@ -69,7 +69,8 @@ class KnowledgeGraph:
     report. Adjacency is undirected (each edge is reachable from both
     endpoints); triplet direction is preserved in the stored edges for
     display. Instances are read-only after construction, apart from the
-    neighbor tuples built on first use (below).
+    neighbor tuples built on first use (below). load_kg fills the store
+    from the code tables it decodes a file into, without this constructor.
 
     The store is columnar. A node's code is its position in sorted id
     order, so ordering codes orders ids; labels, descriptions and aliases
@@ -420,127 +421,214 @@ def _merge_aliases(known: tuple[str, ...], names: Iterable[str]) -> tuple[str, .
 # that rejects the row).
 _Rows = Iterator[tuple[int, Union[tuple, str]]]
 
+# Characters per block of a snapshot: readlines() ends a block with the line
+# that takes it past this many.
+_BLOCK_CHARS = 1 << 16
 
-class _SnapshotReader:
-    """Accumulates decoded rows from a snapshot plus optional node file."""
+
+class _SnapshotDecoder:
+    """The code tables that a snapshot and its node file are decoded into.
+
+    A node's code is its position in order of first reference, and its label
+    is "" until a row gives one; the first label given wins. The snapshot is
+    read in readlines() blocks: code_clean_block codes a clean TSV block at
+    once, and any other block, like every JSONL block, goes through the row
+    decoder, which reports each row it rejects. So each line is decoded
+    once, and finish builds the graph.
+    """
 
     def __init__(self):
-        self.labels: dict[NodeId, str] = {}
-        self.descriptions: dict[NodeId, str] = {}
-        self.aliases: dict[NodeId, tuple[str, ...]] = {}
-        self.first_ref: dict[NodeId, int] = {}
-        self.triplets: list[Triplet] = []
+        self.position: dict[NodeId, int] = {}
+        self.labels: list[str] = []
+        self.descriptions: dict[int, str] = {}
+        self.aliases: dict[int, tuple[str, ...]] = {}
+        # The line of the first reference, kept only for codes first seen
+        # without a label: a dangling reference is reported at that line.
+        self.first_ref: dict[int, int] = {}
+        self.predicates: dict[str, int] = {}
+        # The s, p and o code columns of each block; one block once the
+        # snapshot ends, so the per-block arrays are freed before the node
+        # file is read.
+        self.blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self.errors: list[str] = []
         self.report: list[str] = []
-        # One string per distinct id and predicate, shared by every triplet
-        # that names it, so each row's own copies are freed as it is read.
-        self.names: dict[str, str] = {}
 
-    def offer_label(self, node_id: NodeId, label: str, line: int):
-        self.first_ref.setdefault(node_id, line)
-        if not label:
-            return
-        known = self.labels.setdefault(node_id, label)
-        if known != label and normalize(known) != normalize(label):
-            self.report.append(
-                f"line {line}: conflicting label {label!r} for {node_id!r}; kept {known!r}")
+    def read_edges(self, lines: TextIO, tsv: bool):
+        """Decode the lines of a TSV or JSONL snapshot, block by block."""
+        line = 1
+        for block in iter(partial(lines.readlines, _BLOCK_CHARS), []):
+            if not (tsv and self.code_clean_block(block)):
+                self.read_edge_rows((_tsv_rows if tsv else _jsonl_rows)(block, line))
+            line += len(block)
+        self.blocks = [tuple(map(np.concatenate, zip(*self.blocks)))
+                       or (np.zeros(0, dtype=np.int32),) * 3]
 
-    def read_edges(self, rows: _Rows):
+    def code_clean_block(self, block: list[str]) -> bool:
+        """Code a block of TSV lines that the row decoder would take as they
+        stand and that gives no id a label it does not already hold: each
+        line blank or five non-empty fields, and one spelling of each id's
+        label. False, with the tables as they were, for any other block."""
+        # The row decoder skips whitespace-only lines and reports nothing.
+        text = "".join(filterfalse(str.isspace, block))
+        if not text:
+            return True
+        if not text.endswith("\n"):
+            text += "\n"
+        if not (_tabs_per_line(text) == 4).all():
+            return False
+        fields = list(map(str.strip, text[:-1].replace("\n", "\t").split("\t")))
+        if "" in fields:
+            return False
+        ends, names, preds = fields[0::5] + fields[3::5], fields[1::5] + fields[4::5], fields[2::5]
+        first = dict(zip(ends, names))
+        known = len(self.labels)
+        new = _add_codes(self.position, first)
+        self.labels.extend(map(first.__getitem__, new))
+        codes = list(map(self.position.__getitem__, ends))
+        # An id with two spellings, or a known one with another label or none yet.
+        if list(map(self.labels.__getitem__, codes)) != names:
+            for node_id in new:
+                del self.position[node_id]
+            del self.labels[known:]
+            return False
+        _add_codes(self.predicates, dict.fromkeys(preds))
+        both = np.array(codes, dtype=np.int32)
+        self.blocks.append((both[:len(preds)], _codes(self.predicates, preds, len(preds)),
+                            both[len(preds):]))
+        return True
+
+    def read_edge_rows(self, rows: _Rows):
         """Rows of (s_id, s_label, predicate, o_id, o_label)."""
-        # A node whose label is already known has its first reference too,
-        # and offering the same label again changes nothing.
-        labels, name = self.labels, self.names.setdefault
+        code, predicates = self.code, self.predicates
+        s, p, o = [], [], []
         for line_no, row in rows:
             if isinstance(row, str):
                 self.errors.append(f"line {line_no}: {row}")
                 continue
             s_id, s_label, pred, o_id, o_label = row
-            s_id, pred, o_id = name(s_id, s_id), name(pred, pred), name(o_id, o_id)
-            if labels.get(s_id) != s_label:
-                self.offer_label(s_id, s_label, line_no)
-            if labels.get(o_id) != o_label:
-                self.offer_label(o_id, o_label, line_no)
-            self.triplets.append(Triplet(s_id, pred, o_id))
+            s.append(code(s_id, s_label, line_no))
+            p.append(predicates.setdefault(pred, len(predicates)))
+            o.append(code(o_id, o_label, line_no))
+        self.blocks.append(tuple(np.array(c, dtype=np.int32) for c in (s, p, o)))
 
-    def read_nodes(self, rows: _Rows):
-        """Rows of (id, label, description, aliases); a label of None means
-        the row may only describe a node the snapshot already references."""
-        for line_no, row in rows:
+    def code(self, node_id: NodeId, label: str, line: int) -> int:
+        """The code of a node id that a line names with a label ("" for
+        none); a known label that normalizes differently is reported."""
+        code = self.position.get(node_id)
+        if code is None:
+            code = self.position[node_id] = len(self.labels)
+            self.labels.append(label)
+            if not label:
+                self.first_ref[code] = line
+        elif label:
+            known = self.labels[code]
+            if not known:
+                self.labels[code] = label
+            elif known != label and normalize(known) != normalize(label):
+                self.report.append(
+                    f"line {line}: conflicting label {label!r} for {node_id!r}; kept {known!r}")
+        return code
+
+    def read_tsv_nodes(self, lines: Iterable[str]):
+        """The lines of a TSV node file: id, description and optional aliases
+        joined by "|". Such a row carries no label, so its id must be known."""
+        for line_no, line in enumerate(lines, 1):
+            if line.isspace():
+                continue
+            cols = line.split("\t")
+            if not 2 <= len(cols) <= 3:
+                self.errors.append(f"line {line_no} (node file): expected 2 or 3 "
+                                   f"tab-separated columns, got {len(cols)}")
+                continue
+            node_id = cols[0].strip()
+            code = self.position.get(node_id)
+            if code is None:
+                self.errors.append(f"line {line_no} (node file): " + (
+                    f"unknown node id {node_id!r}" if node_id else "empty node id"))
+                continue
+            names = cols[2].strip() if len(cols) == 3 else ""
+            self.describe(code, cols[1].strip(), names.split("|") if names else ())
+
+    def read_jsonl_nodes(self, lines: Iterable[str]):
+        """The lines of a JSONL node file; its rows carry a label, so they may add nodes."""
+        for line_no, row in _jsonl_rows(lines, node_file=True):
             if isinstance(row, str):
                 self.errors.append(f"line {line_no} (node file): {row}")
-                continue
-            node_id, label, description, aliases = row
-            if not node_id:
+            elif not row[0]:
                 self.errors.append(f"line {line_no} (node file): empty node id")
-                continue
-            if label is not None:
-                self.offer_label(node_id, label, line_no)
-            elif node_id not in self.first_ref:
-                self.errors.append(
-                    f"line {line_no} (node file): unknown node id {node_id!r}")
-                continue
-            if description:
-                self.descriptions.setdefault(node_id, description)
-            if aliases:
-                self.aliases[node_id] = _merge_aliases(self.aliases.get(node_id, ()), aliases)
+            else:
+                node_id, label, description, names = row
+                self.describe(self.code(node_id, label, line_no), description, names)
+
+    def describe(self, code: int, description: str, names: Iterable[str]):
+        """Keep a node's first non-empty description and add its new aliases."""
+        if description:
+            self.descriptions.setdefault(code, description)
+        if names:
+            self.aliases[code] = _merge_aliases(self.aliases.get(code, ()), names)
 
     def finish(self, lenient: bool) -> KnowledgeGraph:
-        """The graph of everything read; empties the reader's row tables
-        first, so they are freed before the graph is indexed."""
-        dangling = {nid for nid in self.first_ref if nid not in self.labels}
-        for nid in sorted(dangling):
-            self.errors.append(
-                f"line {self.first_ref[nid]}: dangling node reference {nid!r} (no label found)")
+        """The graph of everything read; empties the tables first, so they
+        are freed before the graph is indexed."""
+        position, labels = self.position, self.labels
+        ids = sorted(position)
+        dangling = [nid for nid in ids if not labels[position[nid]]]
+        self.errors.extend(f"line {self.first_ref[position[nid]]}: dangling node reference "
+                           f"{nid!r} (no label found)" for nid in dangling)
         if self.errors and not lenient:
             raise KgLoadError(self.errors)
-        if self.errors:
-            self.report.extend(f"skipped: {e}" for e in self.errors)
+        self.report.extend(f"skipped: {e}" for e in self.errors)
 
-        nodes = [
-            KgNode(id=nid, label=label,
-                   description=self.descriptions.get(nid, ""),
-                   aliases=self.aliases.get(nid, ()))
-            for nid, label in self.labels.items()
-        ]
-        triplets = (t for t in self.triplets
-                    if t.subject not in dangling and t.object not in dangling)
-        for table in (self.labels, self.descriptions, self.aliases, self.first_ref, self.names):
+        s, p, o = self.blocks.pop()
+        if dangling:
+            labelled = np.array(list(map(bool, labels)))
+            keep = labelled[s] & labelled[o]
+            s, p, o = s[keep], p[keep], o[keep]
+            ids = [nid for nid in ids if labels[position[nid]]]
+        # Recode the labelled nodes by their position in sorted id order.
+        old = list(map(position.__getitem__, ids))
+        new = np.empty(len(labels), dtype=np.int32)
+        new[old] = np.arange(len(ids), dtype=np.int32)
+        s, o = new[s], new[o]
+        labels = list(map(labels.__getitem__, old))
+        descriptions = [self.descriptions.get(code, "") for code in old]
+        aliases = [self.aliases.get(code, ()) for code in old]
+        del old, new
+        for table in (self.position, self.labels, self.descriptions, self.aliases, self.first_ref):
             table.clear()
-        self.triplets = []
-        return KnowledgeGraph(nodes, triplets, self.report)
+        graph = KnowledgeGraph.__new__(KnowledgeGraph)
+        graph._index(ids, dict(zip(ids, range(len(ids)))), labels, descriptions, aliases,
+                     list(self.predicates), s, p, o, self.report)
+        return graph
 
 
-def _tsv_rows(lines: Iterable[str], node_file: bool) -> _Rows:
-    for line_no, line in enumerate(lines, 1):
+def _tsv_rows(lines: Iterable[str], start: int = 1) -> _Rows:
+    for line_no, line in enumerate(lines, start):
         if not line.strip():
             continue
         cols = line.split("\t")
-        if node_file:
-            if len(cols) not in (2, 3):
-                yield line_no, f"expected 2 or 3 tab-separated columns, got {len(cols)}"
-                continue
-            aliases = cols[2].split("|") if len(cols) == 3 else ()
-            yield line_no, (cols[0].strip(), None, cols[1].strip(), aliases)
-        elif len(cols) != 5:
+        if len(cols) != 5:
             yield line_no, f"expected 5 tab-separated columns, got {len(cols)}"
+            continue
+        s_id, s_label, pred, o_id, o_label = map(str.strip, cols)
+        if not s_id or not pred or not o_id:
+            yield line_no, "empty subject id, predicate, or object id"
         else:
-            s_id, s_label, pred, o_id, o_label = map(str.strip, cols)
-            if not s_id or not pred or not o_id:
-                yield line_no, "empty subject id, predicate, or object id"
-            else:
-                yield line_no, (s_id, s_label, pred, o_id, o_label)
+            yield line_no, (s_id, s_label, pred, o_id, o_label)
 
 
-def _jsonl_rows(lines: Iterable[str], node_file: bool) -> _Rows:
+def _jsonl_rows(lines: Iterable[str], start: int = 1, node_file: bool = False) -> _Rows:
     keys = (("id", "label", "description") if node_file
             else ("s_id", "s_label", "p", "o_id", "o_label"))
-    for line_no, line in enumerate(lines, 1):
+    for line_no, line in enumerate(lines, start):
         if not line.strip():
             continue
         try:
             row = json.loads(line)
-        except json.JSONDecodeError as exc:
-            yield line_no, f"invalid JSON ({exc.msg})"
+        except (ValueError, RecursionError) as exc:
+            # Not JSON, an integer longer than int() converts, or nesting too deep.
+            msg = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
+            yield line_no, f"invalid JSON ({msg})"
             continue
         if not isinstance(row, dict):
             yield line_no, "expected a JSON object"
@@ -568,100 +656,12 @@ def _jsonl_rows(lines: Iterable[str], node_file: bool) -> _Rows:
                 yield line_no, (s_id, s_label, pred, o_id, o_label)
 
 
-# Characters per block of a TSV snapshot: readlines() ends a block with the
-# line that takes it past this many.
-_BLOCK_CHARS = 1 << 16
-
-
-def _load_clean_tsv(path: Path, nodes_path: str | Path | None) -> Optional[KnowledgeGraph]:
-    """The graph of a clean TSV snapshot (see load_kg), decoded block by
-    block straight to codes; None for any other snapshot."""
-    with path.open(encoding="utf-8") as lines:
-        decoded = _decode_edge_blocks(lines)
-    if decoded is None:
-        return None
-    position, labels, predicates, s, p, o = decoded
-    del decoded
-    sidecar = _node_file(path, nodes_path)
-
-    # Recode the nodes by their position in sorted id order.
-    ids = sorted(position)
-    old = _codes(position, ids, len(ids))
-    new = np.empty_like(old)
-    new[old] = np.arange(len(ids), dtype=np.int32)
-    s, o = new[s], new[o]
-    labels = list(map(labels.__getitem__, old.tolist()))
-    position = dict(zip(ids, range(len(ids))))
-    del old, new
-
-    descriptions, aliases = [""] * len(ids), [()] * len(ids)
-    if sidecar:
-        with sidecar.open(encoding="utf-8") as lines:
-            if not _read_clean_node_rows(lines, position, descriptions, aliases):
-                return None
-    graph = KnowledgeGraph.__new__(KnowledgeGraph)
-    graph._index(ids, position, labels, descriptions, aliases, list(predicates), s, p, o, ())
-    return graph
-
-
-def _decode_edge_blocks(lines: TextIO) -> Optional[tuple]:
-    """(id -> code in order of first occurrence, labels by code, predicate ->
-    code, s, p and o code columns) of a clean snapshot, or None at the
-    first block with a row that is not clean."""
-    position: dict[NodeId, int] = {}
-    labels: list[str] = []
-    predicates: dict[str, int] = {}
-    columns = []
-    for block in iter(partial(lines.readlines, _BLOCK_CHARS), []):
-        # The row decoder skips whitespace-only lines and reports nothing.
-        text = "".join(filterfalse(str.isspace, block))
-        if not text:
-            continue
-        if not text.endswith("\n"):
-            text += "\n"
-        if not (_tabs_per_line(text) == 4).all():
-            return None
-        fields = list(map(str.strip, text[:-1].replace("\n", "\t").split("\t")))
-        if "" in fields:
-            return None
-        ends, names, preds = fields[0::5] + fields[3::5], fields[1::5] + fields[4::5], fields[2::5]
-        first = dict(zip(ends, names))
-        labels.extend(map(first.__getitem__, _add_codes(position, first)))
-        codes = list(map(position.__getitem__, ends))
-        if list(map(labels.__getitem__, codes)) != names:  # an id with two labels
-            return None
-        _add_codes(predicates, dict.fromkeys(preds))
-        both = np.array(codes, dtype=np.int32)
-        columns.append((both[:len(preds)], _codes(predicates, preds, len(preds)),
-                        both[len(preds):]))
-    s, p, o = ((np.concatenate(c) for c in zip(*columns)) if columns
-               else (np.zeros(0, dtype=np.int32),) * 3)
-    return position, labels, predicates, s, p, o
-
-
 def _tabs_per_line(text: str) -> np.ndarray:
     """The number of tabs on each line of text, which ends with a newline."""
     # Tab and newline are single bytes in UTF-8 and never part of another character.
     data = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
     ends = np.searchsorted(np.flatnonzero(data == 9), np.flatnonzero(data == 10))
     return np.diff(ends, prepend=0)
-
-
-def _read_clean_node_rows(lines: Iterable[str], position: dict[NodeId, int],
-                          descriptions: list[str], aliases: list[tuple[str, ...]]) -> bool:
-    """Fill in descriptions and aliases, by code, from the rows of a TSV node
-    file; False at the first row the row decoder would reject."""
-    for cols in map(str.split, filterfalse(str.isspace, lines), repeat("\t")):
-        code = position.get(cols[0].strip()) if 2 <= len(cols) <= 3 else None
-        if code is None:
-            return False
-        description = cols[1].strip()
-        if description and not descriptions[code]:
-            descriptions[code] = description
-        names = cols[2].strip() if len(cols) == 3 else ""
-        if names:
-            aliases[code] = _merge_aliases(aliases[code], names.split("|"))
-    return True
 
 
 def _node_file(path: Path, nodes_path: str | Path | None) -> Optional[Path]:
@@ -700,24 +700,24 @@ def load_kg(path: str | Path, format: str = "tsv", *,
     row fails the load (KgLoadError). With lenient=True they are skipped and
     recorded in the returned graph's load_report.
 
-    A clean TSV snapshot is decoded readlines() block by block straight to
-    node and predicate codes, which go to the graph's columns without a
-    Triplet or KgNode object. Clean means that the row decoder would take
-    every row as it stands. Both decoders skip whitespace-only lines; every
-    other line has five fields, no empty id, predicate or label, and one
-    spelling of each id's label, and every node-file row has 2 or 3 columns
-    and names a known id. Any other file, and every JSONL file, is read
-    again from the start by the row decoder, which reports each row it
-    rejects and shares one string per distinct id; both decoders feed the
-    same index builder.
-    The loaded graph builds a KgNode when kg.nodes is looked up and the
-    tuple kg.edges on its first access.
+    The snapshot is read in readlines() blocks and decoded straight to node
+    and predicate codes, with no Triplet or KgNode object. A TSV block is
+    coded at once when the row decoder would take every row as it stands and
+    the block gives no id a label it does not already hold: whitespace-only
+    lines aside, each line has five fields, no empty id, predicate or label,
+    and one spelling of each id's label. Any other block, and every JSONL
+    block, goes row by row, so each line is decoded once and messages and
+    line numbers do not depend on how a block was decoded. The loaded graph
+    builds a KgNode when kg.nodes is looked up and the tuple kg.edges on its
+    first access.
 
-    The row decoder builds a few containers per row, so the load pauses the
-    cyclic garbage collector while it reads and indexes. That switch is
-    process-global: other threads run without cyclic collection until the
-    load returns, and the collector is re-enabled only if it was enabled on
-    entry.
+    The label index holds a tuple of ids per key, and the node file gives
+    each aliased node a tuple: tens of thousands of containers for a large
+    graph, which would set off about a hundred cyclic garbage collections
+    that free nothing. So the load pauses the cyclic collector while it
+    reads and indexes. That switch is process-global: other threads run
+    without cyclic collection until the load returns, and the collector is
+    re-enabled only if it was enabled on entry.
     """
     path = Path(path)
     if not path.is_file():
@@ -728,17 +728,14 @@ def load_kg(path: str | Path, format: str = "tsv", *,
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        graph = _load_clean_tsv(path, nodes_path) if format == "tsv" else None
-        if graph is None:
-            decode = _tsv_rows if format == "tsv" else _jsonl_rows
-            reader = _SnapshotReader()
-            with path.open(encoding="utf-8") as lines:
-                reader.read_edges(decode(lines, node_file=False))
-            sidecar = _node_file(path, nodes_path)
-            if sidecar:
-                with sidecar.open(encoding="utf-8") as lines:
-                    reader.read_nodes(decode(lines, node_file=True))
-            graph = reader.finish(lenient)
+        decoder = _SnapshotDecoder()
+        with path.open(encoding="utf-8") as lines:
+            decoder.read_edges(lines, tsv=format == "tsv")
+        sidecar = _node_file(path, nodes_path)
+        if sidecar:
+            with sidecar.open(encoding="utf-8") as lines:
+                (decoder.read_tsv_nodes if format == "tsv" else decoder.read_jsonl_nodes)(lines)
+        graph = decoder.finish(lenient)
     finally:
         if gc_was_enabled:
             gc.enable()

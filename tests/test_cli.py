@@ -96,6 +96,13 @@ class TestVerify:
         assert main(_verify_args(str(kg), input_file, refused_url, "--kg-format", "jsonl")) == 2
         assert capsys.readouterr().err == "error: line 1 (node file): expected a JSON object\n"
 
+    def test_kg_row_json_cannot_convert_exit_2(self, tmp_path, input_file, refused_url, capsys):
+        kg = tmp_path / "kg.jsonl"
+        kg.write_text('{"s_id": "A", "s_label": "a", "p": "r", "o_id": "B", "o_label": "b"}\n'
+                      + "[" * 100_000 + "]" * 100_000 + "\n", encoding="utf-8")
+        assert main(_verify_args(str(kg), input_file, refused_url, "--kg-format", "jsonl")) == 2
+        assert capsys.readouterr().err.startswith("error: line 2: invalid JSON (maximum recursion")
+
     def test_backend_auth_failure_exit_3(self, tsv_kg_path, input_file, scripted_server):
         server = scripted_server([(401, "denied")])
         assert main(_verify_args(tsv_kg_path, input_file, server.url)) == 3

@@ -9,6 +9,7 @@ import threading
 import tracemalloc
 from collections.abc import Mapping
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -334,6 +335,27 @@ class TestLoadJsonl:
             load_kg(path, "jsonl")
         assert any("line 2" in e for e in err.value.errors)
 
+    def test_rows_json_cannot_convert_rejected(self, tmp_path):
+        # json.loads raises ValueError for an integer longer than int()
+        # converts, and RecursionError for nesting this deep.
+        big, deep = '{"s_id": ' + "9" * 5000 + "}", "[" * 100_000 + "]" * 100_000
+        path = tmp_path / "kg.jsonl"
+        path.write_text(f'{big}\n{{"s_id": "A", "s_label": "a", "p": "r", "o_id": "B", '
+                        f'"o_label": "b"}}\n{deep}\n', encoding="utf-8")
+        (tmp_path / "kg.nodes.jsonl").write_text(
+            f'{deep}\n{{"id": "A", "description": "first"}}\n{big}\n', encoding="utf-8")
+        lines = ["line 1: ", "line 3: ", "line 1 (node file): ", "line 3 (node file): "]
+        with pytest.raises(KgLoadError) as err:
+            load_kg(path, "jsonl")
+        assert len(err.value.errors) == len(lines)
+        for error, line in zip(err.value.errors, lines):
+            assert error.startswith(f"{line}invalid JSON (")
+        assert "4300 digits" in err.value.errors[0] and "recursion" in err.value.errors[1]
+        g = load_kg(path, "jsonl", lenient=True)
+        assert g.load_report == tuple(f"skipped: {e}" for e in err.value.errors)
+        assert g.edges == (Triplet("A", "r", "B"),)
+        assert g.nodes["A"].description == "first"
+
     def test_missing_required_key(self, tmp_path):
         path = tmp_path / "kg.jsonl"
         path.write_text('{"s_id": "A", "o_id": "B"}\n', encoding="utf-8")
@@ -442,15 +464,15 @@ _PADS = ("", " ", "\u3000", "\x0c ")
 _SIDECAR_ALIASES = ("USA", "usa", " Alpha ", "Beta  Two", "x", "")
 # Whitespace-only lines, which both decoders skip without a message.
 _BLANKS = ("", " ", "\u3000", "\t \t\t\t")
-# Defects each make the row decoder report or skip a row, so the block
-# decoder must refuse the snapshot.
+# Defects: the first four send the block holding them row by row, and the
+# last two are node-file rows that the load rejects.
 _DEFECTS = ("second label spelling", "empty label", "empty id",
             "four columns", "sidecar unknown id", "sidecar one column")
 
 
 @st.composite
 def tsv_snapshots(draw):
-    """(snapshot text, node file text or None, name of the drawn defect or None)."""
+    """(snapshot text, node file text or None, names of the drawn defects)."""
     def pad(field):
         return draw(st.sampled_from(_PADS)) + field + draw(st.sampled_from(_PADS))
 
@@ -464,23 +486,25 @@ def tsv_snapshots(draw):
                       + ["|".join(draw(st.lists(st.sampled_from(_SIDECAR_ALIASES), max_size=3)))]
                       * draw(st.integers(0, 1))
                       for nid in draw(st.lists(st.sampled_from(referenced), min_size=1))]
-    defect = draw(st.none() | st.sampled_from(_DEFECTS)) if lines else None
-    if defect and defect.startswith("sidecar") and node_lines is None:
-        defect = None
-    at = draw(st.integers(0, len(lines) - 1)) if lines else 0
-    if defect == "second label spelling":
-        spelling = draw(st.sampled_from((lines[at][1].upper(), lines[at][1] + " x")))
-        lines.append([lines[at][0], spelling, *lines[at][2:]])
-    elif defect == "empty label":
-        lines[at][4] = draw(st.sampled_from(_PADS))
-    elif defect == "empty id":
-        lines[at][0] = draw(st.sampled_from(_PADS))
-    elif defect == "four columns":
-        del lines[at][2]
-    elif defect == "sidecar unknown id":
-        node_lines.append(["Zzz", "desc"])
-    elif defect == "sidecar one column":
-        node_lines.append([referenced[0]])
+    defects = draw(st.lists(st.sampled_from(_DEFECTS), max_size=2)) if lines else []
+    if node_lines is None:
+        defects = [d for d in defects if not d.startswith("sidecar")]
+    for defect in defects:
+        at = draw(st.integers(0, len(lines) - 1))
+        if defect == "second label spelling":
+            spelling = draw(st.sampled_from((lines[at][1].upper(), lines[at][1] + " x")))
+            lines.insert(draw(st.integers(0, len(lines))),
+                         [lines[at][0], spelling, *lines[at][2:]])
+        elif defect == "empty label":
+            lines[at][-1] = draw(st.sampled_from(_PADS))
+        elif defect == "empty id":
+            lines[at][0] = draw(st.sampled_from(_PADS))
+        elif defect == "four columns":
+            del lines[at][2]
+        elif defect == "sidecar unknown id":
+            node_lines.insert(draw(st.integers(0, len(node_lines))), ["Zzz", "desc"])
+        elif defect == "sidecar one column":
+            node_lines.insert(draw(st.integers(0, len(node_lines))), [referenced[0]])
     for rows in filter(None, (lines, node_lines)):
         for _ in range(draw(st.integers(0, 2))):
             rows.insert(draw(st.integers(0, len(rows))), [draw(st.sampled_from(_BLANKS))])
@@ -491,7 +515,7 @@ def tsv_snapshots(draw):
             ends[-1] = ""  # no final newline
         return "".join("\t".join(row) + end for row, end in zip(rows, ends))
 
-    return text(lines), None if node_lines is None else text(node_lines), defect
+    return text(lines), None if node_lines is None else text(node_lines), defects
 
 
 def _write_snapshot(directory, snapshot, nodes):
@@ -502,16 +526,22 @@ def _write_snapshot(directory, snapshot, nodes):
     return path
 
 
-def _row_decoded(path) -> KnowledgeGraph:
-    """The graph of a TSV snapshot through the row decoder alone."""
-    reader = kg_module._SnapshotReader()
-    with path.open(encoding="utf-8") as lines:
-        reader.read_edges(kg_module._tsv_rows(lines, node_file=False))
-    sidecar = path.with_name(f"{path.stem}.nodes.tsv")
-    if sidecar.is_file():
-        with sidecar.open(encoding="utf-8") as lines:
-            reader.read_nodes(kg_module._tsv_rows(lines, node_file=True))
-    return reader.finish(lenient=False)
+def _all_rows(load, *args, **kwargs):
+    """load(*args, **kwargs) with every snapshot block sent to the row decoder."""
+    with patch.object(kg_module._SnapshotDecoder, "code_clean_block", lambda self, block: False):
+        return load(*args, **kwargs)
+
+
+def _loaded(path, lenient: bool):
+    """The summary of a TSV snapshot's graph, or the errors that fail its load."""
+    try:
+        return _graph_summary(load_kg(path, "tsv", lenient=lenient))
+    except KgLoadError as err:
+        return err.errors
+
+
+def _no_row_decoder(*args):
+    raise AssertionError("row decoder used")
 
 
 def _graph_summary(kg: KnowledgeGraph) -> dict:
@@ -538,34 +568,48 @@ class TestBlockDecoder:
         assert g.edges == apollo_kg.edges
         assert list(g.nodes.values()) == list(apollo_kg.nodes.values())
 
-    @given(tsv_snapshots())
-    @example(("A\tAlpha\trel\tA\tAlpha\r\nA\tAlpha\trel\tA\tAlpha", "A\t\tUSA|usa\n", None))
-    @example(("A\tAlpha\trel\tA\tAlpha\n\n", "A\tdesc\n \t\n", None))
+    @given(tsv_snapshots(), st.sampled_from((1, 40, 65536)))
+    @example(("A\tAlpha\trel\tA\tAlpha\r\nA\tAlpha\trel\tA\tAlpha", "A\t\tUSA|usa\n", []), 65536)
+    @example(("A\tAlpha\trel\tA\tAlpha\n\n", "A\tdesc\n \t\n", []), 65536)
+    # B is first seen unlabelled in a block that goes row by row, then
+    # labelled in a later block that is clean on its own.
+    @example(("A\tAlpha\trel\tB\t\nB\tBeta\trel\tA\tAlpha\n", None, ["empty label"]), 1)
+    # The second block codes Q10 and then meets its second spelling, so the
+    # code is dropped again and the first spelling wins.
+    @example(("A\tAlpha\trel\tA\tAlpha\nQ10\tGamma\trel\tQ10\tGAMMA\n", None,
+              ["second label spelling"]), 1)
     @settings(max_examples=300, deadline=None)
-    def test_same_graph_as_row_decoder(self, snapshot):
-        text, nodes, defect = snapshot
-        with tempfile.TemporaryDirectory() as tmp:
+    def test_same_graph_as_row_decoder(self, snapshot, block_chars):
+        text, nodes, defects = snapshot
+        with tempfile.TemporaryDirectory() as tmp, \
+                patch.object(kg_module, "_BLOCK_CHARS", block_chars):
             path = _write_snapshot(Path(tmp), text, nodes)
-            fast = kg_module._load_clean_tsv(path, None)
-            if defect:
-                assert fast is None
-            else:
-                assert fast is not None
-                assert _graph_summary(fast) == _graph_summary(_row_decoded(path))
+            for lenient in (False, True):
+                assert _loaded(path, lenient) == _all_rows(_loaded, path, lenient)
+            if all(d.startswith("sidecar") for d in defects):
+                with patch.object(kg_module, "_tsv_rows", _no_row_decoder):
+                    _loaded(path, lenient=True)
 
+    def test_each_line_decoded_once(self, tmp_path):
+        lines = ["A\tAlpha\trel\tB\tBeta\n", "B\tBeta\trel\tC\tGamma\n",
+                 "C\tGamma\trel\tA\tAlpha\n", "bad row\n",
+                 "A\tAlpha\tREL\tC\tGamma\n", "C\tGamma\trel\tB\tBeta\n"]
+        path = tmp_path / "kg.tsv"
+        path.write_text("".join(lines), encoding="utf-8")
+        decode, calls = kg_module._tsv_rows, []
 
-class TestRowDecoderSharesNames:
-    @pytest.mark.parametrize("decode, line", [
-        (kg_module._tsv_rows, "Q1\tOne\trel\tQ2\tTwo\n"),
-        (kg_module._jsonl_rows, '{"s_id": "Q1", "s_label": "One", "p": "rel", '
-                                '"o_id": "Q2", "o_label": "Two"}\n'),
-    ])
-    def test_one_string_per_distinct_id_and_predicate(self, decode, line):
-        reader = kg_module._SnapshotReader()
-        reader.read_edges(decode([line, line], node_file=False))
-        first, second = reader.triplets
-        assert first == second
-        assert all(a is b for a, b in zip(first, second))
+        def recorded(lines, *args, **kwargs):
+            calls.append(list(lines))
+            return decode(calls[-1], *args, **kwargs)
+
+        # Blocks of two lines each: each line has at most 20 characters, and
+        # any two together have more.
+        with patch.object(kg_module, "_BLOCK_CHARS", 20), \
+                patch.object(kg_module, "_tsv_rows", recorded):
+            g = load_kg(path, "tsv", lenient=True)
+        assert calls == [lines[2:4]]
+        assert g.load_report == ("skipped: line 4: expected 5 tab-separated columns, got 1",)
+        assert len(g.edges) == 5
 
 
 class TestViews:
@@ -585,7 +629,7 @@ class TestViews:
     def test_edges_equal_the_row_decoders(self, tsv_kg_path):
         edges = load_kg(tsv_kg_path, "tsv").edges
         assert type(edges) is tuple and all(type(t) is Triplet for t in edges)
-        assert edges == _row_decoded(Path(tsv_kg_path)).edges
+        assert edges == _all_rows(load_kg, tsv_kg_path, "tsv").edges
 
     def test_instances_keep_a_dict(self, tsv_kg_path):
         # The traced benchmark patches kg.neighbors on the instance.
@@ -700,7 +744,7 @@ class TestLoadPausesGc:
         (gc.enable if enabled else gc.disable)()
 
     def test_paused_during_load_and_restored(self, tsv_kg_path, monkeypatch):
-        # Both decoders hand their columns to KnowledgeGraph._index.
+        # Every file load reaches KnowledgeGraph._index from _SnapshotDecoder.finish.
         seen = []
         index = KnowledgeGraph._index
         monkeypatch.setattr(KnowledgeGraph, "_index",
