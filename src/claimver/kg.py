@@ -440,15 +440,15 @@ class _SnapshotDecoder:
     def __init__(self):
         self.position: dict[NodeId, int] = {}
         self.labels: list[str] = []
-        self.descriptions: dict[int, str] = {}
-        self.aliases: dict[int, tuple[str, ...]] = {}
+        # Descriptions and aliases by code, from the end of the snapshot on.
+        self.descriptions: list[str] = []
+        self.aliases: list[tuple[str, ...]] = []
         # The line of the first reference, kept only for codes first seen
         # without a label: a dangling reference is reported at that line.
         self.first_ref: dict[int, int] = {}
         self.predicates: dict[str, int] = {}
-        # The s, p and o code columns of each block; one block once the
-        # snapshot ends, so the per-block arrays are freed before the node
-        # file is read.
+        # The s, p and o code columns of each block, joined into one when the
+        # snapshot ends, so the per-block arrays are freed before the node file.
         self.blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self.errors: list[str] = []
         self.report: list[str] = []
@@ -462,6 +462,7 @@ class _SnapshotDecoder:
             line += len(block)
         self.blocks = [tuple(map(np.concatenate, zip(*self.blocks)))
                        or (np.zeros(0, dtype=np.int32),) * 3]
+        self.descriptions, self.aliases = [""] * len(self.labels), [()] * len(self.labels)
 
     def code_clean_block(self, block: list[str]) -> bool:
         """Code a block of TSV lines that the row decoder would take as they
@@ -532,47 +533,49 @@ class _SnapshotDecoder:
     def read_tsv_nodes(self, lines: Iterable[str]):
         """The lines of a TSV node file: id, description and optional aliases
         joined by "|". Such a row carries no label, so its id must be known."""
+        position, descriptions, aliases = self.position, self.descriptions, self.aliases
         for line_no, line in enumerate(lines, 1):
-            if line.isspace():
-                continue
             cols = line.split("\t")
-            if not 2 <= len(cols) <= 3:
-                self.errors.append(f"line {line_no} (node file): expected 2 or 3 "
-                                   f"tab-separated columns, got {len(cols)}")
-                continue
             node_id = cols[0].strip()
-            code = self.position.get(node_id)
+            code = position.get(node_id) if 2 <= len(cols) <= 3 else None
             if code is None:
-                self.errors.append(f"line {line_no} (node file): " + (
-                    f"unknown node id {node_id!r}" if node_id else "empty node id"))
+                if not 2 <= len(cols) <= 3:
+                    error = f"expected 2 or 3 tab-separated columns, got {len(cols)}"
+                else:
+                    error = f"unknown node id {node_id!r}" if node_id else "empty node id"
+                if not line.isspace():
+                    self.errors.append(f"line {line_no} (node file): {error}")
                 continue
+            description = cols[1].strip()
+            if description and not descriptions[code]:
+                descriptions[code] = description
             names = cols[2].strip() if len(cols) == 3 else ""
-            self.describe(code, cols[1].strip(), names.split("|") if names else ())
+            if names:
+                aliases[code] = _merge_aliases(aliases[code], names.split("|"))
 
     def read_jsonl_nodes(self, lines: Iterable[str]):
         """The lines of a JSONL node file; its rows carry a label, so they may add nodes."""
+        descriptions, aliases = self.descriptions, self.aliases
         for line_no, row in _jsonl_rows(lines, node_file=True):
             if isinstance(row, str):
                 self.errors.append(f"line {line_no} (node file): {row}")
-            elif not row[0]:
-                self.errors.append(f"line {line_no} (node file): empty node id")
-            else:
-                node_id, label, description, names = row
-                self.describe(self.code(node_id, label, line_no), description, names)
-
-    def describe(self, code: int, description: str, names: Iterable[str]):
-        """Keep a node's first non-empty description and add its new aliases."""
-        if description:
-            self.descriptions.setdefault(code, description)
-        if names:
-            self.aliases[code] = _merge_aliases(self.aliases.get(code, ()), names)
+                continue
+            node_id, label, description, names = row
+            code = self.code(node_id, label, line_no)
+            if code == len(descriptions):  # a node that no edge names
+                descriptions.append("")
+                aliases.append(())
+            if description and not descriptions[code]:
+                descriptions[code] = description
+            if names:
+                aliases[code] = _merge_aliases(aliases[code], names)
 
     def finish(self, lenient: bool) -> KnowledgeGraph:
         """The graph of everything read; empties the tables first, so they
         are freed before the graph is indexed."""
         position, labels = self.position, self.labels
         ids = sorted(position)
-        dangling = [nid for nid in ids if not labels[position[nid]]]
+        dangling = [nid for nid in ids if not labels[position[nid]]] if "" in labels else []
         self.errors.extend(f"line {self.first_ref[position[nid]]}: dangling node reference "
                            f"{nid!r} (no label found)" for nid in dangling)
         if self.errors and not lenient:
@@ -591,8 +594,8 @@ class _SnapshotDecoder:
         new[old] = np.arange(len(ids), dtype=np.int32)
         s, o = new[s], new[o]
         labels = list(map(labels.__getitem__, old))
-        descriptions = [self.descriptions.get(code, "") for code in old]
-        aliases = [self.aliases.get(code, ()) for code in old]
+        descriptions = list(map(self.descriptions.__getitem__, old))
+        aliases = list(map(self.aliases.__getitem__, old))
         del old, new
         for table in (self.position, self.labels, self.descriptions, self.aliases, self.first_ref):
             table.clear()
@@ -644,10 +647,10 @@ def _jsonl_rows(lines: Iterable[str], start: int = 1, node_file: bool = False) -
             if not isinstance(aliases, list) or any(
                     a is not None and not isinstance(a, str) for a in aliases):
                 yield line_no, "aliases must be a list of strings"
-                continue
-            node_id, label, description = values
-            yield line_no, (node_id, label, description,
-                            [a for a in aliases if a is not None])
+            elif not values[0]:
+                yield line_no, "empty node id"
+            else:
+                yield line_no, (*values, [a for a in aliases if a is not None])
         else:
             s_id, s_label, pred, o_id, o_label = values
             if not s_id or not pred or not o_id:
