@@ -10,14 +10,14 @@ sorted ids, so code order is id order and every tie breaks as it would on
 ids; ids and Triplet objects are made only for the paths returned, one
 Triplet per edge in a call.
 
-Each pair is searched from its smaller id u toward v. One BFS from each
-distinct v, to radius max_hops - 1, gives the ball levels that every pair
-ending at v shares: a step that leaves `budget` edges may only enter the
-ball of radius `budget`. Each step scans the smaller side. A tail with no
-more neighbors than the ball has members filters its neighbor codes through
-the ball; a hub looks up the ball's sorted codes in its neighbors, by
-bisection when the ball is small and else with one np.searchsorted in its
-CSR row.
+Each pair is searched from its smaller id u toward v by joins of sorted
+neighbor rows: a length-1 path is one bisection in u's row, the length-2
+paths are the common neighbors of u and v, and a longer path is a partial
+path from u whose tail has common neighbors with v. Up to three hops this
+needs no search around v; the length-3 paths are joined from whichever end
+has the shorter row. From four hops on, one BFS from each distinct v, to
+radius max_hops - 2, prunes the partial paths of two or more edges that
+cannot reach v in time.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import combinations, islice
 from typing import Iterable
-
-import numpy as np
 
 from .kg import KnowledgeGraph, NodeId, Triplet
 
@@ -38,11 +36,12 @@ class RetrievalConfig:
     max_paths_per_pair: int = 4
 
     def __post_init__(self):
-        if self.max_hops < 1:
-            raise ValueError(f"max_hops must be >= 1, got {self.max_hops}")
-        if self.max_paths_per_pair < 1:
-            raise ValueError(
-                f"max_paths_per_pair must be >= 1, got {self.max_paths_per_pair}")
+        for name in ("max_hops", "max_paths_per_pair"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -80,44 +79,11 @@ class RetrievedTriplets:
         object.__setattr__(self, "triplets", tuple(seen))
 
 
-# Ball size from which a hub step looks the ball's members up with one
-# np.searchsorted in the hub's CSR row rather than one bisection each. Per
-# step, timed on hub rows of the verify-hubs graph: 8 members 2.3 us by
-# bisection against 4.6 us by searchsorted, 16 members 5.8 against 5.4 us,
-# 32 members 10.6 against 6.5 us. At 2 hops only 3.5% of verify-hubs hub
-# steps reach 16 members, but they hold 78% of the members looked up, and
-# without this branch retrieval of the first 30 documents took 1.7 rather
-# than 1.25 ms CPU per document.
-_SEARCHSORTED_MIN = 16
-
-
-class _Ball:
-    """The nodes within each radius of a target, by BFS over codes.
-
-    dist holds the codes in BFS order with their hop distances, so the ball
-    of radius b is its first ends[b] keys. A radius's members are sorted on
-    first use, to be looked up in a hub's neighbors.
-    """
-
-    __slots__ = ("dist", "ends", "_sorted")
-
-    def __init__(self, dist: dict[int, int], ends: list[int]):
-        self.dist, self.ends = dist, ends
-        self._sorted: dict[int, list[int]] = {}
-
-    def sorted_members(self, radius: int) -> list[int]:
-        """The codes within radius hops in ascending order."""
-        members = self._sorted.get(radius)
-        if members is None:
-            members = self._sorted[radius] = sorted(islice(self.dist, self.ends[radius]))
-        return members
-
-
-def _distances_from(kg: KnowledgeGraph, source: int, limit: int) -> _Ball:
-    """The ball of radius limit around the node with code source."""
+def _distances_from(kg: KnowledgeGraph, source: int, limit: int) -> dict[int, int]:
+    """The hop distance from the node with code source to each node within
+    limit hops, in BFS order."""
     neighbor_codes = kg._neighbor_codes
     dist = {source: 0}
-    ends = [1]
     start = 0  # where the nodes at distance d - 1 begin in dist
     for d in range(1, limit + 1):
         frontier = list(islice(dist, start, None))
@@ -126,55 +92,52 @@ def _distances_from(kg: KnowledgeGraph, source: int, limit: int) -> _Ball:
             for nbr in neighbor_codes(node):
                 if nbr not in dist:
                     dist[nbr] = d
-        ends.append(len(dist))
-    return _Ball(dist, ends)
+    return dist
 
 
-def _pair_paths(kg: KnowledgeGraph, u: int, v: int, ball: _Ball,
-                config: RetrievalConfig) -> list[tuple[int, ...]]:
-    """Shortest simple u-v paths as code tuples, level-synchronous over
-    partial paths.
+def _pair_paths(kg: KnowledgeGraph, u: int, v: int, config: RetrievalConfig,
+                dist: dict[int, int] | None) -> list[tuple[int, ...]]:
+    """The first max_paths_per_pair simple u-v paths in (length, code
+    sequence) order, as code tuples.
 
-    Expanding partial paths in lexicographic order with sorted neighbor codes
-    yields completions already sorted by (length, code sequence), so the
-    found list needs no final sort. ball is _distances_from(kg, v,
-    max_hops - 1): a step is kept only into the ball of radius `budget` (the
-    edges left after it), so a partial path that cannot reach v in time is
-    never made. The step scans the smaller side: the tail's neighbor codes
-    filtered by the ball, or the ball's sorted codes looked up in the tail's
-    neighbors: by bisection for a small ball, else with one np.searchsorted.
+    A path of j + 2 edges is a partial path of j edges from u whose tail is
+    joined to v through their common neighbors. Partial paths are extended
+    in lexicographic order through sorted neighbor codes, so each length's
+    paths come out sorted and the search stops at the k-th path. dist is
+    _distances_from(kg, v, max_hops - 2), or None when max_hops <= 3: a
+    partial path of j >= 2 edges is kept only if its tail is within
+    max_hops - j hops of v.
+
+    At max_hops = 3 the length-3 paths are joined from the end with the
+    shorter neighbor row. From u, u's neighbors are walked in order up to
+    the k-th path; from v, every (a, b) with b a neighbor of v and a one of
+    u is collected and sorted. Hubs have the smallest ids, so u is mostly
+    the hub. In-process CPU per call: joining always from u took 0.47 ms on
+    datagen-corpus and 36 ms on a verify-hubs document, against 0.15 and
+    6.8 ms by this rule; weighting the rule 2x or 4x toward either end
+    changed neither.
     """
-    neighbor_codes, dist_v = kg._neighbor_codes, ball.dist
-    found: list[tuple[int, ...]] = []
-    frontier: list[tuple[int, ...]] = [(u,)]
-    budget = config.max_hops
-    while frontier and len(found) < config.max_paths_per_pair:
-        budget -= 1  # edges left after one more step
-        size = ball.ends[budget]
-        members = keys = None
-        nxt: list[tuple[int, ...]] = []
-        for partial in frontier:
-            tail = partial[-1]
-            nbrs = neighbor_codes(tail)
-            if size < len(nbrs):
-                if members is None:
-                    members = ball.sorted_members(budget)
-                if size < _SEARCHSORTED_MIN:
-                    steps = [m for m in members
-                             if (i := bisect_left(nbrs, m)) < len(nbrs) and nbrs[i] == m]
-                else:
-                    if keys is None:
-                        keys = np.array(members, dtype=np.int32)
-                    steps = kg._neighbors_among(tail, keys)
-            else:
-                steps = [n for n in nbrs if dist_v.get(n, budget + 1) <= budget]
-            for nbr in steps:
-                if nbr == v:
-                    found.append(partial + (v,))
-                elif nbr not in partial:
-                    nxt.append(partial + (nbr,))
-        frontier = nxt
-    return found[:config.max_paths_per_pair]
+    neighbor_codes, common = kg._neighbor_codes, kg._common_neighbors
+    k, hops = config.max_paths_per_pair, config.max_hops
+    u_nbrs = neighbor_codes(u)
+    i = bisect_left(u_nbrs, v)
+    found = [(u, v)] if i < len(u_nbrs) and u_nbrs[i] == v else []
+    level: list[tuple[int, ...]] = [(u,)]
+    for j in range(hops - 1):  # level holds the partial paths of j edges
+        if len(found) >= k:
+            break
+        if j == 1 and hops == 3 and len(neighbor_codes(v)) < len(u_nbrs):
+            found += sorted((u, a, b, v) for b in neighbor_codes(v) if b != u and b != v
+                            for a in common(b, u) if a != u and a != v and a != b)
+            break
+        if j:
+            level = [p + (x,) for p in level for x in neighbor_codes(p[-1])
+                     if x != v and x not in p and (j < 2 or dist.get(x, hops) <= hops - j)]
+        for p in level:
+            found += [p + (m, v) for m in common(p[-1], v) if m != v and m not in p]
+            if len(found) >= k:
+                break
+    return found[:k]
 
 
 def _materialize(kg: KnowledgeGraph, codes: tuple[int, ...],
@@ -202,9 +165,9 @@ def retrieve(kg: KnowledgeGraph, seeds: Iterable[NodeId],
     triplets: dict[int, Triplet] = {}
     by_pair: dict[tuple[int, int], list[KgPath]] = {}
     for j, v in enumerate(codes[1:], 1):
-        ball = _distances_from(kg, v, config.max_hops - 1)
+        dist = _distances_from(kg, v, config.max_hops - 2) if config.max_hops >= 4 else None
         for u in codes[:j]:
             by_pair[u, v] = [_materialize(kg, p, triplets)
-                             for p in _pair_paths(kg, u, v, ball, config)]
+                             for p in _pair_paths(kg, u, v, config, dist)]
     return RetrievedTriplets(paths=tuple(
         p for pair in combinations(codes, 2) for p in by_pair[pair]))

@@ -665,6 +665,33 @@ class TestNeighborTuples:
                 assert shared.setdefault(nbr, nbr) is nbr
         assert max(shared) > 256
 
+    def test_id_table_shares_the_code_ints(self, tmp_path):
+        ring = _ring_with_hubs()
+        path = tmp_path / "ring.tsv"
+        path.write_text("".join(f"{t.subject}\tnode {t.subject}\t{t.predicate}\t"
+                                f"{t.object}\tnode {t.object}\n" for t in ring.edges))
+        for g in (ring, load_kg(path)):
+            assert len(g.nodes) > 256
+            assert all(g._position[i] is g._code_ints[g._position[i]] for i in g.nodes)
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_common_neighbors_match_sets(self, rng):
+        # Rows drawn on both sides of the lengths from which two rows are
+        # intersected on the CSR, with the odd self-loop.
+        short_min, long_min = kg_module._SEARCHSORTED_ROWS
+        ids = [f"N{i:03d}" for i in range(long_min + 40)]
+        hubs = rng.sample(ids, 4)
+        triplets = [Triplet(h, "p", o) for h in hubs
+                    for o in rng.sample(ids, rng.randint(short_min - 4, len(ids)))]
+        triplets += [Triplet(rng.choice(ids), "q", rng.choice(ids)) for _ in range(60)]
+        g = KnowledgeGraph([KgNode(i, i.lower()) for i in ids], triplets)
+        for a in [*hubs, *rng.sample(ids, 4)]:
+            for b in hubs:
+                expected = sorted({g._code(n) for n in g.neighbors(a)}
+                                  & {g._code(n) for n in g.neighbors(b)})
+                assert g._common_neighbors(g._code(a), g._code(b)) == expected
+
     def test_threads_racing_on_first_use_get_equal_tuples(self):
         g = _ring_with_hubs()
         codes = list(range(len(g.nodes)))

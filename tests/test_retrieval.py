@@ -4,10 +4,10 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from claimver import retrieval
+from claimver import kg as kg_module, retrieval
 from claimver.errors import UnknownNodeError
 from claimver.kg import KgNode, KnowledgeGraph, Triplet
 from claimver.retrieval import KgPath, RetrievalConfig, RetrievedTriplets, retrieve
@@ -24,6 +24,13 @@ class TestConfig:
     @pytest.mark.parametrize("kwargs", [{"max_hops": 0}, {"max_paths_per_pair": 0}])
     def test_rejects_nonpositive(self, kwargs):
         with pytest.raises(ValueError):
+            RetrievalConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"max_hops": 2.5}, {"max_hops": 3.0}, {"max_hops": True}, {"max_hops": "3"},
+        {"max_paths_per_pair": 1.5}, {"max_paths_per_pair": False}, {"max_paths_per_pair": None}])
+    def test_rejects_non_int(self, kwargs):
+        with pytest.raises(ValueError, match="must be an int"):
             RetrievalConfig(**kwargs)
 
 
@@ -185,7 +192,7 @@ class TestRetrieveMatchesOracle:
             assert narrow_pairs <= wide_pairs
 
     @settings(max_examples=150, deadline=None)
-    @given(st.randoms(use_true_random=False), st.integers(1, 4), st.integers(1, 6))
+    @given(st.randoms(use_true_random=False), st.integers(1, 5), st.integers(1, 6))
     def test_hub_graphs(self, rng, max_hops, max_paths):
         kg = hub_graph(rng)
         by_degree = sorted(kg.nodes, key=lambda n: -len(kg.neighbors(n)))
@@ -200,7 +207,7 @@ class TestRetrieveMatchesOracle:
             assert got.get((u, v), []) == expected[:max_paths]
 
     @settings(max_examples=150, deadline=None)
-    @given(st.randoms(use_true_random=False), st.integers(1, 4), st.integers(1, 6),
+    @given(st.randoms(use_true_random=False), st.integers(1, 5), st.integers(1, 6),
            st.sampled_from([40, 80]))
     def test_hub_graphs_match_id_level_reference(self, rng, max_hops, max_paths, max_nodes):
         # The whole result, path edges and triplet order included, against
@@ -225,13 +232,15 @@ class TestRetrieveMatchesOracle:
     @settings(max_examples=60, deadline=None)
     @given(st.randoms(use_true_random=False), st.integers(1, 3), st.integers(1, 40))
     def test_large_balls_match_id_level_reference(self, rng, max_hops, max_paths):
-        # Hub H shares a pool with hub P25x, whose radius-1 ball is large
-        # enough for H's first step to search it in H's CSR row. Pool codes
-        # sort on both sides of P25x; a few pool edges, a parallel twin and
-        # pool seeds add steps that bisect or scan.
-        pool = [f"P{i:02d}" for i in range(60)]
-        small = rng.sample(pool, rng.randint(retrieval._SEARCHSORTED_MIN, 40))
-        large = rng.sample(pool, rng.randint(len(small) + 2, 60))
+        # Hubs H and P25x share a pool. Their rows are drawn on both sides
+        # of the lengths from which two rows are intersected on the CSR
+        # rather than by bisection, and pool codes sort on both sides of
+        # P25x; a few pool edges, a parallel twin and pool seeds add joins
+        # of short rows.
+        short_min, long_min = kg_module._SEARCHSORTED_ROWS
+        pool = [f"P{i:02d}" for i in range(long_min + 26)]
+        small = rng.sample(pool, rng.randint(short_min - 6, short_min + 24))
+        large = rng.sample(pool, rng.randint(len(small) + 2, len(pool)))
         pairs = ([("H", p) for p in large] + [("P25x", p) for p in small]
                  + [tuple(rng.sample(pool, 2)) for _ in range(rng.randint(0, 20))])
         triplets = [Triplet(*((a, "p", b) if rng.random() < 0.5 else (b, "p", a)))
@@ -245,6 +254,52 @@ class TestRetrieveMatchesOracle:
         expected = retrieve_oracle(kg, seeds, cfg)
         assert got.paths == expected.paths
         assert got.triplets == expected.triplets
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(1, 7), st.booleans(), st.booleans())
+    @example(random.Random(5), 7, True, False)
+    @example(random.Random(5), 7, False, True)
+    def test_hub_pairs_joined_from_v(self, rng, max_paths, self_loop, twin):
+        # Hubs U and V share part of a pool and V's row is the shorter, so
+        # the length-3 U-V paths are joined from V's end and then sorted.
+        # A self-loop on a middle node must not enter a path, and a parallel
+        # twin of a middle edge must not replace the first stored edge.
+        pool = [f"P{i:02d}" for i in range(40)]
+        u_side = rng.sample(pool, rng.randint(10, 40))
+        v_side = rng.sample(pool, rng.randint(1, len(u_side) - 1))
+        pairs = ([("U", p) for p in u_side] + [("V", p) for p in v_side]
+                 + [tuple(rng.sample(pool, 2)) for _ in range(rng.randint(0, 30))]
+                 + [("U", "V")] * rng.randint(0, 1))
+        triplets = [Triplet(*((a, "p", b) if rng.random() < 0.5 else (b, "p", a)))
+                    for a, b in pairs]
+        if self_loop:
+            middle = rng.choice(sorted(set(u_side) & set(v_side)) or v_side)
+            triplets.insert(rng.randint(0, len(triplets)), Triplet(middle, "loop", middle))
+        if twin:
+            t = rng.choice(triplets[len(u_side):])
+            triplets.insert(rng.randint(0, len(triplets)), Triplet(t.object, "twin", t.subject))
+        kg = KnowledgeGraph([KgNode(i, i.lower()) for i in ["U", "V", *pool]], triplets)
+        assert len(kg.neighbors("V")) < len(kg.neighbors("U"))
+        cfg = RetrievalConfig(max_hops=3, max_paths_per_pair=max_paths)
+        got = retrieve(kg, ["U", "V"], cfg)
+        expected = retrieve_oracle(kg, ["U", "V"], cfg)
+        assert got.paths == expected.paths
+        assert got.triplets == expected.triplets
+
+    @pytest.mark.parametrize("max_hops", [1, 2, 3, 4])
+    def test_ball_built_only_from_four_hops(self, monkeypatch, max_hops):
+        calls, distances_from = [], retrieval._distances_from
+
+        def counted(kg, source, limit):
+            calls.append(limit)
+            return distances_from(kg, source, limit)
+        monkeypatch.setattr(retrieval, "_distances_from", counted)
+        kg = hub_graph(random.Random(11), max_nodes=40)
+        by_degree = sorted(kg.nodes, key=lambda n: -len(kg.neighbors(n)))
+        seeds = [*by_degree[:3], *sorted(kg.nodes)[:3]]
+        cfg = RetrievalConfig(max_hops=max_hops, max_paths_per_pair=6)
+        assert retrieve(kg, seeds, cfg) == retrieve_oracle(kg, seeds, cfg)
+        assert calls == ([] if max_hops <= 3 else [2] * (len(set(seeds)) - 1))
 
     def test_determinism(self, apollo_kg):
         seeds = ["Q43653", "Q1615", "Q405", "Q30"]
