@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import base64
+import functools
 import hashlib
+import json
 import logging
 import os
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
@@ -15,7 +19,7 @@ from .retrieval import RetrievedTriplets
 from .text import format_triplet, normalized_find
 
 if TYPE_CHECKING:
-    import requests
+    import http.client
 
 logger = logging.getLogger(__name__)
 
@@ -216,24 +220,51 @@ class BackendConfig:
             raise ValueError(f"backoff_base must be > 0, got {self.backoff_base}")
 
 
-def _retry_after(resp: requests.Response, cap: float) -> float | None:
-    """Seconds asked for by a numeric Retry-After header, at most cap."""
+def _retry_after(value: str | None, cap: float) -> float | None:
+    """Seconds asked for by a numeric Retry-After header value, at most cap."""
     try:
-        seconds = float(resp.headers.get("Retry-After", ""))
+        seconds = float(value or "")
     except ValueError:
         return None
     return min(seconds, cap) if seconds >= 0 else None
+
+
+def _proxy_for(scheme: str, netloc: str) -> tuple[str, int, dict[str, str]] | None:
+    """(host, port, auth headers) of the proxy the environment names for
+    scheme://netloc, or None when there is none or NO_PROXY bypasses it."""
+    import urllib.request
+    from urllib.parse import unquote, urlsplit
+
+    proxies = urllib.request.getproxies()
+    proxy = proxies.get(scheme) or proxies.get("all")
+    if not proxy or urllib.request.proxy_bypass(netloc):
+        return None
+    url = urlsplit(proxy if "://" in proxy else "http://" + proxy)
+    if url.scheme != "http" or not url.hostname:
+        raise ValueError(f"unsupported proxy {proxy!r}: only http:// proxies work")
+    auth = {}
+    if url.username is not None:
+        credentials = f"{unquote(url.username)}:{unquote(url.password or '')}"
+        auth["Proxy-Authorization"] = (
+            "Basic " + base64.b64encode(credentials.encode("utf-8")).decode("ascii"))
+    return url.hostname, url.port or 80, auth
 
 
 class _EndpointClient:
     """Thread-safe JSON POST client for an endpoint; _kind names its requests
     in log lines and errors.
 
-    The client does not cap concurrent requests itself; run_pipeline bounds
-    them with its chunk worker pool (pipeline._PARALLEL_CHUNKS). 5xx, 429
-    and timeouts are retried with exponential backoff, or after a 429's
-    numeric Retry-After (at most config.timeout); 401/403 raise
-    BackendAuthError, other 4xx BackendError.
+    Requests go over stdlib http.client keep-alive connections, kept on one
+    idle stack that every thread using the client shares. Proxy variables
+    (HTTP(S)_PROXY, ALL_PROXY, NO_PROXY) are read once, when the client is
+    built; an https endpoint behind a proxy is reached through a CONNECT
+    tunnel. Redirects are not followed. The client does not cap concurrent
+    requests itself; run_pipeline bounds them (pipeline._PARALLEL_CHUNKS).
+    5xx, 429 and timeouts are retried with exponential backoff, or after a
+    429's numeric Retry-After (at most config.timeout); 401/403 raise
+    BackendAuthError, other 3xx and 4xx BackendError. A request that a
+    reused connection drops before any response arrives is sent once more on
+    a fresh connection, without spending an attempt.
     """
 
     _kind = "request"
@@ -241,20 +272,97 @@ class _EndpointClient:
     def __init__(self, config: BackendConfig):
         # The HTTP stack is loaded only by a client, so importing the package
         # or running with a callable or mock backend never loads it.
-        import requests
+        import http.client
+        from urllib.parse import urlsplit
+
+        from . import __version__
 
         self.config = config
-        self._session = requests.Session()
+        url = urlsplit(config.base_url.rstrip("/"))
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"base_url must be an http:// or https:// URL, got "
+                             f"{config.base_url!r}")
+        host, port = url.hostname, url.port or (443 if url.scheme == "https" else 80)
+        netloc = url.netloc.rpartition("@")[2]
+        self._target = url.path
+        self._headers = {"Content-Type": "application/json",
+                         "User-Agent": f"claimver/{__version__}"}
+        if config.api_key:
+            self._headers["Authorization"] = f"Bearer {config.api_key}"
+        self._tunnel = None
+        proxy = _proxy_for(url.scheme, netloc)
+        if proxy:
+            proxy_host, proxy_port, auth = proxy
+            if url.scheme == "https":
+                self._tunnel = (host, port, auth)
+            else:
+                self._target = f"http://{netloc}{url.path}"
+                self._headers.update(auth)
+            host, port = proxy_host, proxy_port
+        if url.scheme == "https":
+            import ssl
+            self._new_connection = functools.partial(
+                http.client.HTTPSConnection, host, port, timeout=config.timeout,
+                context=ssl.create_default_context())
+        else:
+            self._new_connection = functools.partial(
+                http.client.HTTPConnection, host, port, timeout=config.timeout)
+        self._failures = (OSError, http.client.HTTPException)
+        self._idle: list[http.client.HTTPConnection] = []
+        self._lock = threading.Lock()
+
+    def close(self):
+        """Close the idle connections; a later request opens a new one."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+    def _connection(self) -> http.client.HTTPConnection:
+        conn = self._new_connection()
+        if self._tunnel:
+            conn.set_tunnel(*self._tunnel)
+        return conn
+
+    def _exchange(self, path: str, payload: bytes) -> tuple[int, str | None, bytes]:
+        """(status, Retry-After header, body) of one POST to {base_url}{path}."""
+        with self._lock:
+            conn = self._idle.pop() if self._idle else None
+        reused = conn is not None
+        if conn is None:
+            conn = self._connection()
+        target = self._target + path
+        try:
+            try:
+                conn.request("POST", target, payload, self._headers)
+                resp = conn.getresponse()
+            except (ConnectionResetError, BrokenPipeError):
+                # The server closed the idle connection before answering:
+                # send once more, on a fresh connection.
+                if not reused:
+                    raise
+                conn.close()
+                conn.request("POST", target, payload, self._headers)
+                resp = conn.getresponse()
+            body = resp.read()
+        except BaseException:
+            conn.close()
+            raise
+        if not resp.will_close:
+            with self._lock:
+                self._idle.append(conn)
+        return resp.status, resp.getheader("Retry-After"), body
 
     def _post(self, path: str, body: dict) -> Any:
         """The decoded JSON body of a 200 response to POST {base_url}{path}."""
-        import requests
-
         cfg = self.config
-        url = cfg.base_url.rstrip("/") + path
-        headers = {}
-        if cfg.api_key:
-            headers["Authorization"] = f"Bearer {cfg.api_key}"
+        payload = json.dumps(body).encode("utf-8")
         last_error = "exhausted retries"
         wait = None
         for attempt in range(cfg.max_retries + 1):
@@ -262,29 +370,28 @@ class _EndpointClient:
                 time.sleep(cfg.backoff_base * 2 ** (attempt - 1) if wait is None else wait)
             wait = None
             try:
-                resp = self._session.post(url, json=body, headers=headers,
-                                          timeout=cfg.timeout)
-            except requests.Timeout:
+                status, retry_after, data = self._exchange(path, payload)
+            except TimeoutError:
                 last_error = "request timed out"
                 logger.warning("%s attempt %d timed out", self._kind, attempt + 1)
                 continue
-            except requests.RequestException as exc:
+            except self._failures as exc:
                 last_error = f"connection failed: {exc}"
                 logger.warning("%s attempt %d failed: %s", self._kind, attempt + 1, exc)
                 continue
-            if resp.status_code in (401, 403):
-                raise BackendAuthError(f"endpoint rejected credentials (HTTP {resp.status_code})")
-            if resp.status_code == 429:
-                wait = _retry_after(resp, cfg.timeout)
-            elif 400 <= resp.status_code < 500:
-                raise BackendError(f"request rejected (HTTP {resp.status_code}): {resp.text[:200]}")
-            if resp.status_code != 200:
-                last_error = f"HTTP {resp.status_code}"
-                logger.warning("%s attempt %d got HTTP %d", self._kind, attempt + 1,
-                               resp.status_code)
+            if status in (401, 403):
+                raise BackendAuthError(f"endpoint rejected credentials (HTTP {status})")
+            if status == 429:
+                wait = _retry_after(retry_after, cfg.timeout)
+            elif 300 <= status < 500:
+                text = data.decode("utf-8", "replace")
+                raise BackendError(f"request rejected (HTTP {status}): {text[:200]}")
+            if status != 200:
+                last_error = f"HTTP {status}"
+                logger.warning("%s attempt %d got HTTP %d", self._kind, attempt + 1, status)
                 continue
             try:
-                return resp.json()
+                return json.loads(data)
             except ValueError as exc:
                 raise BackendError(f"malformed endpoint response: {exc}") from exc
         raise BackendError(

@@ -102,20 +102,22 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         text = source.read()
 
     backend = ChatBackend(BackendConfig(base_url=args.backend_url, model=args.model))
-    embedder = None
+    embed_client = embedder = None
     if args.embed_url:
-        embedder = FallbackEmbedder(HttpEmbedder(
-            BackendConfig(base_url=args.embed_url, model=args.embed_model)))
+        embed_client = HttpEmbedder(BackendConfig(base_url=args.embed_url,
+                                                  model=args.embed_model))
+        embedder = FallbackEmbedder(embed_client)
 
     retrieval_cfg = RetrievalConfig(max_hops=args.max_hops, max_paths_per_pair=args.max_paths)
     scoring_cfg = ScoringConfig(alpha=args.alpha, beta=args.beta,
                                 gamma_neg=args.gamma, gamma_pos=1.0)
 
-    report = run_pipeline(
-        kg, text, backend, retrieval_cfg, scoring_cfg,
-        embedder=embedder, chunk_chars=args.chunk_chars,
-        extra_config={"backend_url": args.backend_url, "model": args.model,
-                      "embed_url": args.embed_url or ""})
+    with backend, embed_client or contextlib.nullcontext():
+        report = run_pipeline(
+            kg, text, backend, retrieval_cfg, scoring_cfg,
+            embedder=embedder, chunk_chars=args.chunk_chars,
+            extra_config={"backend_url": args.backend_url, "model": args.model,
+                          "embed_url": args.embed_url or ""})
     if embedder is not None and embedder.degraded:
         print("note: embeddings endpoint failed; built-in embedder used", file=sys.stderr)
 
@@ -127,7 +129,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_datagen(args: argparse.Namespace) -> int:
     _require_pair(args.backend_url, args.model, "--backend-url and --model")
     kg = load_kg(args.kg, args.kg_format, nodes_path=args.kg_nodes, lenient=args.lenient)
-    # One client for every document, so requests reuse one pooled session.
+    # One client for every document, so its requests share keep-alive connections.
     backend = None
     if args.backend_url:
         backend = ChatBackend(BackendConfig(base_url=args.backend_url, model=args.model))
@@ -136,7 +138,8 @@ def _cmd_datagen(args: argparse.Namespace) -> int:
     # One document per line: never split at U+2028 and the like (a file's
     # lines end at \n, \r\n or \r, stdin's at \n). Each record is written as
     # soon as it is made, so a failure keeps the earlier documents' records.
-    with _open_text(args.input, "r") as docs, _open_text(args.out, "w") as out:
+    with (_open_text(args.input, "r") as docs, _open_text(args.out, "w") as out,
+          backend or contextlib.nullcontext()):
         for doc in docs:
             doc = doc.strip()
             if not doc:

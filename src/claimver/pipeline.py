@@ -29,7 +29,7 @@ logger = logging.getLogger(__name__)
 
 Completer = Callable[[PromptBundle], str]
 
-# The one cap on concurrent chunk work, and so on in-flight backend requests.
+# The one cap on in-flight backend requests.
 _PARALLEL_CHUNKS = 4
 
 
@@ -67,16 +67,24 @@ def _chunk_seeds(chunk: TextChunk, entities: Sequence[LinkedEntity]) -> list[Nod
     return list(dict.fromkeys(e.node for e in entities if lo <= e.start and e.end <= hi))
 
 
-def _process_chunk(kg: KnowledgeGraph, chunk: TextChunk,
-                   entities: Sequence[LinkedEntity], completer: Completer,
-                   retrieval_cfg: RetrievalConfig) -> _ChunkOutcome:
-    diagnostics: list[str] = []
+def _chunk_prompt(kg: KnowledgeGraph, chunk: TextChunk, entities: Sequence[LinkedEntity],
+                  retrieval_cfg: RetrievalConfig,
+                  diagnostics: list[str]) -> tuple[RetrievedTriplets, PromptBundle]:
+    """The half of a chunk before its backend request: evidence and prompt."""
     with _stage("triplet-retrieval", diagnostics):
         retrieved = retrieve(kg, _chunk_seeds(chunk, entities), retrieval_cfg)
     with _stage("prompt", diagnostics):
         prompt = build_verification_prompt(chunk.text, retrieved, kg)
+    return retrieved, prompt
+
+
+def _chunk_outcome(kg: KnowledgeGraph, chunk: TextChunk, retrieved: RetrievedTriplets,
+                   diagnostics: list[str], response: Callable[[], str]) -> _ChunkOutcome:
+    """The half of a chunk from its backend request on: response() returns
+    the model's answer (or raises the request's failure), which is parsed,
+    validated and moved to document offsets."""
     with _stage("llm-backend", diagnostics, catch=(BackendError, OSError)):
-        raw = completer(prompt)
+        raw = response()
     with _stage("response-parser", diagnostics, catch=ResponseParseError):
         raws = parse_response(raw, diagnostics)
 
@@ -88,6 +96,44 @@ def _process_chunk(kg: KnowledgeGraph, chunk: TextChunk,
             for c in claims
         ]
     return _ChunkOutcome(retrieved=retrieved, claims=claims, diagnostics=diagnostics)
+
+
+def _run_chunks(kg: KnowledgeGraph, chunks: Sequence[TextChunk],
+                entities: Sequence[LinkedEntity], completer: Completer,
+                retrieval_cfg: RetrievalConfig) -> list[_ChunkOutcome]:
+    """Every chunk's outcome, in chunk order.
+
+    The calling thread builds the prompts in chunk order and then parses each
+    response in chunk order; only the backend requests run in the pool, so
+    later requests are in flight while earlier responses are parsed. The
+    first chunk in chunk order that fails decides the error, and requests
+    still queued by then are never sent.
+    """
+    if len(chunks) == 1:
+        diagnostics: list[str] = []
+        retrieved, prompt = _chunk_prompt(kg, chunks[0], entities, retrieval_cfg, diagnostics)
+        return [_chunk_outcome(kg, chunks[0], retrieved, diagnostics,
+                               lambda: completer(prompt))]
+
+    failure = None
+    pool = ThreadPoolExecutor(max_workers=min(_PARALLEL_CHUNKS, len(chunks)))
+    try:
+        sent = []
+        try:
+            for chunk in chunks:
+                diagnostics = []
+                retrieved, prompt = _chunk_prompt(kg, chunk, entities, retrieval_cfg,
+                                                  diagnostics)
+                sent.append((chunk, retrieved, diagnostics, pool.submit(completer, prompt)))
+        except PipelineError as exc:
+            failure = exc  # unless an earlier chunk fails below
+        outcomes = [_chunk_outcome(kg, chunk, retrieved, diagnostics, request.result)
+                    for chunk, retrieved, diagnostics, request in sent]
+    finally:
+        pool.shutdown(cancel_futures=True)
+    if failure is not None:
+        raise failure
+    return outcomes
 
 
 def _merge_retrieved(outcomes: Sequence[_ChunkOutcome]) -> RetrievedTriplets:
@@ -137,14 +183,7 @@ def run_pipeline(kg: KnowledgeGraph, text: str, backend,
         chunks = [TextChunk(text, 0)]
 
     try:
-        if len(chunks) == 1:
-            outcomes = [_process_chunk(kg, chunks[0], entities, completer, retrieval_cfg)]
-        else:
-            workers = min(_PARALLEL_CHUNKS, len(chunks))
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(
-                    lambda ch: _process_chunk(kg, ch, entities, completer, retrieval_cfg),
-                    chunks))
+        outcomes = _run_chunks(kg, chunks, entities, completer, retrieval_cfg)
     except PipelineError as exc:
         exc.diagnostics[:0] = doc_diagnostics
         raise

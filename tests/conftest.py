@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -111,16 +112,24 @@ class ScriptedServer:
     """Local HTTP server that replays a scripted list of (status, payload)
     or (status, payload, headers).
 
-    Records every request (path, headers, parsed JSON body). Dict payloads
-    are sent as JSON, strings verbatim; headers is a dict of extra response
-    headers. An exhausted script repeats its last entry.
+    Records every request (method, path, headers, parsed JSON body, client
+    port). Dict payloads are sent as JSON, strings verbatim; headers is a
+    dict of extra response headers. An exhausted script repeats its last
+    entry. Each reply waits delay seconds first; inflight_max is the most
+    requests ever handled at once. With keep_alive the server speaks
+    HTTP/1.1 and keeps connections open, unless hang_up is set: then it
+    closes each connection after its reply without announcing it. A CONNECT
+    request is recorded and refused with 502.
     """
 
-    def __init__(self, script):
+    def __init__(self, script, *, keep_alive=False, delay=0.0):
         self.script = list(script)
         self.requests: list[dict] = []
+        self.delay = delay
+        self.hang_up = False
+        self.inflight = self.inflight_max = 0
         self._lock = threading.Lock()
-        self.httpd = ThreadingHTTPServer(("127.0.0.1", 0), self._handler())
+        self.httpd = ThreadingHTTPServer(("127.0.0.1", 0), self._handler(keep_alive))
         # A short poll lets shutdown() return promptly instead of after 0.5 s.
         self._thread = threading.Thread(target=self.httpd.serve_forever,
                                         kwargs={"poll_interval": 0.01}, daemon=True)
@@ -140,10 +149,28 @@ class ScriptedServer:
                 return self.script.pop(0)
             return self.script[0]
 
-    def _handler(self):
+    def _handler(self, keep_alive):
         server = self
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1" if keep_alive else "HTTP/1.0"
+            # Headers and body go out in two writes; on a kept-alive
+            # connection Nagle would hold the body for the client's delayed ACK.
+            disable_nagle_algorithm = keep_alive
+
+            def _record(self, body):
+                server.requests.append({
+                    "method": self.command,
+                    "path": self.path,
+                    "headers": {k.lower(): v for k, v in self.headers.items()},
+                    "body": body,
+                    "port": self.client_address[1],
+                })
+
+            def do_CONNECT(self):
+                self._record(None)
+                self.send_error(502)
+
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", 0))
                 raw = self.rfile.read(length)
@@ -151,11 +178,13 @@ class ScriptedServer:
                     body = json.loads(raw) if raw else None
                 except ValueError:
                     body = raw.decode("utf-8", "replace")
-                server.requests.append({
-                    "path": self.path,
-                    "headers": {k.lower(): v for k, v in self.headers.items()},
-                    "body": body,
-                })
+                self._record(body)
+                with server._lock:
+                    server.inflight += 1
+                    server.inflight_max = max(server.inflight_max, server.inflight)
+                time.sleep(server.delay)
+                with server._lock:
+                    server.inflight -= 1
                 status, payload, *extra = server._next()
                 data = (json.dumps(payload) if isinstance(payload, dict) else str(payload))
                 encoded = data.encode("utf-8")
@@ -166,6 +195,8 @@ class ScriptedServer:
                     self.send_header(name, value)
                 self.end_headers()
                 self.wfile.write(encoded)
+                if server.hang_up:
+                    self.close_connection = True
 
             def log_message(self, *args):
                 pass
@@ -177,8 +208,8 @@ class ScriptedServer:
 def scripted_server():
     servers = []
 
-    def make(script) -> ScriptedServer:
-        s = ScriptedServer(script)
+    def make(script, **options) -> ScriptedServer:
+        s = ScriptedServer(script, **options)
         servers.append(s)
         return s
 

@@ -5,7 +5,6 @@ import json
 import socket
 
 import pytest
-import requests
 
 from claimver.cli import main
 
@@ -189,22 +188,6 @@ class TestDatagen:
                      "--backend-url", server.url, "--model", "m"]) == 0
         lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
         assert lines[0]["response"] == '- "prediction": "Attributable"'
-
-    def test_one_session_for_all_documents(self, tsv_kg_path, tmp_path,
-                                           scripted_server, monkeypatch, capsys):
-        sessions = []
-        init = requests.Session.__init__
-        monkeypatch.setattr(requests.Session, "__init__",
-                            lambda self: sessions.append(self) or init(self))
-        server = scripted_server([(200, chat_payload("ok"))])
-        doc_file = tmp_path / "docs.txt"
-        doc_file.write_text("Apollo 11 landed on the Moon.\nApollo 11 orbited Earth.\n"
-                            "Neil Armstrong was a French citizen.\n", encoding="utf-8")
-        assert main(["datagen", "--kg", tsv_kg_path, "--input", str(doc_file),
-                     "--backend-url", server.url, "--model", "m"]) == 0
-        assert len(capsys.readouterr().out.splitlines()) == 3
-        assert len(server.requests) == 3
-        assert len(sessions) == 1
 
     def test_backend_url_without_model_exit_2(self, tsv_kg_path, tmp_path, refused_url):
         doc_file = tmp_path / "docs.txt"

@@ -1,6 +1,10 @@
 """End-to-end pipeline orchestration with the mock backend."""
 
 import importlib.util
+import re
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -9,7 +13,7 @@ import claimver.pipeline
 
 from claimver.backend import (BackendConfig, ChatBackend, MockBackend,
                               build_verification_prompt)
-from claimver.errors import PipelineError
+from claimver.errors import BackendError, PipelineError
 from claimver.linking import chunk_text, link_entities
 from claimver.parsing import PredictionLabel
 from claimver.pipeline import iter_datagen_records, run_pipeline
@@ -164,6 +168,114 @@ class TestChunkedPipeline:
         expected_sum = sum(c.tms * c.claim_score for c in report.claims)
         assert report.kas == modified_sigmoid(expected_sum, ScoringConfig())
         assert {c.prediction for c in report.claims} == {"Attributable", "Contradictory"}
+
+
+# Seven sentences that chunk_chars=40 splits into one chunk each.
+FAN_OUT_TEXT = " ".join(f"Apollo 11 trip {i} reached the Moon." for i in range(7))
+
+
+def _chunk_index(prompt) -> int:
+    return int(re.search(r"-Text: Apollo 11 trip (\d+)", prompt.text).group(1))
+
+
+def _answer(prompt) -> str:
+    """An Extrapolatory claim spanning the prompt's whole chunk."""
+    span = f"Apollo 11 trip {_chunk_index(prompt)} reached the Moon."
+    return (f'"text_span1": "{span}", "prediction1": "Extrapolatory", '
+            f'"triplets1": "NA", "rationale1": "r"')
+
+
+class TestChunkFanOut:
+    """The contract of the chunk fan-out: requests run in the pool, prompts
+    and parsing in the caller, and chunk order decides everything else."""
+
+    def test_in_flight_requests_capped(self, apollo_kg, scripted_server):
+        answer = '"text_span1": "x", "prediction1": "Extrapolatory", "triplets1": "NA", ' \
+                 '"rationale1": "r"'
+        server = scripted_server([(200, chat_payload(answer))], keep_alive=True, delay=0.1)
+        backend = ChatBackend(BackendConfig(base_url=server.url, model="m"))
+        report = run_pipeline(apollo_kg, FAN_OUT_TEXT + " Apollo 11 flew.", backend,
+                              chunk_chars=40)
+        backend.close()
+        assert report.n == 8
+        assert len(server.requests) == 8
+        assert server.inflight_max == claimver.pipeline._PARALLEL_CHUNKS
+        # Each later request found an idle connection the first wave had made.
+        assert len({r["port"] for r in server.requests}) <= claimver.pipeline._PARALLEL_CHUNKS
+
+    def test_first_failing_chunk_in_order_decides(self, apollo_kg):
+        fourth_failed = threading.Event()
+
+        def complete(prompt):
+            i = _chunk_index(prompt)
+            if i == 3:
+                fourth_failed.set()
+                raise BackendError("chunk 4 unavailable")
+            if i == 1:  # fails after chunk 4 has, with its own diagnostic
+                assert fourth_failed.wait(10)
+                return '"prediction1": "Attributable", "prediction1": "Contradictory"'
+            return _answer(prompt)
+
+        with pytest.raises(PipelineError) as err:
+            run_pipeline(apollo_kg, FAN_OUT_TEXT, complete, chunk_chars=40)
+        assert err.value.stage == "response-parser"
+        assert str(err.value) == "[response-parser] no complete claim group in response"
+        assert err.value.diagnostics == ["input split into 7 chunks",
+                                         "duplicate key prediction1 ignored"]
+
+    def test_queued_requests_not_sent_after_failure(self, apollo_kg, monkeypatch):
+        futures = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def submit(self, *args, **kwargs):
+                futures.append(super().submit(*args, **kwargs))
+                return futures[-1]
+
+        monkeypatch.setattr(claimver.pipeline, "ThreadPoolExecutor", RecordingPool)
+        started = []
+        release = threading.Event()
+
+        def complete(prompt):
+            started.append(_chunk_index(prompt))
+            if started[-1] == 0:
+                raise BackendError("chunk 1 unavailable")
+            release.wait(10)
+            return _answer(prompt)
+
+        def release_once_cancelled():
+            # Every worker but the failed chunk's is held until the requests
+            # still queued behind them are cancelled.
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline and not (
+                    len(futures) == 7 and all(f.cancelled() for f in futures[5:])):
+                time.sleep(0.005)
+            release.set()
+
+        watcher = threading.Thread(target=release_once_cancelled)
+        watcher.start()
+        with pytest.raises(PipelineError) as err:
+            run_pipeline(apollo_kg, FAN_OUT_TEXT, complete, chunk_chars=40)
+        watcher.join(10)
+        assert not watcher.is_alive()
+        assert str(err.value) == "[llm-backend] chunk 1 unavailable"
+        # The failed chunk's worker may have taken chunk 5 before the failure
+        # was seen; chunks 6 and 7 were still queued and were never sent.
+        assert 0 in started and set(started) <= {0, 1, 2, 3, 4}
+
+    def test_claims_keep_chunk_order_under_reordered_responses(self, apollo_kg):
+        def reversed_answers(prompt):
+            time.sleep((7 - _chunk_index(prompt)) * 0.01)
+            return _answer(prompt)
+
+        def instant_answers(prompt):
+            return _answer(prompt)
+
+        report = run_pipeline(apollo_kg, FAN_OUT_TEXT, reversed_answers, chunk_chars=40)
+        assert [(c.start, c.span) for c in report.claims] == [
+            (FAN_OUT_TEXT.index(f"trip {i} ") - len("Apollo 11 "),
+             f"Apollo 11 trip {i} reached the Moon.") for i in range(7)]
+        assert report == run_pipeline(apollo_kg, FAN_OUT_TEXT, instant_answers,
+                                      chunk_chars=40)
 
 
 class TestDatagen:
