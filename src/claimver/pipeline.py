@@ -9,6 +9,7 @@ that failed, carrying any diagnostics gathered so far.
 
 from __future__ import annotations
 
+import functools
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -104,33 +105,32 @@ def _run_chunks(kg: KnowledgeGraph, chunks: Sequence[TextChunk],
     """Every chunk's outcome, in chunk order.
 
     The calling thread builds the prompts in chunk order and then parses each
-    response in chunk order; only the backend requests run in the pool, so
-    later requests are in flight while earlier responses are parsed. The
-    first chunk in chunk order that fails decides the error, and requests
-    still queued by then are never sent.
+    response in chunk order. Only the backend requests of a split input run
+    in a pool, so later requests are in flight while earlier responses are
+    parsed. The first chunk in chunk order that fails decides the error, and
+    requests still queued by then are never sent.
     """
-    if len(chunks) == 1:
-        diagnostics: list[str] = []
-        retrieved, prompt = _chunk_prompt(kg, chunks[0], entities, retrieval_cfg, diagnostics)
-        return [_chunk_outcome(kg, chunks[0], retrieved, diagnostics,
-                               lambda: completer(prompt))]
-
+    pool = None
+    if len(chunks) > 1:
+        pool = ThreadPoolExecutor(max_workers=min(_PARALLEL_CHUNKS, len(chunks)))
     failure = None
-    pool = ThreadPoolExecutor(max_workers=min(_PARALLEL_CHUNKS, len(chunks)))
+    sent = []
     try:
-        sent = []
         try:
             for chunk in chunks:
-                diagnostics = []
+                diagnostics: list[str] = []
                 retrieved, prompt = _chunk_prompt(kg, chunk, entities, retrieval_cfg,
                                                   diagnostics)
-                sent.append((chunk, retrieved, diagnostics, pool.submit(completer, prompt)))
+                request = (pool.submit(completer, prompt).result if pool
+                           else functools.partial(completer, prompt))
+                sent.append((chunk, retrieved, diagnostics, request))
         except PipelineError as exc:
             failure = exc  # unless an earlier chunk fails below
-        outcomes = [_chunk_outcome(kg, chunk, retrieved, diagnostics, request.result)
+        outcomes = [_chunk_outcome(kg, chunk, retrieved, diagnostics, request)
                     for chunk, retrieved, diagnostics, request in sent]
     finally:
-        pool.shutdown(cancel_futures=True)
+        if pool:
+            pool.shutdown(cancel_futures=True)
     if failure is not None:
         raise failure
     return outcomes

@@ -358,6 +358,32 @@ class TestTransport:
         assert len(server.requests) == 2
         assert server.requests[0]["port"] != server.requests[1]["port"]
 
+    def test_threads_share_the_idle_stack(self, scripted_server):
+        server = scripted_server([(200, chat_payload("ok"))], keep_alive=True)
+        backend = ChatBackend(BackendConfig(base_url=server.url, model="m", max_retries=0))
+        answers = []
+
+        def send():
+            for _ in range(15):
+                answers.append(backend.complete("p"))
+
+        threads = [threading.Thread(target=send) for _ in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        backend.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert answers == ["ok"] * 90
+        # A connection lost from the stack, or handed to two threads at once,
+        # would show as more connections than threads or as a failed request.
+        assert len({r["port"] for r in server.requests}) <= len(threads)
+
     def test_fresh_connection_dropped_is_not_resent(self):
         accepted = []
         with _listener() as sock:
