@@ -7,6 +7,7 @@ import functools
 import hashlib
 import json
 import logging
+import math
 import os
 import threading
 import time
@@ -210,6 +211,8 @@ class BackendConfig:
             raise ValueError("base_url must be non-empty")
         if not self.model:
             raise ValueError("model must be non-empty")
+        if not all(map(math.isfinite, (self.timeout, self.temperature, self.backoff_base))):
+            raise ValueError("timeout, temperature and backoff_base must be finite")
         if self.timeout <= 0:
             raise ValueError(f"timeout must be > 0, got {self.timeout}")
         if self.max_retries < 0:

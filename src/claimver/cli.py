@@ -43,6 +43,16 @@ def _require_pair(url: Optional[str], model: Optional[str], flags: str):
         raise ValueError(f"{flags} must be given together")
 
 
+def _chunk_chars(value: str) -> int:
+    try:
+        chars = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+    if chars < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0 (0 means no chunking), got {chars}")
+    return chars
+
+
 def _add_kg_flags(p: argparse.ArgumentParser):
     p.add_argument("--kg", required=True, help="knowledge graph snapshot file")
     p.add_argument("--kg-format", choices=("tsv", "jsonl"), default="tsv")
@@ -76,8 +86,9 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--gamma", type=float, default=3.0,
                    help="sigmoid steepness for negative score sums")
     _add_retrieval_flags(v)
-    v.add_argument("--chunk-chars", type=int, default=None,
-                   help="split inputs longer than this many characters")
+    v.add_argument("--chunk-chars", type=_chunk_chars, default=None,
+                   help="split inputs longer than this many characters at sentence "
+                        "boundaries; 0 means no chunking")
     v.add_argument("--format", choices=("json", "ansi", "html"), default="json")
     v.add_argument("--out", default=None, help="output file (default: stdout)")
     v.set_defaults(func=_cmd_verify)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .kg import KnowledgeGraph, NodeId
 from .text import normalize, word_spans
@@ -50,9 +50,14 @@ def link_entities(kg: KnowledgeGraph, text: str) -> list[LinkedEntity]:
     wins. Ambiguous surfaces resolve to the smallest node id with the rest
     kept as alternates.
     """
+    return list(_scan(kg, text))
+
+
+def _scan(kg: KnowledgeGraph, text: str) -> Iterator[LinkedEntity]:
+    """link_entities' mentions, each yielded as soon as the scan finds it, so
+    a caller can stop the scan at any offset and resume it later."""
     spans = word_spans(text)
     max_tokens = kg.max_label_tokens
-    found: list[LinkedEntity] = []
     i = 0
     while i < len(spans):
         matched = None
@@ -69,11 +74,10 @@ def link_entities(kg: KnowledgeGraph, text: str) -> list[LinkedEntity]:
         length, start, end, candidates = matched
         if len(candidates) > 1:
             logger.debug("ambiguous mention %r -> %s", text[start:end], candidates)
-        found.append(LinkedEntity(
+        yield LinkedEntity(
             mention=text[start:end], start=start, end=end,
-            node=candidates[0], alternates=tuple(candidates[1:])))
+            node=candidates[0], alternates=tuple(candidates[1:]))
         i += length
-    return found
 
 
 def split_sentences(text: str) -> list[str]:

@@ -1,16 +1,19 @@
 """End-to-end orchestration: text in, verification report out.
 
-Flow: preprocess and link entities, chunk if requested, then per chunk
-retrieve evidence paths, build the prompt, call the backend, parse and
-validate the claims. Scoring and the document score run once over the
-concatenated claims. Failures surface as PipelineError tagged with the stage
-that failed, carrying any diagnostics gathered so far.
+Flow: apply the preprocessing hooks and chunk if requested. The linker scans
+the text once, left to right; as soon as it has passed a chunk's end, that
+chunk's evidence paths are retrieved, its prompt is built and its backend
+request sent. Then each chunk's response is parsed, validated and scored, in
+chunk order, while later requests are in flight. The document score runs once
+over the concatenated claims. Failures surface as PipelineError tagged with
+the stage that failed, carrying any diagnostics gathered so far.
 """
 
 from __future__ import annotations
 
 import functools
 import logging
+import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
@@ -19,12 +22,13 @@ from typing import Any, Callable, Iterator, Optional, Sequence
 from .backend import PromptBundle, build_datagen_prompt, build_verification_prompt
 from .errors import BackendError, ClaimverError, PipelineError, ResponseParseError
 from .kg import KnowledgeGraph, NodeId
-from .linking import (LinkedEntity, PreprocessHook, TextChunk, chunk_text,
+from .linking import (LinkedEntity, PreprocessHook, TextChunk, _scan, chunk_text,
                       preprocess, split_sentences)
 from .parsing import ClaimResult, parse_response, validate_claims
 from .report import VerificationReport, build_report
 from .retrieval import RetrievalConfig, RetrievedTriplets, retrieve
-from .scoring import Embedder, ScoringConfig, kg_attribution_score, score_claims
+from .scoring import (Embedder, ScoredClaim, ScoringConfig, kg_attribution_score,
+                      score_claims)
 
 logger = logging.getLogger(__name__)
 
@@ -99,16 +103,36 @@ def _chunk_outcome(kg: KnowledgeGraph, chunk: TextChunk, retrieved: RetrievedTri
     return _ChunkOutcome(retrieved=retrieved, claims=claims, diagnostics=diagnostics)
 
 
-def _run_chunks(kg: KnowledgeGraph, chunks: Sequence[TextChunk],
-                entities: Sequence[LinkedEntity], completer: Completer,
-                retrieval_cfg: RetrievalConfig) -> list[_ChunkOutcome]:
-    """Every chunk's outcome, in chunk order.
+class _Scan:
+    """The linker's scan of one text, run only as far as the chunks need it."""
 
-    The calling thread builds the prompts in chunk order and then parses each
-    response in chunk order. Only the backend requests of a split input run
-    in a pool, so later requests are in flight while earlier responses are
-    parsed. The first chunk in chunk order that fails decides the error, and
-    requests still queued by then are never sent.
+    def __init__(self, kg: KnowledgeGraph, text: str):
+        self._mentions = _scan(kg, text)
+        self.entities: list[LinkedEntity] = []
+
+    def until(self, end: float = math.inf) -> list[LinkedEntity]:
+        """Scan on until a mention starts at or after end, or the text ends
+        (by default, the whole text); then every mention that starts before
+        end is in self.entities. A failure is the preprocess stage's."""
+        with _stage("preprocess", catch=Exception):
+            for entity in self._mentions:
+                self.entities.append(entity)
+                if entity.start >= end:
+                    break
+        return self.entities
+
+
+def _run_chunks(kg: KnowledgeGraph, chunks: Sequence[TextChunk], scan: _Scan,
+                completer: Completer,
+                retrieval_cfg: RetrievalConfig) -> Iterator[_ChunkOutcome]:
+    """Every chunk's outcome, yielded in chunk order.
+
+    The calling thread sends each chunk's request as soon as the scan has
+    passed the chunk's end and its prompt is built, then parses the
+    responses in chunk order, each while later requests are in flight. Only
+    the backend requests of a split input run in a pool. The first chunk in
+    chunk order that fails decides the error, and requests still queued by
+    then are never sent.
     """
     pool = None
     if len(chunks) > 1:
@@ -116,24 +140,35 @@ def _run_chunks(kg: KnowledgeGraph, chunks: Sequence[TextChunk],
     failure = None
     sent = []
     try:
-        try:
-            for chunk in chunks:
-                diagnostics: list[str] = []
+        for chunk in chunks:
+            entities = scan.until(chunk.offset + len(chunk.text))
+            diagnostics: list[str] = []
+            try:
                 retrieved, prompt = _chunk_prompt(kg, chunk, entities, retrieval_cfg,
                                                   diagnostics)
-                request = (pool.submit(completer, prompt).result if pool
-                           else functools.partial(completer, prompt))
-                sent.append((chunk, retrieved, diagnostics, request))
-        except PipelineError as exc:
-            failure = exc  # unless an earlier chunk fails below
-        outcomes = [_chunk_outcome(kg, chunk, retrieved, diagnostics, request)
-                    for chunk, retrieved, diagnostics, request in sent]
+            except PipelineError as exc:
+                failure = exc  # unless an earlier chunk fails below
+                break
+            request = (pool.submit(completer, prompt).result if pool
+                       else functools.partial(completer, prompt))
+            sent.append((chunk, retrieved, diagnostics, request))
+        for chunk, retrieved, diagnostics, request in sent:
+            yield _chunk_outcome(kg, chunk, retrieved, diagnostics, request)
     finally:
         if pool:
             pool.shutdown(cancel_futures=True)
     if failure is not None:
         raise failure
-    return outcomes
+
+
+def _doc_notes(entities: Sequence[LinkedEntity], n_chunks: int) -> list[str]:
+    """The document's own diagnostics: ambiguous mentions, then the split."""
+    notes = [f"ambiguous mention {e.mention!r} at {e.start}: "
+             f"linked {e.node}, also matches {', '.join(e.alternates)}"
+             for e in entities if e.alternates]
+    if n_chunks > 1:
+        notes.append(f"input split into {n_chunks} chunks")
+    return notes
 
 
 def _merge_retrieved(outcomes: Sequence[_ChunkOutcome]) -> RetrievedTriplets:
@@ -154,9 +189,12 @@ def run_pipeline(kg: KnowledgeGraph, text: str, backend,
     """Verify one input text against the graph and assemble the report.
 
     backend is any object with complete(prompt) -> str, such as a ChatBackend,
-    or a bare callable. Chunks are processed concurrently (bounded) when the
-    input was split; claims keep chunk order and the document score covers
-    them all.
+    or a bare callable. When the input was split, up to _PARALLEL_CHUNKS
+    chunk requests are in flight at once; claims keep chunk order and the
+    document score covers them all. Error precedence does not depend on
+    timing: a preprocess failure beats every chunk failure, the first failing
+    chunk in chunk order beats later ones, and a scoring failure is raised
+    only once every chunk has succeeded.
     """
     retrieval_cfg = retrieval_cfg or RetrievalConfig()
     scoring_cfg = scoring_cfg or ScoringConfig()
@@ -164,37 +202,44 @@ def run_pipeline(kg: KnowledgeGraph, text: str, backend,
     if not text:
         raise PipelineError("input", "input text is empty")
 
-    doc_diagnostics: list[str] = []
     with _stage("preprocess", catch=Exception):
-        text, entities = preprocess(kg, text, hooks)
+        for hook in hooks:
+            text = hook(text)
     if not text:
         raise PipelineError("preprocess", "preprocessing left no text")
-    for e in entities:
-        if e.alternates:
-            doc_diagnostics.append(
-                f"ambiguous mention {e.mention!r} at {e.start}: "
-                f"linked {e.node}, also matches {', '.join(e.alternates)}")
 
-    if chunk_chars:
-        chunks = chunk_text(text, chunk_chars)
-        if len(chunks) > 1:
-            doc_diagnostics.append(f"input split into {len(chunks)} chunks")
-    else:
-        chunks = [TextChunk(text, 0)]
-
+    scan = _Scan(kg, text)
+    outcomes: list[_ChunkOutcome] = []
+    scored: list[ScoredClaim] = []
+    held = None
     try:
-        outcomes = _run_chunks(kg, chunks, entities, completer, retrieval_cfg)
-    except PipelineError as exc:
-        exc.diagnostics[:0] = doc_diagnostics
+        chunks = chunk_text(text, chunk_chars) if chunk_chars else [TextChunk(text, 0)]
+        for outcome in _run_chunks(kg, chunks, scan, completer, retrieval_cfg):
+            outcomes.append(outcome)
+            if held is None:
+                # A claim's linked mentions all lie in its chunk, so the
+                # scan has passed them.
+                try:
+                    scored += score_claims(outcome.claims, scan.entities, kg, embedder,
+                                           scoring_cfg)
+                except Exception as exc:  # raised once every chunk has succeeded
+                    held = exc
+    except Exception as exc:
+        scan.until()  # a preprocess failure, raised here, beats exc
+        # A scan failure is a preprocess failure: like a hook's, it carries no notes.
+        if isinstance(exc, PipelineError) and exc.stage != "preprocess":
+            exc.diagnostics[:0] = _doc_notes(scan.entities, len(chunks))
         raise
 
-    claims = [c for outcome in outcomes for c in outcome.claims]
+    entities = scan.until()
+    doc_diagnostics = _doc_notes(entities, len(chunks))
     for outcome in outcomes:
         doc_diagnostics.extend(outcome.diagnostics)
     retrieved = _merge_retrieved(outcomes)
 
     with _stage("scoring", doc_diagnostics):
-        scored = score_claims(claims, entities, kg, embedder, scoring_cfg)
+        if held is not None:
+            raise held
         attribution = kg_attribution_score(scored, scoring_cfg)
 
     config: dict[str, Any] = {

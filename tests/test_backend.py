@@ -196,6 +196,14 @@ class TestBackendConfig:
         with pytest.raises(ValueError):
             BackendConfig(**base)
 
+    @pytest.mark.parametrize("field", ["timeout", "temperature", "backoff_base"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_rejected(self, field, value):
+        # A NaN passes every comparison check, and an inf timeout or backoff
+        # overflows only when a request is made.
+        with pytest.raises(ValueError, match="must be finite"):
+            BackendConfig(base_url="http://x", model="m", **{field: value})
+
 
 class TestChatBackend:
     def test_success_and_request_shape(self, scripted_server, monkeypatch):

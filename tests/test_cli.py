@@ -130,6 +130,25 @@ class TestVerify:
             main(["verify", "--kg", tsv_kg_path])
         assert err.value.code == 2
 
+    def test_negative_chunk_chars_rejected_when_parsed(self, tmp_path, input_file,
+                                                       refused_url, capsys):
+        # The graph path does not exist: the flag is rejected before any load.
+        with pytest.raises(SystemExit) as err:
+            main(_verify_args(str(tmp_path / "absent.tsv"), input_file, refused_url,
+                              "--chunk-chars", "-5"))
+        assert err.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: argument --chunk-chars: must be >= 0 (0 means no chunking), got -5\n")
+
+    def test_zero_chunk_chars_means_no_chunking(self, tsv_kg_path, input_file,
+                                                scripted_server, capsys):
+        server = scripted_server([(200, chat_payload(APOLLO_RESPONSE))])
+        assert main(_verify_args(tsv_kg_path, input_file, server.url,
+                                 "--chunk-chars", "0")) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["config"]["chunk_chars"] == 0
+        assert len(server.requests) == 1
+
     def test_custom_retrieval_flags_echoed(self, tsv_kg_path, input_file,
                                            scripted_server, capsys):
         server = scripted_server([(200, chat_payload(APOLLO_RESPONSE))])

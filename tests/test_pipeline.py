@@ -8,20 +8,24 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import claimver.pipeline
 
 from claimver.backend import (BackendConfig, ChatBackend, MockBackend,
                               build_verification_prompt)
-from claimver.errors import BackendError, PipelineError
-from claimver.linking import chunk_text, link_entities
+from claimver.errors import BackendError, PipelineError, PromptError
+from claimver.kg import KgNode, KnowledgeGraph, Triplet
+from claimver.linking import TextChunk, chunk_text, link_entities
 from claimver.parsing import PredictionLabel
 from claimver.pipeline import iter_datagen_records, run_pipeline
 from claimver.render import render_json
 from claimver.retrieval import RetrievalConfig, retrieve
 from claimver.scoring import ScoringConfig, modified_sigmoid
 
-from conftest import APOLLO_RESPONSE, APOLLO_TEXT, chat_payload
+from conftest import (APOLLO_NODES, APOLLO_RESPONSE, APOLLO_TEXT, APOLLO_TRIPLETS,
+                      chat_payload)
 
 
 @pytest.fixture
@@ -185,6 +189,63 @@ def _answer(prompt) -> str:
             f'"triplets1": "NA", "rationale1": "r"')
 
 
+def _attributable(prompt) -> str:
+    """An Attributable claim spanning the prompt's whole chunk and citing the
+    landing-site triplet, which every chunk of FAN_OUT_TEXT retrieves."""
+    i = _chunk_index(prompt)
+    return (f'"text_span1": "Apollo 11 trip {i} reached the Moon.", '
+            f'"prediction1": "Attributable", '
+            f'"triplets1": "(Apollo 11, landing site, Moon)", "rationale1": "r"')
+
+
+class _BrokenEmbedder:
+    def __init__(self):
+        self.calls = 0
+
+    def embed(self, text):
+        self.calls += 1
+        raise BackendError("embeddings down")
+
+
+# FAN_OUT_TEXT with an ambiguous mention in its last chunk only.
+EARTH_TEXT = FAN_OUT_TEXT.replace("trip 6 reached the Moon", "trip 6 reached the Earth")
+
+
+@pytest.fixture
+def earth_kg() -> KnowledgeGraph:
+    """The Apollo graph plus a second node labelled Earth."""
+    return KnowledgeGraph(APOLLO_NODES + [KgNode("Q9", "Earth", "soil")], APOLLO_TRIPLETS)
+
+
+class _WatchedIndex(dict):
+    """A label index that calls on_lookup(key) before each lookup."""
+
+    def __init__(self, index, on_lookup):
+        super().__init__(index)
+        self.on_lookup = on_lookup
+
+    def get(self, key, default=None):
+        self.on_lookup(key)
+        return super().get(key, default)
+
+
+def _fail_chunk_zero(stage, monkeypatch):
+    """A completer, with the prompt builder patched when stage is "prompt",
+    under which chunk 0 of a FAN_OUT_TEXT variant fails at stage."""
+    if stage == "prompt":
+        def build(text, retrieved, kg):
+            if "trip 0 " in text:
+                raise PromptError("chunk 1 prompt broke")
+            return build_verification_prompt(text, retrieved, kg)
+        monkeypatch.setattr(claimver.pipeline, "build_verification_prompt", build)
+
+    def complete(prompt):
+        if _chunk_index(prompt) == 0:
+            raise BackendError("chunk 1 unavailable")
+        return _answer(prompt)
+    return complete
+
+
 class TestChunkFanOut:
     """The contract of the chunk fan-out: requests run in the pool, prompts
     and parsing in the caller, and chunk order decides everything else."""
@@ -276,6 +337,152 @@ class TestChunkFanOut:
              f"Apollo 11 trip {i} reached the Moon.") for i in range(7)]
         assert report == run_pipeline(apollo_kg, FAN_OUT_TEXT, instant_answers,
                                       chunk_chars=40)
+
+
+    def test_scoring_failure_yields_to_a_later_chunk_failure(self, apollo_kg):
+        embedder = _BrokenEmbedder()
+
+        def complete(prompt):
+            if _chunk_index(prompt) == 2:
+                raise BackendError("chunk 3 unavailable")
+            return _attributable(prompt)
+
+        with pytest.raises(PipelineError) as err:
+            run_pipeline(apollo_kg, FAN_OUT_TEXT, complete, chunk_chars=40,
+                         embedder=embedder)
+        assert str(err.value) == "[llm-backend] chunk 3 unavailable"
+        assert err.value.diagnostics == ["input split into 7 chunks"]
+        # Chunk 0 was scored while chunk 2's request was out; after the
+        # scoring failure no later claim was embedded.
+        assert embedder.calls == 1
+
+    def test_scoring_failure_raised_once_every_chunk_succeeded(self, apollo_kg):
+        def complete(prompt):
+            answer = _attributable(prompt)
+            if _chunk_index(prompt) == 3:
+                answer += ', "prediction1": "Contradictory"'
+            return answer
+
+        embedder = _BrokenEmbedder()
+        with pytest.raises(PipelineError) as err:
+            run_pipeline(apollo_kg, FAN_OUT_TEXT, complete, chunk_chars=40,
+                         embedder=embedder)
+        assert str(err.value) == "[scoring] embeddings down"
+        assert embedder.calls == 1
+        report = run_pipeline(apollo_kg, FAN_OUT_TEXT, complete, chunk_chars=40)
+        assert "duplicate key prediction1 ignored" in report.diagnostics
+        assert err.value.diagnostics == list(report.diagnostics)
+
+    @pytest.mark.parametrize("stage", ["prompt", "llm-backend"])
+    def test_chunk_failure_keeps_later_ambiguity_notes(self, earth_kg, monkeypatch, stage):
+        complete = _fail_chunk_zero(stage, monkeypatch)
+        with pytest.raises(PipelineError) as err:
+            run_pipeline(earth_kg, EARTH_TEXT, complete, chunk_chars=40)
+        assert err.value.stage == stage
+        assert err.value.diagnostics == [
+            f"ambiguous mention 'Earth' at {EARTH_TEXT.index('Earth')}: "
+            "linked Q2, also matches Q9",
+            "input split into 7 chunks"]
+
+    @pytest.mark.parametrize("stage", ["prompt", "llm-backend"])
+    def test_preprocess_failure_beats_chunk_failure(self, earth_kg, monkeypatch, stage):
+        def on_lookup(key):
+            if key == "earth":
+                raise RuntimeError("index broke")
+
+        earth_kg.label_index = _WatchedIndex(earth_kg.label_index, on_lookup)
+        complete = _fail_chunk_zero(stage, monkeypatch)
+        with pytest.raises(PipelineError) as err:
+            run_pipeline(earth_kg, EARTH_TEXT, complete, chunk_chars=40)
+        assert str(err.value) == "[preprocess] index broke"
+        assert err.value.diagnostics == []
+
+    def test_first_request_sent_before_the_scan_reaches_the_last_chunk(self, earth_kg):
+        sent = threading.Event()
+        seen_at_last_chunk = []
+
+        def on_lookup(key):
+            if key == "earth":  # only in the last chunk
+                seen_at_last_chunk.append(sent.wait(10))
+
+        earth_kg.label_index = _WatchedIndex(earth_kg.label_index, on_lookup)
+
+        def complete(prompt):
+            sent.set()
+            return _answer(prompt)
+
+        report = run_pipeline(earth_kg, EARTH_TEXT, complete, chunk_chars=40)
+        assert report.n == 7
+        assert seen_at_last_chunk == [True]
+
+
+# A vocabulary whose multi-word label contains a sentence end, so that a
+# mention can cross a chunk boundary, and whose Paris is ambiguous.
+STREAM_KG_NODES = [
+    KgNode("Q1", "St. Louis", "city"),
+    KgNode("Q2", "Louis", "given name"),
+    KgNode("Q3", "Paris", "capital"),
+    KgNode("Q4", "Paris", "prince of Troy"),
+    KgNode("Q5", "Moon", "satellite", ("the Moon",)),
+]
+STREAM_KG_TRIPLETS = [
+    Triplet("Q1", "twinned with", "Q3"),
+    Triplet("Q3", "named after", "Q4"),
+    Triplet("Q5", "seen from", "Q1"),
+]
+STREAM_WORDS = ["St.", "Louis", "Paris", "Moon", "the", "saw", "I", "far", "Far."]
+
+
+def _na_answer(prompt) -> str:
+    return ('"text_span1": "x", "prediction1": "Extrapolatory", "triplets1": "NA", '
+            '"rationale1": "r"')
+
+
+def _streamed_run(kg, text, chunk_chars):
+    """run_pipeline's report and the seeds it retrieved for, chunk by chunk."""
+    seeds = []
+
+    def recording(kg, chunk_seeds, cfg):
+        seeds.append(list(chunk_seeds))
+        return retrieve(kg, chunk_seeds, cfg)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(claimver.pipeline, "retrieve", recording)
+        report = run_pipeline(kg, text, _na_answer, chunk_chars=chunk_chars)
+    return report, seeds
+
+
+class TestStreamedLinking:
+    """The scan stopped and resumed at chunk ends links what one scan of the
+    whole text links, and gives each chunk the same seeds."""
+
+    @given(st.lists(st.sampled_from(STREAM_WORDS), min_size=1, max_size=25),
+           st.integers(0, 60))
+    @example(["I", "saw", "St.", "Louis"], 10)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_linking_the_whole_text(self, words, chunk_chars):
+        kg = KnowledgeGraph(STREAM_KG_NODES, STREAM_KG_TRIPLETS)
+        text = " ".join(words)
+        report, seeds = _streamed_run(kg, text, chunk_chars)
+
+        entities = link_entities(kg, text)
+        chunks = chunk_text(text, chunk_chars) if chunk_chars else [TextChunk(text, 0)]
+        assert seeds == [
+            list(dict.fromkeys(e.node for e in entities
+                               if c.offset <= e.start and e.end <= c.offset + len(c.text)))
+            for c in chunks]
+        assert [(e.mention, e.start, e.end, e.node, e.alternates)
+                for e in report.entities] == [
+            (e.mention, e.start, e.end, e.node, e.alternates) for e in entities]
+        assert sum(d.startswith("ambiguous mention") for d in report.diagnostics) == sum(
+            bool(e.alternates) for e in entities)
+
+    def test_mention_across_a_chunk_boundary_seeds_neither_chunk(self):
+        kg = KnowledgeGraph(STREAM_KG_NODES, STREAM_KG_TRIPLETS)
+        report, seeds = _streamed_run(kg, "I saw St. Louis", 10)
+        assert [c.text for c in chunk_text("I saw St. Louis", 10)] == ["I saw St. ", "Louis"]
+        assert [(e.mention, e.start, e.end) for e in report.entities] == [("St. Louis", 6, 15)]
+        assert seeds == [[], []]
 
 
 class TestDatagen:
