@@ -338,7 +338,6 @@ class TestChunkFanOut:
         assert report == run_pipeline(apollo_kg, FAN_OUT_TEXT, instant_answers,
                                       chunk_chars=40)
 
-
     def test_scoring_failure_yields_to_a_later_chunk_failure(self, apollo_kg):
         embedder = _BrokenEmbedder()
 
