@@ -221,6 +221,9 @@ class BackendConfig:
             raise ValueError(f"temperature must be >= 0, got {self.temperature}")
         if self.backoff_base <= 0:
             raise ValueError(f"backoff_base must be > 0, got {self.backoff_base}")
+        # A header value http.client can send; the key itself is never echoed.
+        if any(ch in "\r\n" or ch > "\xff" for ch in self.api_key):
+            raise ValueError("api_key must be latin-1 text without CR or LF")
 
 
 def _retry_after(value: str | None, cap: float) -> float | None:
@@ -284,6 +287,9 @@ class _EndpointClient:
         url = urlsplit(config.base_url.rstrip("/"))
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"base_url must be an http:// or https:// URL, got "
+                             f"{config.base_url!r}")
+        if any(not "!" <= ch <= "~" for ch in url.path):
+            raise ValueError(f"base_url path must be printable ASCII without spaces, got "
                              f"{config.base_url!r}")
         host, port = url.hostname, url.port or (443 if url.scheme == "https" else 80)
         netloc = url.netloc.rpartition("@")[2]

@@ -1,6 +1,7 @@
 """Prompt building and the chat-completion clients."""
 
 import base64
+import http.client
 import json
 import os
 import socket
@@ -11,7 +12,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import claimver
@@ -203,6 +204,25 @@ class TestBackendConfig:
         # overflows only when a request is made.
         with pytest.raises(ValueError, match="must be finite"):
             BackendConfig(base_url="http://x", model="m", **{field: value})
+
+
+    @pytest.mark.parametrize("key", ["sk-secret\nx", "sk-secret\rx", "sk-secret\u20ac"])
+    def test_unsendable_api_key_rejected_without_echo(self, key):
+        with pytest.raises(ValueError) as err:
+            BackendConfig(base_url="http://x", model="m", api_key=key)
+        assert str(err.value) == "api_key must be latin-1 text without CR or LF"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text())
+    @example("sk-\xe9\t\x00")
+    def test_accepted_api_key_is_a_sendable_header(self, key):
+        try:
+            BackendConfig(base_url="http://x", model="m", api_key=key)
+        except ValueError:
+            return
+        conn = http.client.HTTPConnection("127.0.0.1")
+        conn.putrequest("POST", "/")  # buffered: nothing is sent or connected
+        conn.putheader("Authorization", f"Bearer {key}")
 
 
 class TestChatBackend:
@@ -452,6 +472,8 @@ class TestTransport:
 
     @pytest.mark.parametrize("url, proxy", [
         ("ftp://model.internal", None), ("model.internal/v1", None),
+        ("http://model.internal/v 1", None), ("http://model.internal/v1\x7f", None),
+        ("http://model.internal/v\xe9", None),
         ("http://model.internal", "socks5://127.0.0.1:1080"),
     ])
     def test_unusable_url_or_proxy_rejected_when_built(self, no_proxy_env, url, proxy):
