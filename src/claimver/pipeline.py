@@ -1,12 +1,16 @@
-"""End-to-end orchestration: text in, verification report out.
+"""End-to-end orchestration: text in, verification report or span-labelling
+records out.
 
-Flow: apply the preprocessing hooks and chunk if requested. The linker scans
-the text once, left to right; as soon as it has passed a chunk's end, that
+Both outputs come from one loop over chunks of the text (_run_chunks): a
+verify run's chunks (the whole text unless it asked for chunking), a datagen
+run's sentences. As soon as the linker's scan has passed a chunk's end, that
 chunk's evidence paths are retrieved, its prompt is built and its backend
-request sent. Then each chunk's response is parsed, validated and scored, in
-chunk order, while later requests are in flight. The document score runs once
-over the concatenated claims. Failures surface as PipelineError tagged with
-the stage that failed, carrying any diagnostics gathered so far.
+request sent, at most _PARALLEL_CHUNKS at once. Each chunk is then finished
+in chunk order while later requests are in flight: a verify chunk's response
+is parsed, validated and scored, a datagen sentence becomes its record. A
+verify run scores the document once over the concatenated claims. Failures
+surface as PipelineError tagged with the stage that failed, carrying any
+diagnostics gathered so far.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 from typing import Any, Callable, Iterator, Optional, Sequence
 
 from .backend import PromptBundle, build_datagen_prompt, build_verification_prompt
@@ -24,7 +28,7 @@ from .errors import BackendError, ClaimverError, PipelineError, ResponseParseErr
 from .kg import KnowledgeGraph, NodeId
 from .linking import (LinkedEntity, PreprocessHook, TextChunk, _scan, chunk_text,
                       preprocess, split_sentences)
-from .parsing import ClaimResult, parse_response, validate_claims
+from .parsing import parse_response, validate_claims
 from .report import VerificationReport, build_report
 from .retrieval import RetrievalConfig, RetrievedTriplets, retrieve
 from .scoring import (Embedder, ScoredClaim, ScoringConfig, kg_attribution_score,
@@ -59,55 +63,18 @@ def _stage(name: str, diagnostics: Sequence[str] = (), catch=ClaimverError):
         raise PipelineError(name, str(exc), diagnostics) from exc
 
 
-@dataclass
-class _ChunkOutcome:
-    retrieved: RetrievedTriplets
-    claims: list[ClaimResult]
-    diagnostics: list[str]
-
-
 def _chunk_seeds(chunk: TextChunk, entities: Sequence[LinkedEntity]) -> list[NodeId]:
     """Distinct nodes linked inside the chunk, in first-appearance order."""
     lo, hi = chunk.offset, chunk.offset + len(chunk.text)
     return list(dict.fromkeys(e.node for e in entities if lo <= e.start and e.end <= hi))
 
 
-def _chunk_prompt(kg: KnowledgeGraph, chunk: TextChunk, entities: Sequence[LinkedEntity],
-                  retrieval_cfg: RetrievalConfig,
-                  diagnostics: list[str]) -> tuple[RetrievedTriplets, PromptBundle]:
-    """The half of a chunk before its backend request: evidence and prompt."""
-    with _stage("triplet-retrieval", diagnostics):
-        retrieved = retrieve(kg, _chunk_seeds(chunk, entities), retrieval_cfg)
-    with _stage("prompt", diagnostics):
-        prompt = build_verification_prompt(chunk.text, retrieved, kg)
-    return retrieved, prompt
-
-
-def _chunk_outcome(kg: KnowledgeGraph, chunk: TextChunk, retrieved: RetrievedTriplets,
-                   diagnostics: list[str], response: Callable[[], str]) -> _ChunkOutcome:
-    """The half of a chunk from its backend request on: response() returns
-    the model's answer (or raises the request's failure), which is parsed,
-    validated and moved to document offsets."""
-    with _stage("llm-backend", diagnostics, catch=(BackendError, OSError)):
-        raw = response()
-    with _stage("response-parser", diagnostics, catch=ResponseParseError):
-        raws = parse_response(raw, diagnostics)
-
-    claims = validate_claims(raws, chunk.text, retrieved, kg)
-    if chunk.offset:
-        claims = [
-            replace(c, start=c.start + chunk.offset, end=c.end + chunk.offset)
-            if c.start is not None else c
-            for c in claims
-        ]
-    return _ChunkOutcome(retrieved=retrieved, claims=claims, diagnostics=diagnostics)
-
-
 class _Scan:
-    """The linker's scan of one text, run only as far as the chunks need it."""
+    """A linker's mentions of one text, in text order, taken only as far as
+    the chunks need them."""
 
-    def __init__(self, kg: KnowledgeGraph, text: str):
-        self._mentions = _scan(kg, text)
+    def __init__(self, mentions: Iterator[LinkedEntity]):
+        self._mentions = mentions
         self.entities: list[LinkedEntity] = []
 
     def until(self, end: float = math.inf) -> list[LinkedEntity]:
@@ -123,19 +90,23 @@ class _Scan:
 
 
 def _run_chunks(kg: KnowledgeGraph, chunks: Sequence[TextChunk], scan: _Scan,
-                completer: Completer,
-                retrieval_cfg: RetrievalConfig) -> Iterator[_ChunkOutcome]:
-    """Every chunk's outcome, yielded in chunk order.
+                completer: Optional[Completer], retrieval_cfg: RetrievalConfig,
+                prompt_for: Callable[[TextChunk, RetrievedTriplets], PromptBundle],
+                finish: Callable[..., Any]) -> Iterator[Any]:
+    """finish(chunk, retrieved, prompt, diagnostics, response) for every
+    chunk, yielded in chunk order.
 
-    The calling thread sends each chunk's request as soon as the scan has
-    passed the chunk's end and its prompt is built, then parses the
-    responses in chunk order, each while later requests are in flight. Only
-    the backend requests of a split input run in a pool. The first chunk in
-    chunk order that fails decides the error, and requests still queued by
-    then are never sent.
+    The calling thread retrieves each chunk's evidence and builds its prompt
+    with prompt_for(chunk, retrieved) as soon as the scan has passed the
+    chunk's end, and sends the chunk's request; then it finishes the chunks
+    in chunk order, each while later requests are in flight. response()
+    returns the model's answer or raises the request's failure; it is None
+    when there is no completer. Only the requests of more than one chunk run
+    in a pool. The first chunk in chunk order that fails decides the error,
+    and requests still queued by then are never sent.
     """
     pool = None
-    if len(chunks) > 1:
+    if completer is not None and len(chunks) > 1:
         pool = ThreadPoolExecutor(max_workers=min(_PARALLEL_CHUNKS, len(chunks)))
     failure = None
     sent = []
@@ -144,16 +115,22 @@ def _run_chunks(kg: KnowledgeGraph, chunks: Sequence[TextChunk], scan: _Scan,
             entities = scan.until(chunk.offset + len(chunk.text))
             diagnostics: list[str] = []
             try:
-                retrieved, prompt = _chunk_prompt(kg, chunk, entities, retrieval_cfg,
-                                                  diagnostics)
+                with _stage("triplet-retrieval", diagnostics):
+                    retrieved = retrieve(kg, _chunk_seeds(chunk, entities), retrieval_cfg)
+                with _stage("prompt", diagnostics):
+                    prompt = prompt_for(chunk, retrieved)
             except PipelineError as exc:
                 failure = exc  # unless an earlier chunk fails below
                 break
-            request = (pool.submit(completer, prompt).result if pool
-                       else functools.partial(completer, prompt))
-            sent.append((chunk, retrieved, diagnostics, request))
-        for chunk, retrieved, diagnostics, request in sent:
-            yield _chunk_outcome(kg, chunk, retrieved, diagnostics, request)
+            if completer is None:
+                response = None
+            elif pool:
+                response = pool.submit(completer, prompt).result
+            else:
+                response = functools.partial(completer, prompt)
+            sent.append((chunk, retrieved, prompt, diagnostics, response))
+        for step in sent:
+            yield finish(*step)
     finally:
         if pool:
             pool.shutdown(cancel_futures=True)
@@ -169,14 +146,6 @@ def _doc_notes(entities: Sequence[LinkedEntity], n_chunks: int) -> list[str]:
     if n_chunks > 1:
         notes.append(f"input split into {n_chunks} chunks")
     return notes
-
-
-def _merge_retrieved(outcomes: Sequence[_ChunkOutcome]) -> RetrievedTriplets:
-    seen = {}
-    for outcome in outcomes:
-        for path in outcome.retrieved.paths:
-            seen.setdefault(path, None)
-    return RetrievedTriplets(paths=tuple(seen))
 
 
 def run_pipeline(kg: KnowledgeGraph, text: str, backend,
@@ -208,20 +177,38 @@ def run_pipeline(kg: KnowledgeGraph, text: str, backend,
     if not text:
         raise PipelineError("preprocess", "preprocessing left no text")
 
-    scan = _Scan(kg, text)
-    outcomes: list[_ChunkOutcome] = []
+    paths = []
+    chunk_diagnostics: list[str] = []
+
+    def finish(chunk, retrieved, prompt, diagnostics, response):
+        """The chunk's claims, validated and moved to document offsets."""
+        with _stage("llm-backend", diagnostics, catch=(BackendError, OSError)):
+            raw = response()
+        with _stage("response-parser", diagnostics, catch=ResponseParseError):
+            raws = parse_response(raw, diagnostics)
+        claims = validate_claims(raws, chunk.text, retrieved, kg)
+        paths.extend(retrieved.paths)
+        chunk_diagnostics.extend(diagnostics)
+        if not chunk.offset:
+            return claims
+        return [replace(c, start=c.start + chunk.offset, end=c.end + chunk.offset)
+                if c.start is not None else c
+                for c in claims]
+
+    scan = _Scan(_scan(kg, text))
     scored: list[ScoredClaim] = []
     held = None
     try:
         chunks = chunk_text(text, chunk_chars) if chunk_chars else [TextChunk(text, 0)]
-        for outcome in _run_chunks(kg, chunks, scan, completer, retrieval_cfg):
-            outcomes.append(outcome)
+        for claims in _run_chunks(
+                kg, chunks, scan, completer, retrieval_cfg,
+                lambda chunk, retrieved: build_verification_prompt(chunk.text, retrieved, kg),
+                finish):
             if held is None:
                 # A claim's linked mentions all lie in its chunk, so the
                 # scan has passed them.
                 try:
-                    scored += score_claims(outcome.claims, scan.entities, kg, embedder,
-                                           scoring_cfg)
+                    scored += score_claims(claims, scan.entities, kg, embedder, scoring_cfg)
                 except Exception as exc:  # raised once every chunk has succeeded
                     held = exc
     except Exception as exc:
@@ -232,10 +219,8 @@ def run_pipeline(kg: KnowledgeGraph, text: str, backend,
         raise
 
     entities = scan.until()
-    doc_diagnostics = _doc_notes(entities, len(chunks))
-    for outcome in outcomes:
-        doc_diagnostics.extend(outcome.diagnostics)
-    retrieved = _merge_retrieved(outcomes)
+    doc_diagnostics = _doc_notes(entities, len(chunks)) + chunk_diagnostics
+    retrieved = RetrievedTriplets(paths=tuple(dict.fromkeys(paths)))
 
     with _stage("scoring", doc_diagnostics):
         if held is not None:
@@ -258,35 +243,40 @@ def iter_datagen_records(kg: KnowledgeGraph, text: str,
                          retrieval_cfg: Optional[RetrievalConfig] = None,
                          backend=None,
                          hooks: Sequence[PreprocessHook] = ()) -> Iterator[dict[str, Any]]:
-    """Span-labeling records for one document, one per sentence.
+    """Span-labeling records for one document, one per sentence, in sentence
+    order.
 
     Each record holds the document, the sentence span, the triplets retrieved
     for that sentence's entities (as label triples), and the rendered prompt;
-    with a backend (taken as in run_pipeline) also the model's response.
-    Failures are tagged with the stage that failed, as in run_pipeline.
+    with a backend (taken as in run_pipeline) also the model's response, up to
+    _PARALLEL_CHUNKS sentence requests in flight at once. Failures are tagged
+    with the stage that failed, as in run_pipeline; the records of the
+    sentences before the first failing one are yielded before it is raised.
     """
     retrieval_cfg = retrieval_cfg or RetrievalConfig()
     completer = _as_completer(backend) if backend is not None else None
     with _stage("preprocess", catch=Exception):
         text, entities = preprocess(kg, text, hooks)
+    sentences = []
     offset = 0
     for sentence in split_sentences(text):
-        chunk = TextChunk(sentence, offset)
+        if sentence.strip():
+            sentences.append(TextChunk(sentence, offset))
         offset += len(sentence)
-        span = sentence.strip()
-        if not span:
-            continue
-        with _stage("triplet-retrieval"):
-            retrieved = retrieve(kg, _chunk_seeds(chunk, entities), retrieval_cfg)
-        with _stage("prompt"):
-            prompt = build_datagen_prompt(text, span, retrieved, kg)
+
+    def finish(chunk, retrieved, prompt, diagnostics, response):
         record: dict[str, Any] = {
             "full_text": text,
-            "text_span": span,
+            "text_span": chunk.text.strip(),
             "triplets": [list(kg.triplet_labels(t)) for t in retrieved.triplets],
             "prompt": prompt.text,
         }
-        if completer is not None:
-            with _stage("llm-backend", catch=(BackendError, OSError)):
-                record["response"] = completer(prompt)
-        yield record
+        if response is not None:
+            with _stage("llm-backend", diagnostics, catch=(BackendError, OSError)):
+                record["response"] = response()
+        return record
+
+    yield from _run_chunks(
+        kg, sentences, _Scan(iter(entities)), completer, retrieval_cfg,
+        lambda chunk, retrieved: build_datagen_prompt(text, chunk.text.strip(), retrieved, kg),
+        finish)

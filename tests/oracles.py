@@ -1,11 +1,14 @@
 """Reference implementations that the fast code paths are checked against.
 
-Each one is the plain form the package used before it was sped up:
+Each one is the plain form the package used before it was sped up or folded
+into a shared path:
 - render_json_oracle: the report through to_dict() and json.dumps(indent=2);
 - span_colors_oracle and paint_oracle: the per-character span painter, valid
   for claim offsets inside the text;
 - retrieve_oracle: path retrieval on node ids through kg.neighbors and
-  kg.edge_between, with a bisection of every ball member at a hub step.
+  kg.edge_between, with a bisection of every ball member at a hub step;
+- iter_datagen_records_oracle: datagen's own serial loop over the sentences,
+  each retrieved, prompted and sent before the next one starts.
 """
 
 from __future__ import annotations
@@ -13,12 +16,15 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from itertools import combinations, islice
-from typing import Iterable, Optional
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
-from claimver.errors import UnknownNodeError
+from claimver.backend import build_datagen_prompt
+from claimver.errors import BackendError, UnknownNodeError
 from claimver.kg import KnowledgeGraph, NodeId
+from claimver.linking import PreprocessHook, TextChunk, preprocess, split_sentences
+from claimver.pipeline import _as_completer, _chunk_seeds, _stage
 from claimver.report import VerificationReport
-from claimver.retrieval import KgPath, RetrievalConfig, RetrievedTriplets
+from claimver.retrieval import KgPath, RetrievalConfig, RetrievedTriplets, retrieve
 
 
 def render_json_oracle(report: VerificationReport) -> str:
@@ -115,3 +121,35 @@ def retrieve_oracle(kg: KnowledgeGraph, seeds: Iterable[NodeId],
                 for p in _pair_paths_oracle(kg, u, v, ball, config)]
     return RetrievedTriplets(paths=tuple(
         p for pair in combinations(unique, 2) for p in by_pair[pair]))
+
+
+def iter_datagen_records_oracle(kg: KnowledgeGraph, text: str,
+                                retrieval_cfg: Optional[RetrievalConfig] = None,
+                                backend=None,
+                                hooks: Sequence[PreprocessHook] = ()
+                                ) -> Iterator[dict[str, Any]]:
+    retrieval_cfg = retrieval_cfg or RetrievalConfig()
+    completer = _as_completer(backend) if backend is not None else None
+    with _stage("preprocess", catch=Exception):
+        text, entities = preprocess(kg, text, hooks)
+    offset = 0
+    for sentence in split_sentences(text):
+        chunk = TextChunk(sentence, offset)
+        offset += len(sentence)
+        span = sentence.strip()
+        if not span:
+            continue
+        with _stage("triplet-retrieval"):
+            retrieved = retrieve(kg, _chunk_seeds(chunk, entities), retrieval_cfg)
+        with _stage("prompt"):
+            prompt = build_datagen_prompt(text, span, retrieved, kg)
+        record: dict[str, Any] = {
+            "full_text": text,
+            "text_span": span,
+            "triplets": [list(kg.triplet_labels(t)) for t in retrieved.triplets],
+            "prompt": prompt.text,
+        }
+        if completer is not None:
+            with _stage("llm-backend", catch=(BackendError, OSError)):
+                record["response"] = completer(prompt)
+        yield record

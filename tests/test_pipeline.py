@@ -26,6 +26,7 @@ from claimver.scoring import ScoringConfig, modified_sigmoid
 
 from conftest import (APOLLO_NODES, APOLLO_RESPONSE, APOLLO_TEXT, APOLLO_TRIPLETS,
                       chat_payload)
+from oracles import iter_datagen_records_oracle
 
 
 @pytest.fixture
@@ -519,6 +520,111 @@ class TestDatagen:
         with pytest.raises(PipelineError) as err:
             list(iter_datagen_records(apollo_kg, APOLLO_TEXT, hooks=[broken]))
         assert str(err.value) == "[preprocess] hook broke"
+
+
+# Words whose sentences link zero to several Apollo entities; "Luna" marks a
+# sentence whose request fails.
+DATAGEN_WORDS = ["Apollo", "11", "Neil", "Armstrong", "Buzz", "Aldrin", "Moon", "Moon.",
+                 "Earth.", "USA!", "Luna", "Luna.", "walked", "It", "the", " ", "\n"]
+
+
+def _span_of(prompt) -> str:
+    return prompt.rendered_input.split('**Text span:** "', 1)[1].rsplit('"\n**Triplets', 1)[0]
+
+
+def _datagen_answer(prompt) -> str:
+    span = _span_of(prompt)
+    if "Luna" in span:
+        raise BackendError(f"no answer for {span!r}")
+    return f"answer for {span}"
+
+
+def _drain(records):
+    """The records yielded, and the failure that ended them, if any."""
+    out = []
+    try:
+        for record in records:
+            out.append(record)
+    except PipelineError as exc:
+        return out, (str(exc), exc.diagnostics)
+    return out, None
+
+
+class TestDatagenChunkLoop:
+    """iter_datagen_records runs its sentences through the shared chunk loop:
+    the same records and failures as one sentence at a time, with the
+    requests of one document fanned out."""
+
+    @given(st.lists(st.sampled_from(DATAGEN_WORDS), max_size=30), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_serial_loop(self, words, with_backend):
+        kg = KnowledgeGraph(APOLLO_NODES, APOLLO_TRIPLETS)
+        text = " ".join(words)
+        backend = _datagen_answer if with_backend else None
+        assert _drain(iter_datagen_records(kg, text, backend=backend)) == _drain(
+            iter_datagen_records_oracle(kg, text, backend=backend))
+
+    def test_requests_fan_out_and_records_keep_sentence_order(self, apollo_kg):
+        lock = threading.Lock()
+        inflight = [0, 0]  # now, most
+
+        def slow(prompt):
+            i = _span_of(prompt).split()[3]
+            with lock:
+                inflight[0] += 1
+                inflight[1] = max(inflight)
+            time.sleep(0.01 * (7 - int(i)))  # later sentences answer first
+            with lock:
+                inflight[0] -= 1
+            return f"answer {i}"
+
+        records = list(iter_datagen_records(apollo_kg, FAN_OUT_TEXT, backend=slow))
+        assert [(r["text_span"], r["response"]) for r in records] == [
+            (f"Apollo 11 trip {i} reached the Moon.", f"answer {i}") for i in range(7)]
+        assert 2 <= inflight[1] <= claimver.pipeline._PARALLEL_CHUNKS
+
+    def test_failing_sentence_ends_the_records_and_queued_requests(self, apollo_kg,
+                                                                   monkeypatch):
+        futures = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def submit(self, *args, **kwargs):
+                futures.append(super().submit(*args, **kwargs))
+                return futures[-1]
+
+        monkeypatch.setattr(claimver.pipeline, "ThreadPoolExecutor", RecordingPool)
+        started = []
+        release = threading.Event()
+
+        def complete(prompt):
+            i = int(_span_of(prompt).split()[3])
+            started.append(i)
+            if i == 1:
+                raise BackendError("sentence 2 unavailable")
+            if i > 0:
+                release.wait(10)
+            return f"answer {i}"
+
+        def release_once_cancelled():
+            # Sentences 0 and 1 answer at once and their workers take two
+            # more, which are held with 2 and 3 until the last request, still
+            # queued, is cancelled.
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline and not (
+                    len(futures) == 7 and futures[6].cancelled()):
+                time.sleep(0.005)
+            release.set()
+
+        watcher = threading.Thread(target=release_once_cancelled)
+        watcher.start()
+        records, failure = _drain(iter_datagen_records(apollo_kg, FAN_OUT_TEXT,
+                                                       backend=complete))
+        watcher.join(10)
+        assert not watcher.is_alive()
+        assert [(r["text_span"], r["response"]) for r in records] == [
+            ("Apollo 11 trip 0 reached the Moon.", "answer 0")]
+        assert failure == ("[llm-backend] sentence 2 unavailable", [])
+        assert 6 not in started
 
 
 def test_traced_benchmark_stages_are_bound():
