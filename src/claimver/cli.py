@@ -107,11 +107,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    # Every flag is checked, and the input read, before the graph load.
     _require_pair(args.embed_url, args.embed_model, "--embed-url and --embed-model")
-    kg = load_kg(args.kg, args.kg_format, nodes_path=args.kg_nodes, lenient=args.lenient)
-    with _open_text(args.input, "r") as source:
-        text = source.read()
-
+    retrieval_cfg = RetrievalConfig(max_hops=args.max_hops, max_paths_per_pair=args.max_paths)
+    scoring_cfg = ScoringConfig(alpha=args.alpha, beta=args.beta,
+                                gamma_neg=args.gamma, gamma_pos=1.0)
     backend = ChatBackend(BackendConfig(base_url=args.backend_url, model=args.model))
     embed_client = embedder = None
     if args.embed_url:
@@ -119,11 +119,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                                                   model=args.embed_model))
         embedder = FallbackEmbedder(embed_client)
 
-    retrieval_cfg = RetrievalConfig(max_hops=args.max_hops, max_paths_per_pair=args.max_paths)
-    scoring_cfg = ScoringConfig(alpha=args.alpha, beta=args.beta,
-                                gamma_neg=args.gamma, gamma_pos=1.0)
-
     with backend, embed_client or contextlib.nullcontext():
+        with _open_text(args.input, "r") as source:
+            text = source.read()
+        kg = load_kg(args.kg, args.kg_format, nodes_path=args.kg_nodes, lenient=args.lenient)
         report = run_pipeline(
             kg, text, backend, retrieval_cfg, scoring_cfg,
             embedder=embedder, chunk_chars=args.chunk_chars,
@@ -139,24 +138,25 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_datagen(args: argparse.Namespace) -> int:
     _require_pair(args.backend_url, args.model, "--backend-url and --model")
-    kg = load_kg(args.kg, args.kg_format, nodes_path=args.kg_nodes, lenient=args.lenient)
+    retrieval_cfg = RetrievalConfig(max_hops=args.max_hops, max_paths_per_pair=args.max_paths)
     # One client for every document, so its requests share keep-alive connections.
     backend = None
     if args.backend_url:
         backend = ChatBackend(BackendConfig(base_url=args.backend_url, model=args.model))
-    retrieval_cfg = RetrievalConfig(max_hops=args.max_hops, max_paths_per_pair=args.max_paths)
 
-    # One document per line: never split at U+2028 and the like (a file's
-    # lines end at \n, \r\n or \r, stdin's at \n). Each record is written as
-    # soon as it is made, so a failure keeps the earlier documents' records.
-    with (_open_text(args.input, "r") as docs, _open_text(args.out, "w") as out,
-          backend or contextlib.nullcontext()):
-        for doc in docs:
-            doc = doc.strip()
-            if not doc:
-                continue
-            for record in iter_datagen_records(kg, doc, retrieval_cfg, backend):
-                out.write(json.dumps(record, ensure_ascii=False) + "\n")
+    # Every flag is checked, and the input opened, before the graph load. One
+    # document per line: never split at U+2028 and the like (a file's lines
+    # end at \n, \r\n or \r, stdin's at \n). Each record is written as soon
+    # as it is made, so a failure keeps the earlier records.
+    with _open_text(args.input, "r") as docs, backend or contextlib.nullcontext():
+        kg = load_kg(args.kg, args.kg_format, nodes_path=args.kg_nodes, lenient=args.lenient)
+        with _open_text(args.out, "w") as out:
+            for doc in docs:
+                doc = doc.strip()
+                if not doc:
+                    continue
+                for record in iter_datagen_records(kg, doc, retrieval_cfg, backend):
+                    out.write(json.dumps(record, ensure_ascii=False) + "\n")
     return 0
 
 

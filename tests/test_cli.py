@@ -187,6 +187,56 @@ class TestVerify:
             "error: --embed-url and --embed-model must be given together\n")
 
 
+@pytest.fixture
+def no_graph_load(monkeypatch):
+    """A graph load that fails the test: the flags must be refused first."""
+    def load_kg(*args, **kwargs):
+        raise AssertionError("graph loaded before the flags were checked")
+    monkeypatch.setattr("claimver.cli.load_kg", load_kg)
+
+
+_BAD_URL = "error: base_url must be an http:// or https:// URL, got 'ftp://x'\n"
+_BAD_KEY = "error: api_key must be latin-1 text without CR or LF\n"
+
+
+class TestFlagsCheckedBeforeGraphLoad:
+    @pytest.mark.parametrize("flags, key, err", [
+        (["--max-hops", "0"], "", "error: max_hops must be >= 1, got 0\n"),
+        (["--max-paths", "0"], "", "error: max_paths_per_pair must be >= 1, got 0\n"),
+        (["--alpha", "nan"], "", "error: alpha, beta, gamma_neg and gamma_pos must be finite\n"),
+        (["--backend-url", "ftp://x"], "", _BAD_URL),
+        (["--embed-url", "ftp://x", "--embed-model", "e"], "", _BAD_URL),
+        ([], "sk-secret\nx", _BAD_KEY),
+    ], ids=["max-hops", "max-paths", "alpha", "backend-url", "embed-url", "api-key"])
+    def test_verify(self, input_file, refused_url, no_graph_load, monkeypatch, capsys,
+                    flags, key, err):
+        monkeypatch.setenv("CLAIMVER_API_KEY", key)
+        assert main(_verify_args("/no/such/graph.tsv", input_file, refused_url, *flags)) == 2
+        assert capsys.readouterr().err == err
+
+    @pytest.mark.parametrize("flags, key, err", [
+        (["--max-hops", "0"], "", "error: max_hops must be >= 1, got 0\n"),
+        (["--max-paths", "0"], "", "error: max_paths_per_pair must be >= 1, got 0\n"),
+        (["--backend-url", "ftp://x", "--model", "m"], "", _BAD_URL),
+        (["--backend-url", "http://127.0.0.1:9", "--model", "m"], "sk-secret\nx", _BAD_KEY),
+    ], ids=["max-hops", "max-paths", "backend-url", "api-key"])
+    def test_datagen(self, input_file, no_graph_load, monkeypatch, capsys, flags, key, err):
+        monkeypatch.setenv("CLAIMVER_API_KEY", key)
+        assert main(["datagen", "--kg", "/no/such/graph.tsv", "--input", input_file,
+                     *flags]) == 2
+        assert capsys.readouterr().err == err
+
+    @pytest.mark.parametrize("command", ["verify", "datagen"])
+    def test_missing_input(self, tmp_path, refused_url, no_graph_load, capsys, command):
+        absent = str(tmp_path / "absent.txt")
+        args = _verify_args("/no/such/graph.tsv", absent, refused_url)
+        if command == "datagen":
+            args = ["datagen", "--kg", "/no/such/graph.tsv", "--input", absent]
+        assert main(args) == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: {absent!r}\n")
+
+
 class TestDatagen:
     def test_emits_jsonl(self, tsv_kg_path, tmp_path, capsys):
         doc_file = tmp_path / "docs.txt"
