@@ -290,7 +290,7 @@ class _EndpointClient:
                              f"{config.base_url!r}")
         if any(not "!" <= ch <= "~" for ch in url.path):
             raise ValueError(f"base_url path must be printable ASCII without spaces, got "
-                             f"{config.base_url!r}")
+                             f"{url.path!r}")
         host, port = url.hostname, url.port or (443 if url.scheme == "https" else 80)
         netloc = url.netloc.rpartition("@")[2]
         self._target = url.path

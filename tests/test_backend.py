@@ -482,6 +482,12 @@ class TestTransport:
         with pytest.raises(ValueError):
             ChatBackend(BackendConfig(base_url=url, model="m"))
 
+    def test_unsendable_path_named_without_credentials(self):
+        with pytest.raises(ValueError) as err:
+            ChatBackend(BackendConfig(base_url="http://u:hunter2@h/v 1", model="m"))
+        assert str(err.value) == (
+            "base_url path must be printable ASCII without spaces, got '/v 1'")
+
 
 def _run_python(script: str, *args: str) -> subprocess.CompletedProcess:
     src = str(Path(claimver.__file__).resolve().parents[1])
