@@ -9,6 +9,7 @@ import json
 import logging
 import math
 import os
+import re
 import threading
 import time
 from dataclasses import dataclass, field
@@ -235,6 +236,18 @@ def _retry_after(value: str | None, cap: float) -> float | None:
     return min(seconds, cap) if seconds >= 0 else None
 
 
+def _without_password(url: str) -> str:
+    """url as given, less the password of its user:password@ part, if any."""
+    head, slashes, rest = url.partition("//")
+    if not slashes:
+        head, rest = "", url
+    authority = re.match(r"[^/?#]*", rest).group()
+    userinfo, at, host = authority.rpartition("@")
+    if not at or ":" not in userinfo:
+        return url
+    return head + slashes + userinfo.partition(":")[0] + "@" + host + rest[len(authority):]
+
+
 def _proxy_for(scheme: str, netloc: str) -> tuple[str, int, dict[str, str]] | None:
     """(host, port, auth headers) of the proxy the environment names for
     scheme://netloc, or None when there is none or NO_PROXY bypasses it."""
@@ -247,7 +260,8 @@ def _proxy_for(scheme: str, netloc: str) -> tuple[str, int, dict[str, str]] | No
         return None
     url = urlsplit(proxy if "://" in proxy else "http://" + proxy)
     if url.scheme != "http" or not url.hostname:
-        raise ValueError(f"unsupported proxy {proxy!r}: only http:// proxies work")
+        raise ValueError(f"unsupported proxy {_without_password(proxy)!r}: "
+                         f"only http:// proxies work")
     auth = {}
     if url.username is not None:
         credentials = f"{unquote(url.username)}:{unquote(url.password or '')}"
@@ -284,16 +298,29 @@ class _EndpointClient:
         from . import __version__
 
         self.config = config
-        url = urlsplit(config.base_url.rstrip("/"))
+        url = urlsplit(config.base_url)
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"base_url must be an http:// or https:// URL, got "
-                             f"{config.base_url!r}")
-        if any(not "!" <= ch <= "~" for ch in url.path):
-            raise ValueError(f"base_url path must be printable ASCII without spaces, got "
-                             f"{url.path!r}")
-        host, port = url.hostname, url.port or (443 if url.scheme == "https" else 80)
+                             f"{_without_password(config.base_url)!r}")
+        if "#" in config.base_url:
+            raise ValueError(f"base_url must not have a #fragment, got "
+                             f"{_without_password(config.base_url)!r}")
+        path = url.path.rstrip("/")
+        for part, text in (("path", path), ("query", url.query)):
+            if any(not "!" <= ch <= "~" for ch in text):
+                raise ValueError(f"base_url {part} must be printable ASCII without spaces, "
+                                 f"got {text!r}")
+        try:
+            port = url.port or (443 if url.scheme == "https" else 80)
+        except ValueError:
+            # urllib's message quotes the text after the colon, which can be
+            # part of a password holding a "/".
+            raise ValueError("base_url port must be a number from 0 to 65535") from None
+        host = url.hostname
         netloc = url.netloc.rpartition("@")[2]
-        self._target = url.path
+        # Each request's path goes between the base path and the base query.
+        self._target = path
+        self._query = "?" + url.query if url.query else ""
         self._headers = {"Content-Type": "application/json",
                          "User-Agent": f"claimver/{__version__}"}
         if config.api_key:
@@ -305,7 +332,7 @@ class _EndpointClient:
             if url.scheme == "https":
                 self._tunnel = (host, port, auth)
             else:
-                self._target = f"http://{netloc}{url.path}"
+                self._target = f"http://{netloc}{path}"
                 self._headers.update(auth)
             host, port = proxy_host, proxy_port
         if url.scheme == "https":
@@ -346,7 +373,7 @@ class _EndpointClient:
         reused = conn is not None
         if conn is None:
             conn = self._connection()
-        target = self._target + path
+        target = self._target + path + self._query
         try:
             try:
                 conn.request("POST", target, payload, self._headers)

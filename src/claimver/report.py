@@ -11,8 +11,7 @@ from __future__ import annotations
 import functools
 from dataclasses import MISSING, dataclass, field, fields
 from json.encoder import encode_basestring
-from operator import attrgetter
-from typing import (Any, Callable, Iterable, Optional, Sequence, get_args, get_origin,
+from typing import (Any, Callable, Iterable, Optional, Sequence, Union, get_args, get_origin,
                     get_type_hints)
 
 from .kg import KnowledgeGraph, Triplet
@@ -30,8 +29,11 @@ def _spec(cls: type) -> tuple[tuple[str, Any, bool], ...]:
 
 
 # How a record field value becomes JSON: a record becomes an object in field
-# order, a tuple becomes a list, every other value passes through. _encode
-# applies the rule for to_dict, and _write for to_json; keep the two alike.
+# order, a tuple becomes a list, every other value passes through. _encode is
+# that one rule. to_dict applies it to each field of _spec; the JSON writer
+# writes _encode(value) with _dump, and only takes a shortcut for values of
+# exactly their hinted type, which _encode passes through (str, int, float,
+# None) or turns into a list or an object (tuples, records).
 
 def _encode(value: Any) -> Any:
     if isinstance(value, _Record):
@@ -67,15 +69,14 @@ def _key(k: Any) -> str:
     if isinstance(k, str):
         return encode_basestring(k)
     if isinstance(k, (float, int)) or k is None:
-        return '"' + _write(k, 0) + '"'
+        return '"' + _dump(k, 0) + '"'
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
 
 
-def _write(v: Any, level: int, records: bool = True) -> str:
-    """_encode(v) as json.dumps(indent=2, ensure_ascii=False) writes it, in
-    json.dumps's type-check order. records says whether _encode would reach a
-    record here: in a field or a tuple inside one, not inside a list or dict.
-    Anything json.dumps cannot encode raises TypeError."""
+def _dump(v: Any, level: int) -> str:
+    """v as json.dumps(v, indent=2, ensure_ascii=False) writes it at this
+    indent level, in json.dumps's type-check order. Anything json.dumps cannot
+    encode, a record among them, raises TypeError."""
     if isinstance(v, str):
         return encode_basestring(v)
     if v is None:
@@ -89,29 +90,67 @@ def _write(v: Any, level: int, records: bool = True) -> str:
     if isinstance(v, float):
         return _float(v)
     if isinstance(v, (list, tuple)):
-        records = records and isinstance(v, tuple)
-        return _block("[", [_write(x, level + 1, records) for x in v], "]", level)
+        return _block("[", [_dump(x, level + 1) for x in v], "]", level)
     if isinstance(v, dict):
-        return _block("{", [_key(k) + ": " + _write(x, level + 1, False) for k, x in v.items()],
+        return _block("{", [_key(k) + ": " + _dump(x, level + 1) for k, x in v.items()],
                       "}", level)
-    if records and isinstance(v, _Record):
-        return _write_record(v, level)
     raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 
 
+def _write(v: Any, level: int) -> str:
+    """A field value, or an item of a tuple field, as the JSON writer writes it."""
+    return _dump(_encode(v), level)
+
+
+_DIRECT = {str: "_str", int: "_int", float: "_float"}
+
+
+def _field_source(hint: Any, var: str, level: int, env: dict[str, Any]) -> str:
+    """Source of an expression that writes var, a field value hinted as hint,
+    at level: directly when its type is exactly the hint's, else by _write."""
+    fallback = f"_write({var}, {level})"
+    args = get_args(hint)
+    if hint in _DIRECT:
+        return f"{_DIRECT[hint]}({var}) if type({var}) is {hint.__name__} else {fallback}"
+    if get_origin(hint) is Union and len(args) == 2 and type(None) in args:
+        inner = _field_source(args[args[0] is type(None)], var, level, env)
+        return f"'null' if {var} is None else {inner}"
+    if get_origin(hint) is tuple and len(args) == 2 and args[1] is Ellipsis:
+        item = f"x{level}"
+        outer = "\n" + "  " * level
+        inner = outer + "  "
+        items = _field_source(args[0], item, level + 1, env)
+        return (f"(({'[' + inner!r} + {',' + inner!r}.join([{items} for {item} in {var}])"
+                f" + {outer + ']'!r}) if {var} else '[]') if type({var}) is tuple "
+                f"else {fallback}")
+    if isinstance(hint, type) and issubclass(hint, _Record):
+        cls, writer = f"_c{len(env)}", f"_w{len(env)}"
+        env[cls], env[writer] = hint, _writer(hint, level)
+        return f"{writer}({var}) if type({var}) is {cls} else {fallback}"
+    return fallback
+
+
 @functools.cache
-def _template(cls: type, level: int) -> tuple[str, Callable[[Any], tuple]]:
-    """One record class at one indent level: its %-format and a getter of its
-    field values in field order. Every record class has at least two fields."""
-    names = [name for name, _, _ in _spec(cls)]
-    return (_block("{", [encode_basestring(name) + ": %s" for name in names], "}", level),
-            attrgetter(*names))
-
-
-def _write_record(rec: _Record, level: int) -> str:
-    template, get = _template(type(rec), level)
-    level += 1
-    return template % tuple([_write(v, level) for v in get(rec)])
+def _writer(cls: type, level: int) -> Callable[[Any], str]:
+    """The JSON writer of one record class at one indent level, generated once
+    from the _spec field hints, as dataclasses generates __init__. Its output
+    is always _dump(rec.to_dict(), level). Record hints form no cycle."""
+    env: dict[str, Any] = {"_str": encode_basestring, "_int": int.__repr__,
+                           "_float": _float, "_write": _write}
+    lines = ["def write(rec):"]
+    for i, (name, hint, _) in enumerate(_spec(cls)):
+        lines.append(f"    v{i} = rec.{name}")
+        lines.append(f"    w{i} = {_field_source(hint, f'v{i}', level + 1, env)}")
+    # The object with a NUL where each value goes, as one f-string of w0, w1, ...
+    text = _block("{", [encode_basestring(name) + ": \0" for name, _, _ in _spec(cls)],
+                  "}", level)
+    first, *rest = text.replace("{", "{{").replace("}", "}}").split("\0")
+    lines.append("    return f" + repr(first + "".join(
+        f"{{w{i}}}{part}" for i, part in enumerate(rest))))
+    exec("\n".join(lines), env)
+    write = env["write"]
+    write.__qualname__ = f"_writer({cls.__name__}, {level})"
+    return write
 
 
 def _decode(hint: Any, value: Any) -> Any:
@@ -139,7 +178,7 @@ class _Record:
     def to_json(self) -> str:
         """to_dict() as json.dumps(..., indent=2, ensure_ascii=False) writes it,
         without building the dict."""
-        return _write_record(self, 0)
+        return _writer(type(self), 0)(self)
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]):

@@ -11,6 +11,7 @@ more steeply than it rewards positive ones.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -74,6 +75,13 @@ class Embedder(Protocol):
     def embed(self, text: str) -> np.ndarray: ...
 
 
+@functools.lru_cache(maxsize=8192)
+def _token_hash(token: str) -> int:
+    """The first 8 bytes of the token's sha256, big-endian. One cache serves
+    every HashedBagEmbedder in the process and holds at most 8,192 tokens."""
+    return int.from_bytes(hashlib.sha256(token.encode("utf-8")).digest()[:8], "big")
+
+
 class HashedBagEmbedder:
     """Deterministic offline embedder: hashed bag-of-tokens counts.
 
@@ -86,15 +94,11 @@ class HashedBagEmbedder:
             raise ValueError(f"dim must be positive, got {dim}")
         self.dim = dim
 
-    def _bucket(self, token: str) -> int:
-        digest = hashlib.sha256(token.encode("utf-8")).digest()
-        return int.from_bytes(digest[:8], "big") % self.dim
-
     def embed(self, text: str) -> np.ndarray:
-        vec = np.zeros(self.dim, dtype=np.float64)
-        for tok in tokens(text):
-            vec[self._bucket(tok)] += 1.0
-        return vec
+        dim = self.dim
+        buckets = [_token_hash(tok) % dim for tok in tokens(text)]
+        return np.bincount(np.array(buckets, dtype=np.intp),
+                           minlength=dim).astype(np.float64)
 
 
 class HttpEmbedder(_EndpointClient):
@@ -140,9 +144,10 @@ _NORM_MIN, _NORM_MAX = 1e-150, 1e150
 def cosine(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray) -> float:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
+    # sqrt(x.dot(x)) is what np.linalg.norm computes for a 1-D float vector.
     with np.errstate(over="ignore"):
-        na = float(np.linalg.norm(a))
-        nb = float(np.linalg.norm(b))
+        na = math.sqrt(a.dot(a))
+        nb = math.sqrt(b.dot(b))
     if not (_NORM_MIN < na < _NORM_MAX and _NORM_MIN < nb < _NORM_MAX):
         # Zero, or so small or large that the products would leave the float
         # range: scale each vector to unit max first.
@@ -151,7 +156,7 @@ def cosine(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray) -> 
         if ma == 0.0 or mb == 0.0:
             return 0.0
         a, b = a / ma, b / mb
-        na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+        na, nb = math.sqrt(a.dot(a)), math.sqrt(b.dot(b))
     return float(np.dot(a, b) / (na * nb))
 
 

@@ -7,6 +7,7 @@ from bisect import bisect_left
 from typing import Callable
 
 _WORD_RE = re.compile(r"\w+")
+_SPACE_RUN_RE = re.compile(r"\s+")
 
 
 def normalize(s: str) -> str:
@@ -48,20 +49,49 @@ def _normalize_with_map(s: str) -> tuple[str, list[tuple[int, int]]]:
     return "".join(chars), spans
 
 
+def _find_words(folded: str, words: list[str], start: int) -> tuple[int, int] | None:
+    """First (lo, hi) at or after start where folded holds the words in order,
+    separated by whitespace runs: the first ending where a run begins, the
+    inner ones filling the space between runs, the last starting after one."""
+    first, rest = words[0], words[1:]
+    pos = start
+    while True:
+        lo = folded.find(first, pos)
+        if lo < 0:
+            return None
+        hi = lo + len(first)
+        for word in rest:
+            run = _SPACE_RUN_RE.match(folded, hi)
+            if run is None or not folded.startswith(word, run.end()):
+                break
+            hi = run.end() + len(word)
+        else:
+            return lo, hi
+        pos = lo + 1
+
+
 def normalized_finder(text: str) -> Callable[..., tuple[int, int] | None]:
-    """normalized_find over one text, building its normalized map at most once.
+    """normalized_find over one text, case-folding it at most once.
 
     The returned find(needle, start=0) only reports matches that begin at or
-    after text offset start. The map is built on the first call that needs it
-    and dropped with the returned function.
+    after text offset start. When case folding keeps the text's length, each
+    character folds to one, so a match is a run of the needle's words in the
+    folded text and offsets need no map. Otherwise the normalized text and its
+    per-character map are built on the first call that needs them and dropped
+    with the returned function.
     """
+    folded: str | None = None
     mapped: tuple[str, list[tuple[int, int]]] | None = None
 
     def find(needle: str, start: int = 0) -> tuple[int, int] | None:
-        nonlocal mapped
+        nonlocal folded, mapped
         target = normalize(needle)
         if not target:
             return None
+        if folded is None:
+            folded = text.casefold()
+        if len(folded) == len(text):
+            return _find_words(folded, target.split(" "), max(start, 0))
         if mapped is None:
             mapped = _normalize_with_map(text)
         ntext, spans = mapped

@@ -8,15 +8,22 @@ into a shared path:
 - retrieve_oracle: path retrieval on node ids through kg.neighbors and
   kg.edge_between, with a bisection of every ball member at a hub step;
 - iter_datagen_records_oracle: datagen's own serial loop over the sentences,
-  each retrieved, prompted and sent before the next one starts.
+  each retrieved, prompted and sent before the next one starts;
+- normalized_finder_oracle: span lookup through a map from every normalized
+  character back to its source characters, built for every text;
+- embed_oracle: the hashed bag of tokens, one sha256 and one vector update
+  per token.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from bisect import bisect_left
 from itertools import combinations, islice
-from typing import Any, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from claimver.backend import build_datagen_prompt
 from claimver.errors import BackendError, UnknownNodeError
@@ -25,6 +32,7 @@ from claimver.linking import PreprocessHook, TextChunk, preprocess, split_senten
 from claimver.pipeline import _as_completer, _chunk_seeds, _stage
 from claimver.report import VerificationReport
 from claimver.retrieval import KgPath, RetrievalConfig, RetrievedTriplets, retrieve
+from claimver.text import normalize, tokens
 
 
 def render_json_oracle(report: VerificationReport) -> str:
@@ -153,3 +161,52 @@ def iter_datagen_records_oracle(kg: KnowledgeGraph, text: str,
             with _stage("llm-backend", catch=(BackendError, OSError)):
                 record["response"] = completer(prompt)
         yield record
+
+
+def _normalize_with_map_oracle(s: str) -> tuple[str, list[tuple[int, int]]]:
+    """Normalize s, keeping for each output char its source span in s."""
+    chars: list[str] = []
+    spans: list[tuple[int, int]] = []
+    ws_start: int | None = None
+    for i, ch in enumerate(s):
+        if ch.isspace():
+            if chars and ws_start is None:
+                ws_start = i
+            continue
+        if ws_start is not None:
+            chars.append(" ")
+            spans.append((ws_start, i))
+            ws_start = None
+        for folded in ch.casefold():
+            chars.append(folded)
+            spans.append((i, i + 1))
+    return "".join(chars), spans
+
+
+def normalized_finder_oracle(text: str) -> Callable[..., tuple[int, int] | None]:
+    ntext, spans = _normalize_with_map_oracle(text)
+
+    def find(needle: str, start: int = 0) -> tuple[int, int] | None:
+        target = normalize(needle)
+        if not target:
+            return None
+        pos = bisect_left(spans, (start,))
+        while True:
+            j = ntext.find(target, pos)
+            if j < 0:
+                return None
+            lo = spans[j][0]
+            hi = spans[j + len(target) - 1][1]
+            if normalize(text[lo:hi]) == target:
+                return lo, hi
+            pos = j + 1
+
+    return find
+
+
+def embed_oracle(text: str, dim: int = 1024) -> np.ndarray:
+    vec = np.zeros(dim, dtype=np.float64)
+    for tok in tokens(text):
+        digest = hashlib.sha256(tok.encode("utf-8")).digest()
+        vec[int.from_bytes(digest[:8], "big") % dim] += 1.0
+    return vec

@@ -10,6 +10,8 @@ from claimver.linking import (chunk_text, link_entities, preprocess,
 from claimver.text import (normalize, normalized_find, normalized_finder, tokens,
                            word_spans)
 
+from oracles import normalized_finder_oracle
+
 
 class TestNormalize:
     def test_casefold_collapse_trim(self):
@@ -60,6 +62,53 @@ class TestNormalizedFind:
         tail = normalized_find(text[start:], needle)
         assert hit == (tail and (tail[0] + start, tail[1] + start))
 
+
+
+# Letters whose case folding changes length (ß ẞ İ ﬁ) or not (ı, U+0345 to
+# iota), and whitespace that str.split() breaks at: NBSP, U+2028, \x1c-\x1f.
+_FOLD_TEXT = st.text(alphabet="aAbB sSiIß ẞİıﬁ\u0345\xa0\u2028\x1c\x1d\x1e\x1f\n",
+                     max_size=30)
+
+
+class TestNormalizedFinderMatchesOracle:
+    """normalized_finder against a per-character map built for every text."""
+
+    @given(_FOLD_TEXT, st.lists(st.tuples(_FOLD_TEXT.filter(lambda s: len(s) <= 8)
+                                          | st.text(alphabet="aAbß İ", max_size=6),
+                                          st.integers(-2, 32)), min_size=1, max_size=4))
+    @settings(max_examples=500, deadline=None)
+    def test_drawn_needles(self, text, queries):
+        find, oracle = normalized_finder(text), normalized_finder_oracle(text)
+        assert [find(needle, start) for needle, start in queries] == [
+            oracle(needle, start) for needle, start in queries]
+
+    @given(st.text(alphabet="ab \xa0", max_size=14),
+           st.lists(st.tuples(st.text(alphabet="ab ", max_size=6), st.integers(-2, 14)),
+                    min_size=1, max_size=4))
+    @settings(max_examples=500, deadline=None)
+    def test_dense_needles(self, text, queries):
+        # A small alphabet, so needles often match, overlap and nearly match.
+        find, oracle = normalized_finder(text), normalized_finder_oracle(text)
+        assert [find(needle, start) for needle, start in queries] == [
+            oracle(needle, start) for needle, start in queries]
+
+    @given(_FOLD_TEXT, st.integers(0, 30), st.integers(1, 12), st.integers(0, 32))
+    @settings(max_examples=500, deadline=None)
+    def test_needles_cut_from_the_text(self, text, at, length, start):
+        needle = text[at:at + length].upper()
+        assert normalized_finder(text)(needle, start) == normalized_finder_oracle(text)(
+            needle, start)
+
+    @pytest.mark.parametrize("text, needle", [
+        ("Groß Straße", "STRASSE"), ("the\u2028moon\x1c rocks", "MOON ROCKS"),
+        ("ﬁne \xa0day", "fine day"), ("\u0345x \u0345", "ιx ι"), ("Iİı i", "i̇ı"),
+        ("a  b a b", "a b"), ("ab  cd", "b c"), ("ab a b", "a b"), ("a\xa0ab b", "a b"),
+        ("a bb a b", "a b b"), ("aaa b", "AA B"), ("abab ab b", "bab b"),
+    ])
+    def test_examples(self, text, needle):
+        for start in range(-2, len(text) + 1):
+            assert normalized_finder(text)(needle, start) == normalized_finder_oracle(text)(
+                needle, start)
 
 @pytest.fixture
 def linking_kg():

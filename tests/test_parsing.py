@@ -205,10 +205,12 @@ class TestValidateClaims:
         assert out[0].start == 0
         assert any("normalization" in d for d in out[0].diagnostics)
 
-    def test_normalized_map_built_once_per_call(self, apollo_kg, apollo_retrieved, monkeypatch):
-        spans = ["apollo 11  landed on the moon.", "NEIL ARMSTRONG", "a  french citizen."]
-        assert all(APOLLO_TEXT.find(s) == -1 for s in spans)
-        expected = [normalized_find(APOLLO_TEXT, s) for s in spans]
+    @staticmethod
+    def _maps_built(text, spans, kg, retrieved, monkeypatch):
+        """The texts whose normalized map one validate_claims call builds,
+        checking that each span lands where normalized_find puts it."""
+        assert all(text.find(s) == -1 for s in spans)
+        expected = [normalized_find(text, s) for s in spans]
         assert all(expected)
         built = []
         original = claimver.text._normalize_with_map
@@ -219,9 +221,23 @@ class TestValidateClaims:
 
         monkeypatch.setattr(claimver.text, "_normalize_with_map", counting)
         raws = [_raw(s, "Extrapolatory", index=i) for i, s in enumerate(spans, 1)]
-        out = validate_claims(raws, APOLLO_TEXT, apollo_retrieved, apollo_kg)
-        assert built == [APOLLO_TEXT]
+        out = validate_claims(raws, text, retrieved, kg)
         assert [(c.start, c.end) for c in out] == expected
+        return built
+
+    def test_normalized_map_built_once_per_call(self, apollo_kg, apollo_retrieved, monkeypatch):
+        # Case folding lengthens the ß, so this text needs the per-character map.
+        text = APOLLO_TEXT + " He grew up on a Straße."
+        spans = ["apollo 11  landed on the moon.", "NEIL ARMSTRONG", "a  french citizen.",
+                 "on a strasse."]
+        built = self._maps_built(text, spans, apollo_kg, apollo_retrieved, monkeypatch)
+        assert built == [text]
+
+    def test_length_preserving_text_builds_no_map(self, apollo_kg, apollo_retrieved,
+                                                  monkeypatch):
+        spans = ["apollo 11  landed on the moon.", "NEIL ARMSTRONG", "a  french citizen."]
+        built = self._maps_built(APOLLO_TEXT, spans, apollo_kg, apollo_retrieved, monkeypatch)
+        assert built == []
 
     def test_unlocatable_span_noattribution(self, apollo_kg, apollo_retrieved):
         raws = [_raw("The Moon is made of cheese.", "Attributable",

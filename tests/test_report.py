@@ -1,17 +1,23 @@
 """Report model round-trips and the three renderers."""
 
+import dataclasses
+import enum
+import gc
 import importlib
 import json
 import math
 import re
+import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from claimver.linking import link_entities
-from claimver.parsing import RawClaim, validate_claims
+from claimver.parsing import PredictionLabel, RawClaim, validate_claims
 from claimver.render import render, render_ansi, render_html, render_json
+import claimver.report
 from claimver.report import (ClaimRecord, EntityRecord, PathRecord, TripletRecord,
                              VerificationReport, build_report)
 from claimver.retrieval import retrieve
@@ -337,6 +343,79 @@ class TestOffsetsCheckedWhenBuilt:
                 VerificationReport.from_dict(d)
 
 
+class _Label(str):
+    pass
+
+
+class _Count(enum.IntEnum):
+    ONE = 1
+
+
+@dataclasses.dataclass(frozen=True)
+class _TaggedTriplet(TripletRecord):
+    tag: str = "extra"
+
+
+_TRIPLET = TripletRecord("a", "A", "p", "b", "B")
+_PLAIN_REPORT = VerificationReport(
+    input_text="one two", retrieved_triplets=(_TRIPLET,),
+    entities=(EntityRecord(mention="one", start=0, end=3, node="a", label="A"),),
+    retrieved_paths=(PathRecord(nodes=("a", "b"), edges=(_TRIPLET,)),),
+    claims=(ClaimRecord(span="one two", start=0, end=7, prediction="Attributable",
+                        triplets=(_TRIPLET,), rationale="r", ss=0.5, epr=1.0, tms=0.75,
+                        claim_score=2),),
+    n=1, kas=0.6)
+
+
+def _with_claim(**changes):
+    return lambda r: dataclasses.replace(
+        r, claims=(dataclasses.replace(r.claims[0], **changes),))
+
+
+def _with_entity(**changes):
+    return lambda r: dataclasses.replace(
+        r, entities=(dataclasses.replace(r.entities[0], **changes),))
+
+
+def _with_path(**changes):
+    return lambda r: dataclasses.replace(
+        r, retrieved_paths=(dataclasses.replace(r.retrieved_paths[0], **changes),))
+
+
+# One value per field kind whose type is not exactly the field's hint.
+_OFF_TYPE_CASES = [
+    ("str-subclass", _with_claim(span=_Label("one two"), rationale=_Label("r\u2028"))),
+    ("str-enum", _with_claim(prediction=PredictionLabel.CONTRADICTORY)),
+    ("str-subclass-in-record", lambda r: dataclasses.replace(
+        r, retrieved_triplets=(TripletRecord(_Label("a"), "A", _Label("p"), "b", "B"),))),
+    ("str-none", _with_claim(rationale=None, prediction=None)),
+    ("int-bool", _with_claim(claim_score=True)),
+    ("int-intenum", _with_claim(claim_score=_Count.ONE)),
+    ("int-bool-offsets", _with_entity(start=False, end=True)),
+    ("int-intenum-offsets", _with_claim(start=_Count.ONE, end=_Count.ONE)),
+    ("int-intenum-count", lambda r: dataclasses.replace(r, n=_Count.ONE)),
+    ("float-np-float64", _with_claim(ss=np.float64(0.1), epr=np.float64(-0.0))),
+    ("float-nan-inf", _with_claim(ss=math.nan, epr=math.inf, tms=-math.inf)),
+    ("float-np-nan", lambda r: dataclasses.replace(r, kas=np.float64("nan"))),
+    ("float-int", _with_claim(ss=0, epr=1, tms=True)),
+    ("tuple-list-of-str", _with_claim(diagnostics=["d1", "d2"])),
+    ("tuple-list-of-str-nodes", _with_path(nodes=["a", "b"])),
+    ("tuple-list-of-records", _with_claim(triplets=[_TRIPLET])),
+    ("tuple-non-str-items", _with_entity(alternates=(1, None, 2.5, ("x",), [True]))),
+    ("tuple-non-record-items", _with_path(edges=("edge", 3, None, {"k": (1,)}))),
+    ("tuple-record-subclass", _with_claim(triplets=(_TRIPLET, _TaggedTriplet(
+        "c", "C", "q", "d", "D")))),
+    ("tuple-nested-tuple", _with_path(edges=((_TRIPLET, (_TRIPLET,)),))),
+    ("tuple-record-in-dict", _with_path(edges=({"t": _TRIPLET},))),
+    ("tuple-empty", lambda r: dataclasses.replace(r, retrieved_triplets=(), claims=(), n=0)),
+    ("optional-none", _with_claim(start=None, end=None)),
+    ("dict-tuple-key-values", lambda r: dataclasses.replace(
+        r, config={"a": (1, (2,)), 3: [None], 4.5: {"b": ()}})),
+    ("record-as-str", _with_claim(rationale=_TRIPLET)),
+    ("record-as-tuple", lambda r: dataclasses.replace(r, diagnostics=_TRIPLET)),
+]
+
+
 class TestRenderJsonMatchesDumps:
     """render_json writes the text itself; json.dumps(indent=2) is the oracle."""
 
@@ -381,6 +460,37 @@ class TestRenderJsonMatchesDumps:
             render_json_oracle(report)
         with pytest.raises(TypeError):
             render_json(report)
+
+    @pytest.mark.parametrize("kind, change", _OFF_TYPE_CASES,
+                             ids=[kind for kind, _ in _OFF_TYPE_CASES])
+    def test_off_type_field_values(self, kind, change):
+        # A value whose type is not exactly its field's hint is written as
+        # json.dumps writes it, or raises TypeError as json.dumps does.
+        report = change(_PLAIN_REPORT)
+        try:
+            expected = render_json_oracle(report)
+        except TypeError:
+            with pytest.raises(TypeError):
+                render_json(report)
+        else:
+            assert render_json(report) == expected
+
+    def test_writer_cache_holds_no_report(self, apollo_report):
+        # One generated writer per (record class, indent level), whatever
+        # the number of reports written; the writers keep no report alive.
+        render_json(apollo_report)
+        writers = claimver.report._writer.cache_info().currsize
+        levels = 3  # the report at 0, its records at 2, their triplets at 4
+        assert writers <= len(claimver.report._Record.__subclasses__()) * levels
+        refs = []
+        for i in range(1000):
+            report = dataclasses.replace(apollo_report, diagnostics=(f"run {i}",))
+            refs.append(weakref.ref(report))
+            render_json(report)
+        del report
+        gc.collect()
+        assert claimver.report._writer.cache_info().currsize == writers
+        assert not any(ref() for ref in refs)
 
 
 class TestBuildReportSharesTriplets:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import claimver.scoring
 from claimver.backend import BackendConfig
 from claimver.errors import BackendError, ClaimverError
 from claimver.kg import Triplet
@@ -21,6 +22,7 @@ from claimver.scoring import (AttributionResult, FallbackEmbedder,
                               semantic_similarity, triplets_match_score)
 
 from conftest import APOLLO_TEXT, chat_payload
+from oracles import embed_oracle
 
 # Independently derived with a 50-digit evaluation of 1/(1+exp(-g*x)).
 SIG_2_G1 = 0.8807970779778823
@@ -103,6 +105,21 @@ class TestHashedBagEmbedder:
         with pytest.raises(ValueError):
             HashedBagEmbedder(dim=0)
 
+    @given(st.text(st.sampled_from("ab Zß1_.\u0345é"), max_size=40), st.integers(1, 40))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_token_loop(self, text, dim):
+        got, want = HashedBagEmbedder(dim).embed(text), embed_oracle(text, dim)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_token_cache_bounded(self):
+        # 20,000 distinct tokens, in calls of 1,000.
+        e = HashedBagEmbedder()
+        for i in range(20):
+            text = " ".join(f"tok{i}x{j}" for j in range(1000))
+            assert np.array_equal(e.embed(text), embed_oracle(text))
+        info = claimver.scoring._token_hash.cache_info()
+        assert info.maxsize == 8192 and info.currsize <= info.maxsize
+
 
 class _FixedEmbedder:
     """Returns the vector stored under the text."""
@@ -148,6 +165,18 @@ class TestSemanticSimilarity:
         assert cosine([1e200, 1e200], [1e200, 1e200]) == pytest.approx(1.0)
         assert cosine([1e-200, 0.0], [1e-200, 1e-200]) == pytest.approx(0.5 ** 0.5)
         assert cosine([1e300, -1e300], [1e300, 1e300]) == pytest.approx(0.0)
+
+    @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+        *[st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n)] * 2)))
+    @settings(max_examples=300, deadline=None)
+    def test_cosine_norms_as_linalg_norm(self, vectors):
+        # Each norm is sqrt(x.dot(x)), exactly what np.linalg.norm computes.
+        a, b = (np.asarray(v) for v in vectors)
+        with np.errstate(over="ignore"):
+            na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+        if not (1e-150 < na < 1e150 and 1e-150 < nb < 1e150):
+            return
+        assert cosine(a, b) == float(np.dot(a, b) / (na * nb))
 
     @pytest.mark.parametrize("a, b", [
         ([float("nan"), 1.0], [1.0, 1.0]),
