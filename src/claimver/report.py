@@ -97,18 +97,14 @@ def _dump(v: Any, level: int) -> str:
     raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 
 
-def _write(v: Any, level: int) -> str:
-    """A field value, or an item of a tuple field, as the JSON writer writes it."""
-    return _dump(_encode(v), level)
-
-
 _DIRECT = {str: "_str", int: "_int", float: "_float"}
 
 
 def _field_source(hint: Any, var: str, level: int, env: dict[str, Any]) -> str:
     """Source of an expression that writes var, a field value hinted as hint,
-    at level: directly when its type is exactly the hint's, else by _write."""
-    fallback = f"_write({var}, {level})"
+    at level: directly when its type is exactly the hint's, else as _dump of
+    its _encode."""
+    fallback = f"_dump(_encode({var}), {level})"
     args = get_args(hint)
     if hint in _DIRECT:
         return f"{_DIRECT[hint]}({var}) if type({var}) is {hint.__name__} else {fallback}"
@@ -136,7 +132,7 @@ def _writer(cls: type, level: int) -> Callable[[Any], str]:
     from the _spec field hints, as dataclasses generates __init__. Its output
     is always _dump(rec.to_dict(), level). Record hints form no cycle."""
     env: dict[str, Any] = {"_str": encode_basestring, "_int": int.__repr__,
-                           "_float": _float, "_write": _write}
+                           "_float": _float, "_dump": _dump, "_encode": _encode}
     lines = ["def write(rec):"]
     for i, (name, hint, _) in enumerate(_spec(cls)):
         lines.append(f"    v{i} = rec.{name}")

@@ -73,14 +73,18 @@ _FOLD_TEXT = st.text(alphabet="aAbB sSiIß ẞİıﬁ\u0345\xa0\u2028\x1c\x1d\x1
 class TestNormalizedFinderMatchesOracle:
     """normalized_finder against a per-character map built for every text."""
 
+    @staticmethod
+    def _check(text, queries):
+        find, oracle = normalized_finder(text), normalized_finder_oracle(text)
+        assert [find(needle, start) for needle, start in queries] == [
+            oracle(needle, start) for needle, start in queries]
+
     @given(_FOLD_TEXT, st.lists(st.tuples(_FOLD_TEXT.filter(lambda s: len(s) <= 8)
                                           | st.text(alphabet="aAbß İ", max_size=6),
                                           st.integers(-2, 32)), min_size=1, max_size=4))
     @settings(max_examples=500, deadline=None)
     def test_drawn_needles(self, text, queries):
-        find, oracle = normalized_finder(text), normalized_finder_oracle(text)
-        assert [find(needle, start) for needle, start in queries] == [
-            oracle(needle, start) for needle, start in queries]
+        self._check(text, queries)
 
     @given(st.text(alphabet="ab \xa0", max_size=14),
            st.lists(st.tuples(st.text(alphabet="ab ", max_size=6), st.integers(-2, 14)),
@@ -88,16 +92,12 @@ class TestNormalizedFinderMatchesOracle:
     @settings(max_examples=500, deadline=None)
     def test_dense_needles(self, text, queries):
         # A small alphabet, so needles often match, overlap and nearly match.
-        find, oracle = normalized_finder(text), normalized_finder_oracle(text)
-        assert [find(needle, start) for needle, start in queries] == [
-            oracle(needle, start) for needle, start in queries]
+        self._check(text, queries)
 
     @given(_FOLD_TEXT, st.integers(0, 30), st.integers(1, 12), st.integers(0, 32))
     @settings(max_examples=500, deadline=None)
     def test_needles_cut_from_the_text(self, text, at, length, start):
-        needle = text[at:at + length].upper()
-        assert normalized_finder(text)(needle, start) == normalized_finder_oracle(text)(
-            needle, start)
+        self._check(text, [(text[at:at + length].upper(), start)])
 
     @pytest.mark.parametrize("text, needle", [
         ("Groß Straße", "STRASSE"), ("the\u2028moon\x1c rocks", "MOON ROCKS"),
@@ -106,9 +106,7 @@ class TestNormalizedFinderMatchesOracle:
         ("a bb a b", "a b b"), ("aaa b", "AA B"), ("abab ab b", "bab b"),
     ])
     def test_examples(self, text, needle):
-        for start in range(-2, len(text) + 1):
-            assert normalized_finder(text)(needle, start) == normalized_finder_oracle(text)(
-                needle, start)
+        self._check(text, [(needle, start) for start in range(-2, len(text) + 1)])
 
 @pytest.fixture
 def linking_kg():
