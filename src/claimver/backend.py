@@ -9,7 +9,6 @@ import json
 import logging
 import math
 import os
-import re
 import threading
 import time
 from dataclasses import dataclass, field
@@ -236,18 +235,6 @@ def _retry_after(value: str | None, cap: float) -> float | None:
     return min(seconds, cap) if seconds >= 0 else None
 
 
-def _without_password(url: str) -> str:
-    """url as given, less the password of its user:password@ part, if any."""
-    head, slashes, rest = url.partition("//")
-    if not slashes:
-        head, rest = "", url
-    authority = re.match(r"[^/?#]*", rest).group()
-    userinfo, at, host = authority.rpartition("@")
-    if not at or ":" not in userinfo:
-        return url
-    return head + slashes + userinfo.partition(":")[0] + "@" + host + rest[len(authority):]
-
-
 def _proxy_for(scheme: str, netloc: str) -> tuple[str, int, dict[str, str]] | None:
     """(host, port, auth headers) of the proxy the environment names for
     scheme://netloc, or None when there is none or NO_PROXY bypasses it."""
@@ -259,15 +246,22 @@ def _proxy_for(scheme: str, netloc: str) -> tuple[str, int, dict[str, str]] | No
     if not proxy or urllib.request.proxy_bypass(netloc):
         return None
     url = urlsplit(proxy if "://" in proxy else "http://" + proxy)
-    if url.scheme != "http" or not url.hostname:
-        raise ValueError(f"unsupported proxy {_without_password(proxy)!r}: "
-                         f"only http:// proxies work")
+    # Refusals name no part of the URL past its scheme: that part can hold a
+    # password, and urlsplit misreads where it ends when it holds a / or #.
+    if url.scheme != "http":
+        raise ValueError(f"unsupported proxy scheme {url.scheme!r}: only http:// proxies work")
+    if not url.hostname:
+        raise ValueError("proxy URL has no host")
+    try:
+        port = url.port or 80
+    except ValueError:
+        raise ValueError("proxy port must be a number from 0 to 65535") from None
     auth = {}
     if url.username is not None:
         credentials = f"{unquote(url.username)}:{unquote(url.password or '')}"
         auth["Proxy-Authorization"] = (
             "Basic " + base64.b64encode(credentials.encode("utf-8")).decode("ascii"))
-    return url.hostname, url.port or 80, auth
+    return url.hostname, port, auth
 
 
 class _EndpointClient:
@@ -299,17 +293,22 @@ class _EndpointClient:
 
         self.config = config
         url = urlsplit(config.base_url)
-        if url.scheme not in ("http", "https") or not url.hostname:
-            raise ValueError(f"base_url must be an http:// or https:// URL, got "
-                             f"{_without_password(config.base_url)!r}")
+        # No refusal quotes the whole URL; see _proxy_for.
+        if url.scheme not in ("http", "https"):
+            raise ValueError(f"base_url must be an http:// or https:// URL, "
+                             f"got scheme {url.scheme!r}")
+        if not url.hostname:
+            raise ValueError("base_url has no host")
         if "#" in config.base_url:
-            raise ValueError(f"base_url must not have a #fragment, got "
-                             f"{_without_password(config.base_url)!r}")
+            raise ValueError("base_url must not have a #fragment")
         path = url.path.rstrip("/")
+        # An "@" past the host means a password holding a "/" or "?" was read
+        # as path or query, so the refusal then quotes neither.
+        quoted = "@" not in url.path + url.query
         for part, text in (("path", path), ("query", url.query)):
             if any(not "!" <= ch <= "~" for ch in text):
-                raise ValueError(f"base_url {part} must be printable ASCII without spaces, "
-                                 f"got {text!r}")
+                raise ValueError(f"base_url {part} must be printable ASCII without spaces"
+                                 + (f", got {text!r}" if quoted else ""))
         try:
             port = url.port or (443 if url.scheme == "https" else 80)
         except ValueError:

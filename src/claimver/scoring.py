@@ -11,7 +11,6 @@ more steeply than it rewards positive ones.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -75,13 +74,6 @@ class Embedder(Protocol):
     def embed(self, text: str) -> np.ndarray: ...
 
 
-@functools.lru_cache(maxsize=8192)
-def _token_hash(token: str) -> int:
-    """The first 8 bytes of the token's sha256, big-endian. One cache serves
-    every HashedBagEmbedder in the process and holds at most 8,192 tokens."""
-    return int.from_bytes(hashlib.sha256(token.encode("utf-8")).digest()[:8], "big")
-
-
 class HashedBagEmbedder:
     """Deterministic offline embedder: hashed bag-of-tokens counts.
 
@@ -94,11 +86,14 @@ class HashedBagEmbedder:
             raise ValueError(f"dim must be positive, got {dim}")
         self.dim = dim
 
+    def _bucket(self, token: str) -> int:
+        digest = hashlib.sha256(token.encode("utf-8")).digest()
+        return int.from_bytes(digest[:8], "big") % self.dim
+
     def embed(self, text: str) -> np.ndarray:
-        dim = self.dim
-        buckets = [_token_hash(tok) % dim for tok in tokens(text)]
+        buckets = [self._bucket(tok) for tok in tokens(text)]
         return np.bincount(np.array(buckets, dtype=np.intp),
-                           minlength=dim).astype(np.float64)
+                           minlength=self.dim).astype(np.float64)
 
 
 class HttpEmbedder(_EndpointClient):

@@ -195,7 +195,7 @@ def no_graph_load(monkeypatch):
     monkeypatch.setattr("claimver.cli.load_kg", load_kg)
 
 
-_BAD_URL = "error: base_url must be an http:// or https:// URL, got 'ftp://x'\n"
+_BAD_URL = "error: base_url must be an http:// or https:// URL, got scheme 'ftp'\n"
 _BAD_KEY = "error: api_key must be latin-1 text without CR or LF\n"
 
 

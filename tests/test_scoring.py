@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import claimver.scoring
 from claimver.backend import BackendConfig
 from claimver.errors import BackendError, ClaimverError
 from claimver.kg import Triplet
@@ -110,15 +109,6 @@ class TestHashedBagEmbedder:
     def test_matches_per_token_loop(self, text, dim):
         got, want = HashedBagEmbedder(dim).embed(text), embed_oracle(text, dim)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-
-    def test_token_cache_bounded(self):
-        # 20,000 distinct tokens, in calls of 1,000.
-        e = HashedBagEmbedder()
-        for i in range(20):
-            text = " ".join(f"tok{i}x{j}" for j in range(1000))
-            assert np.array_equal(e.embed(text), embed_oracle(text))
-        info = claimver.scoring._token_hash.cache_info()
-        assert info.maxsize == 8192 and info.currsize <= info.maxsize
 
 
 class _FixedEmbedder:
