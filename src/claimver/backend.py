@@ -315,8 +315,11 @@ class _EndpointClient:
             # urllib's message quotes the text after the colon, which can be
             # part of a password holding a "/".
             raise ValueError("base_url port must be a number from 0 to 65535") from None
+        # Credentials in the URL would be sent nowhere and copied into reports.
+        if url.username is not None:
+            raise ValueError("base_url must not hold a user name or password; "
+                             "set the key in CLAIMVER_API_KEY")
         host = url.hostname
-        netloc = url.netloc.rpartition("@")[2]
         # Each request's path goes between the base path and the base query.
         self._target = path
         self._query = "?" + url.query if url.query else ""
@@ -325,13 +328,13 @@ class _EndpointClient:
         if config.api_key:
             self._headers["Authorization"] = f"Bearer {config.api_key}"
         self._tunnel = None
-        proxy = _proxy_for(url.scheme, netloc)
+        proxy = _proxy_for(url.scheme, url.netloc)
         if proxy:
             proxy_host, proxy_port, auth = proxy
             if url.scheme == "https":
                 self._tunnel = (host, port, auth)
             else:
-                self._target = f"http://{netloc}{path}"
+                self._target = f"http://{url.netloc}{path}"
                 self._headers.update(auth)
             host, port = proxy_host, proxy_port
         if url.scheme == "https":

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 from .errors import ResponseParseError
 from .kg import KnowledgeGraph, Triplet, triplet_key
 from .retrieval import RetrievedTriplets
-from .text import format_triplet, normalize, normalized_finder
+from .text import format_triplet, normalize, normalized_finder, replace_surrogates
 
 logger = logging.getLogger(__name__)
 
@@ -130,7 +130,7 @@ def parse_response(raw: str, diagnostics: Optional[list[str]] = None) -> list[Ra
         if key in bucket:
             sink.append(f"duplicate key {key}{index} ignored")
         else:
-            bucket[key] = value
+            bucket[key] = replace_surrogates(value)
 
     if not groups:
         raise ResponseParseError("no claim keys found in response", raw)

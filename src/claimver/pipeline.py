@@ -33,6 +33,7 @@ from .report import VerificationReport, build_report
 from .retrieval import RetrievalConfig, RetrievedTriplets, retrieve
 from .scoring import (Embedder, ScoredClaim, ScoringConfig, kg_attribution_score,
                       score_claims)
+from .text import replace_surrogates
 
 logger = logging.getLogger(__name__)
 
@@ -273,7 +274,7 @@ def iter_datagen_records(kg: KnowledgeGraph, text: str,
         }
         if response is not None:
             with _stage("llm-backend", diagnostics, catch=(BackendError, OSError)):
-                record["response"] = response()
+                record["response"] = replace_surrogates(response())
         return record
 
     yield from _run_chunks(

@@ -44,9 +44,15 @@ pre.text { white-space: pre-wrap; border: 1px solid #ccc; padding: 1em; }
 
 
 def _span_colors(report: VerificationReport) -> list[Optional[str]]:
-    """Per-character prediction, later claims overriding earlier ones."""
+    """Per-character prediction, later claims overriding earlier ones.
+
+    A loaded report can hold any prediction; one with no color is refused
+    here, before either renderer looks it up.
+    """
     colors: list[Optional[str]] = [None] * len(report.input_text)
     for claim in report.claims:
+        if not isinstance(claim.prediction, str) or claim.prediction not in _ANSI:
+            raise ValueError(f"cannot render a claim with prediction {claim.prediction!r}")
         if claim.start is not None:
             colors[claim.start:claim.end] = [claim.prediction] * (claim.end - claim.start)
     return colors

@@ -157,6 +157,19 @@ class TestVerify:
         report = json.loads(capsys.readouterr().out)
         assert report["config"]["retrieval"] == {"max_hops": 2, "max_paths_per_pair": 3}
 
+    @pytest.mark.parametrize("rationale", ['"a \\ud800 b"', '"a \ud800 b"', 'a \ud800 b'],
+                             ids=["json-escape", "raw-quoted", "raw-unquoted"])
+    def test_lone_surrogate_in_reply_written_as_replacement(
+            self, tsv_kg_path, input_file, tmp_path, scripted_server, rationale):
+        reply = APOLLO_RESPONSE.replace(
+            '"The landing site triplet states this directly."', rationale)
+        server = scripted_server([(200, chat_payload(reply))])
+        out = tmp_path / "report.json"
+        assert main(_verify_args(tsv_kg_path, input_file, server.url,
+                                 "--out", str(out))) == 0
+        report = json.loads(out.read_bytes().decode("utf-8"))
+        assert report["claims"][0]["rationale"] == "a \ufffd b"
+
     def test_embed_url_fallback_still_succeeds(self, tsv_kg_path, input_file,
                                                scripted_server, capsys):
         chat = scripted_server([(200, chat_payload(APOLLO_RESPONSE))])
@@ -257,6 +270,17 @@ class TestDatagen:
                      "--backend-url", server.url, "--model", "m"]) == 0
         lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
         assert lines[0]["response"] == '- "prediction": "Attributable"'
+
+    def test_lone_surrogate_in_response_written_as_replacement(
+            self, tsv_kg_path, tmp_path, scripted_server):
+        server = scripted_server([(200, chat_payload("lone \ud800"))])
+        doc_file = tmp_path / "docs.txt"
+        doc_file.write_text("Apollo 11 landed on the Moon.\n", encoding="utf-8")
+        out = tmp_path / "records.jsonl"
+        assert main(["datagen", "--kg", tsv_kg_path, "--input", str(doc_file),
+                     "--backend-url", server.url, "--model", "m", "--out", str(out)]) == 0
+        record = json.loads(out.read_bytes().decode("utf-8"))
+        assert record["response"] == "lone \ufffd"
 
     def test_backend_url_without_model_exit_2(self, tsv_kg_path, tmp_path, refused_url):
         doc_file = tmp_path / "docs.txt"

@@ -1,5 +1,5 @@
-"""The package's public surface, claimver.__all__, and the imports of its
-modules."""
+"""The package's public surface, claimver.__all__, the imports of its
+modules, and its private definitions."""
 
 import ast
 import types
@@ -42,3 +42,30 @@ def test_no_module_imports_a_name_it_never_uses():
     package = Path(claimver.__file__).parent
     assert [entry for path in sorted(package.glob("*.py"))
             for entry in _unused_imports(path)] == []
+
+
+def _private_definitions(tree: ast.Module):
+    """Module- and class-level private functions and classes, not dunders."""
+    scopes = [tree.body] + [node.body for node in tree.body if isinstance(node, ast.ClassDef)]
+    for body in scopes:
+        for node in body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.endswith("__")):
+                yield node
+
+
+def test_every_private_definition_is_used():
+    package = Path(claimver.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    assert [f"{name}:{node.lineno} {node.name}" for name, tree in trees.items()
+            for node in _private_definitions(tree) if node.name not in used] == []

@@ -54,8 +54,8 @@ class TestNormalizedFind:
         s, e = hit
         assert normalize(text[s:e]) == normalize(needle)
 
-    @given(st.text(alphabet="aAbB \nßẞİı", max_size=30), st.text(alphabet="aAbB \nßẞİı",
-           min_size=1, max_size=6), st.integers(0, 30))
+    @given(st.text(alphabet="aAbB \nßẞİıﬁŉǰΐ", max_size=30),
+           st.text(alphabet="aAbB \nßẞİıﬁŉǰΐ", min_size=1, max_size=6), st.integers(0, 30))
     @settings(max_examples=300, deadline=None)
     def test_start_offset_matches_search_of_the_suffix(self, text, needle, start):
         hit = normalized_finder(text)(needle, start)
@@ -64,9 +64,11 @@ class TestNormalizedFind:
 
 
 
-# Letters whose case folding changes length (ß ẞ İ ﬁ) or not (ı, U+0345 to
-# iota), and whitespace that str.split() breaks at: NBSP, U+2028, \x1c-\x1f.
-_FOLD_TEXT = st.text(alphabet="aAbB sSiIß ẞİıﬁ\u0345\xa0\u2028\x1c\x1d\x1e\x1f\n",
+# Letters whose case folding changes length (ß ẞ İ ﬁ, and ŉ ǰ ΐ, which fold to
+# a letter and combining marks, so a hit can start or end inside one) or not
+# (ı, U+0345 to iota), and whitespace that str.split() breaks at: NBSP,
+# U+2028, \x1c-\x1f.
+_FOLD_TEXT = st.text(alphabet="aAbB sSiIjß ẞİıﬁŉǰΐ\u0345\xa0\u2028\x1c\x1d\x1e\x1f\n",
                      max_size=30)
 
 
@@ -78,6 +80,12 @@ class TestNormalizedFinderMatchesOracle:
         find, oracle = normalized_finder(text), normalized_finder_oracle(text)
         assert [find(needle, start) for needle, start in queries] == [
             oracle(needle, start) for needle, start in queries]
+
+    @pytest.mark.parametrize("needle, hit", [("fix", (0, 2)), ("ix", None), ("f", None)])
+    def test_hit_must_not_split_a_folded_character(self, needle, hit):
+        # The ligature U+FB01 folds to "fi": a hit may cover it whole, never in part.
+        assert normalized_finder("\ufb01x")(needle) == hit
+        self._check("\ufb01x", [(needle, 0)])
 
     @given(_FOLD_TEXT, st.lists(st.tuples(_FOLD_TEXT.filter(lambda s: len(s) <= 8)
                                           | st.text(alphabet="aAbß İ", max_size=6),

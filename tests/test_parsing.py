@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import claimver.text
+import claimver.parsing
 from claimver.errors import ResponseParseError
 from claimver.kg import KnowledgeGraph, Triplet
 from claimver.parsing import (ClaimResult, PredictionLabel, RawClaim, parse_response,
@@ -206,38 +206,40 @@ class TestValidateClaims:
         assert any("normalization" in d for d in out[0].diagnostics)
 
     @staticmethod
-    def _maps_built(text, spans, kg, retrieved, monkeypatch):
-        """The texts whose normalized map one validate_claims call builds,
+    def _finders_built(text, spans, kg, retrieved, monkeypatch):
+        """The texts one validate_claims call builds a normalized finder over,
         checking that each span lands where normalized_find puts it."""
         assert all(text.find(s) == -1 for s in spans)
         expected = [normalized_find(text, s) for s in spans]
         assert all(expected)
         built = []
-        original = claimver.text._normalize_with_map
+        original = claimver.parsing.normalized_finder
 
         def counting(s):
             built.append(s)
             return original(s)
 
-        monkeypatch.setattr(claimver.text, "_normalize_with_map", counting)
+        monkeypatch.setattr(claimver.parsing, "normalized_finder", counting)
         raws = [_raw(s, "Extrapolatory", index=i) for i, s in enumerate(spans, 1)]
         out = validate_claims(raws, text, retrieved, kg)
         assert [(c.start, c.end) for c in out] == expected
         return built
 
     def test_normalized_map_built_once_per_call(self, apollo_kg, apollo_retrieved, monkeypatch):
-        # Case folding lengthens the ß, so this text needs the per-character map.
+        # Case folding lengthens the ß, so the finder keeps each character's
+        # folded offset; it is still built once for all four spans.
         text = APOLLO_TEXT + " He grew up on a Straße."
         spans = ["apollo 11  landed on the moon.", "NEIL ARMSTRONG", "a  french citizen.",
                  "on a strasse."]
-        built = self._maps_built(text, spans, apollo_kg, apollo_retrieved, monkeypatch)
+        built = self._finders_built(text, spans, apollo_kg, apollo_retrieved, monkeypatch)
         assert built == [text]
 
     def test_length_preserving_text_builds_no_map(self, apollo_kg, apollo_retrieved,
                                                   monkeypatch):
         spans = ["apollo 11  landed on the moon.", "NEIL ARMSTRONG", "a  french citizen."]
-        built = self._maps_built(APOLLO_TEXT, spans, apollo_kg, apollo_retrieved, monkeypatch)
-        assert built == []
+        built = self._finders_built(APOLLO_TEXT, spans, apollo_kg, apollo_retrieved,
+                                    monkeypatch)
+        assert built == [APOLLO_TEXT]
 
     def test_unlocatable_span_noattribution(self, apollo_kg, apollo_retrieved):
         raws = [_raw("The Moon is made of cheese.", "Attributable",

@@ -190,6 +190,18 @@ class TestRenderDispatch:
             render(apollo_report, "pdf")
 
 
+@pytest.mark.parametrize("format", ["ansi", "html"])
+@pytest.mark.parametrize("prediction", ["Bogus", None, ["Attributable"]])
+def test_unknown_loaded_prediction_refused_by_painting_renderers(apollo_report, format,
+                                                                 prediction):
+    d = apollo_report.to_dict()
+    d["claims"][-1]["prediction"] = prediction
+    report = VerificationReport.from_dict(d)
+    assert render(report, "json") == render_json(report)
+    with pytest.raises(ValueError, match=f"prediction {re.escape(repr(prediction))}$"):
+        render(report, format)
+
+
 _LABELS = st.sampled_from(["Attributable", "Extrapolatory", "Contradictory", "NoAttribution"])
 
 
