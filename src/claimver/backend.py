@@ -24,6 +24,10 @@ if TYPE_CHECKING:
 
 logger = logging.getLogger(__name__)
 
+# The most response body read from an endpoint, far above any real chat or
+# embeddings reply; a longer body fails the request.
+_MAX_BODY = 32 << 20
+
 # Instruction sent before each verification request's input block.
 VERIFICATION_TEMPLATE = """\
 Analyze text against provided triplets, classifying claims as "Attributable", "Contradictory", or "Extrapolatory".
@@ -173,21 +177,26 @@ def _span_in_text(full_text: str, text_span: str) -> bool:
     return stripped in full_text or normalized_find(full_text, stripped) is not None
 
 
-def build_datagen_prompt(full_text: str, text_span: str,
-                         triplets: RetrievedTriplets | Iterable[Triplet],
-                         kg: KnowledgeGraph) -> PromptBundle:
+def build_datagen_prompt(
+        full_text: str, text_span: str,
+        triplets: RetrievedTriplets | Iterable[Triplet] | Iterable[tuple[str, str, str]],
+        kg: KnowledgeGraph | None = None) -> PromptBundle:
     """Render the span-labeling instruction for one (text, span, triplets) item.
 
     The span must occur in full_text (trailing sentence punctuation and
-    case/whitespace differences are tolerated).
+    case/whitespace differences are tolerated). With a kg, triplets are
+    stored triplets (or a RetrievedTriplets), written as their labels; with
+    none, they are (subject label, predicate, object label) triples, as the
+    datagen pipeline reads them from the graph's edge codes.
     """
     if not _span_in_text(full_text, text_span):
         raise PromptError("text_span must be a substring of full_text")
-    items = triplets.triplets if isinstance(triplets, RetrievedTriplets) else triplets
-    serialized = serialize_triplets_bracketed(kg.triplet_labels(t) for t in items)
+    if kg is not None:
+        items = triplets.triplets if isinstance(triplets, RetrievedTriplets) else triplets
+        triplets = map(kg.triplet_labels, items)
     return PromptBundle(DATAGEN_TEMPLATE, f'**Full text:** "{full_text}"\n'
                                           f'**Text span:** "{text_span}"\n'
-                                          f"**Triplets:** {serialized}\n")
+                                          f"**Triplets:** {serialize_triplets_bracketed(triplets)}\n")
 
 
 def _default_api_key() -> str:
@@ -276,9 +285,10 @@ class _EndpointClient:
     requests itself; run_pipeline bounds them (pipeline._PARALLEL_CHUNKS).
     5xx, 429 and timeouts are retried with exponential backoff, or after a
     429's numeric Retry-After (at most config.timeout); 401/403 raise
-    BackendAuthError, other 3xx and 4xx BackendError. A request that a
-    reused connection drops before any response arrives is sent once more on
-    a fresh connection, without spending an attempt.
+    BackendAuthError, and other 3xx and 4xx and a body over _MAX_BODY bytes
+    raise BackendError, none of them retried. A request that a reused
+    connection drops before any response arrives is sent once more on a
+    fresh connection, without spending an attempt.
     """
 
     _kind = "request"
@@ -388,7 +398,13 @@ class _EndpointClient:
                 conn.close()
                 conn.request("POST", target, payload, self._headers)
                 resp = conn.getresponse()
-            body = resp.read()
+            # resp.length is the Content-Length, None for a chunked body or
+            # one read to the connection's close.
+            if resp.length is not None and resp.length > _MAX_BODY:
+                raise BackendError(f"response body exceeds the {_MAX_BODY}-byte limit")
+            body = resp.read() if resp.length is not None else resp.read(_MAX_BODY + 1)
+            if len(body) > _MAX_BODY:
+                raise BackendError(f"response body exceeds the {_MAX_BODY}-byte limit")
         except BaseException:
             conn.close()
             raise

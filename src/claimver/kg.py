@@ -59,16 +59,12 @@ def triplet_key(subject_label: str, predicate: str, object_label: str) -> tuple[
     return normalize(subject_label), normalize(predicate), normalize(object_label)
 
 
-# The shorter and the longer neighbor row must reach these lengths for
-# _common_neighbors to use np.searchsorted on the CSR rows rather than
-# bisection on the neighbor tuples. Per call on verify-hubs rows (bisection
-# against searchsorted): 8-16 by 64-128 entries 2.5 against 2.9 us, 16-24 by
-# 32-64 3.6 against 3.4 us, 16-24 by 64-128 4.1 against 3.2 us, 16-24 by
-# 500-4000 6.2 against 3.6 us, 32-64 by 64-128 7.8 against 3.4 us. Without
-# this branch 3-hop retrieval of the first 20 verify-hubs documents took 12.2
-# rather than 6.8 ms per document. np.intersect1d was no faster than
-# searchsorted on any of these sizes, and twice as slow against a hub's row.
-_SEARCHSORTED_ROWS = (16, 64)
+# A neighbor row at least this long is probed through a frozenset of the row
+# in _common_neighbors; a shorter one is bisected. Sets are kept per node, so
+# this bounds what they hold: the 2,407 rows of 16 or more entries in the
+# verify-hubs graph took 6.3 MiB as sets (tracemalloc), against 5.0 MiB for
+# all of its neighbor tuples.
+_SET_ROW = 16
 
 
 class KnowledgeGraph:
@@ -93,15 +89,17 @@ class KnowledgeGraph:
     Each distinct-row pass (repeated triplets, adjacency pairs, triplet
     index keys) sorts one packed integer key per row (see _run_heads).
     Retrieval works on codes through _code, _id, _neighbor_codes,
-    _common_neighbors, _edge_code and _triplet, and maps codes to ids only
-    for the paths it returns; neighbors() builds the sorted id tuple on each
-    call. _neighbor_codes builds a node's tuple of neighbor codes from its
-    CSR row the first time it is asked and keeps it in _adjacency, which
-    starts as all None; every tuple takes its ints from _code_ints, which
-    holds _position's own int objects, so the store keeps one int object
-    per code. Two threads that race on one node build equal tuples and
-    storing into a list is atomic, so this needs no lock.
-    _common_neighbors intersects two nodes' rows for retrieval's joins.
+    _common_neighbors, _edge_code, _triplet and _edge_labels, and maps codes
+    to ids only for the paths retrieve() returns; neighbors() builds the
+    sorted id tuple on each call. _neighbor_codes builds a node's tuple of
+    neighbor codes from its CSR row the first time it is asked and keeps it
+    in _adjacency, which starts as all None; every tuple takes its ints from
+    _code_ints, which holds _position's own int objects, so the store keeps
+    one int object per code. _common_neighbors intersects two nodes' rows
+    for retrieval's joins, probing a long row through a frozenset of it that
+    it builds on first use and keeps in _neighbor_sets. Two threads that
+    race on one node build equal tuples or sets, and storing into a list or
+    a dict is atomic, so neither cache needs a lock.
 
     The label index is built in one pass over the nodes in id order, so
     each key's owners arrive in id order; its sorted keys also code the
@@ -166,6 +164,7 @@ class KnowledgeGraph:
         # position's own int objects, so there is one per code.
         self._code_ints = list(position.values())
         self._adjacency: list[Optional[tuple[int, ...]]] = [None] * len(ids)
+        self._neighbor_sets: dict[int, frozenset[int]] = {}
 
         # Triplet index: (label, normalized predicate, label) code columns
         # sorted together, with the first edge in file order per key. A
@@ -197,6 +196,13 @@ class KnowledgeGraph:
         # materializes every path edge through here.
         return tuple.__new__(Triplet, (ids[self._s.item(edge)], predicates[self._p.item(edge)],
                                        ids[self._o.item(edge)]))
+
+    def _edge_labels(self, edge: int) -> tuple[str, str, str]:
+        """The (subject label, predicate, object label) of the stored
+        triplet with index edge in the code columns."""
+        labels = self._labels
+        return (labels[self._s.item(edge)], self._predicates[self._p.item(edge)],
+                labels[self._o.item(edge)])
 
     def __contains__(self, node_id: NodeId) -> bool:
         return node_id in self._position
@@ -236,17 +242,20 @@ class KnowledgeGraph:
 
     def _common_neighbors(self, a: int, b: int) -> list[int]:
         """The sorted codes adjacent to both nodes a and b: each code of the
-        shorter neighbor tuple bisected in the longer or, when both rows are
-        long, one np.searchsorted of the shorter CSR row in the longer."""
-        short, long = self._neighbor_codes(a), self._neighbor_codes(b)
+        shorter neighbor tuple looked up in the longer, through its set when
+        it has at least _SET_ROW entries and by bisection otherwise."""
+        # The cached rows are read directly: this runs several times per seed
+        # pair, and each method call costs.
+        short = self._adjacency[a] or self._neighbor_codes(a)
+        long = self._adjacency[b] or self._neighbor_codes(b)
         if len(short) > len(long):
-            a, b, short, long = b, a, long, short
-        if len(short) < _SEARCHSORTED_ROWS[0] or len(long) < _SEARCHSORTED_ROWS[1]:
+            b, short, long = a, long, short
+        if len(long) < _SET_ROW:
             return [c for c in short if (i := bisect_left(long, c)) < len(long) and long[i] == c]
-        indptr, nbr_codes = self._indptr, self._nbr_codes
-        short = nbr_codes[indptr.item(a):indptr.item(a + 1)]
-        long = nbr_codes[indptr.item(b):indptr.item(b + 1)]
-        return short[long[np.minimum(long.searchsorted(short), len(long) - 1)] == short].tolist()
+        nbrs = self._neighbor_sets.get(b)
+        if nbrs is None:
+            nbrs = self._neighbor_sets[b] = frozenset(long)
+        return list(filter(nbrs.__contains__, short))
 
     def _edge_code(self, a: int, b: int) -> Optional[int]:
         """The index of the canonical edge joining the nodes with codes a and

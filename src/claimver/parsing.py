@@ -13,7 +13,8 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Optional
 
@@ -234,6 +235,28 @@ def _match_triplets(candidates: list[tuple[str, str, str]],
     return tuple(kept)
 
 
+def _overlaps_earlier(spans: list[tuple[int, int]]) -> list[bool]:
+    """For each (start, end) span in order, whether it overlaps an earlier
+    one. A Fenwick tree over the ranks of the starts keeps, for each prefix
+    of ranks, the largest end among the spans seen so far: span i overlaps
+    an earlier one if some earlier span starting before its end reaches
+    past its start."""
+    starts = sorted(start for start, _ in spans)
+    reach = [-1] * (len(spans) + 1)
+    flags = []
+    for start, end in spans:
+        i, furthest = bisect_left(starts, end), -1
+        while i:
+            furthest = max(furthest, reach[i])
+            i &= i - 1
+        flags.append(furthest > start)
+        i = bisect_left(starts, start) + 1
+        while i < len(reach):
+            reach[i] = max(reach[i], end)
+            i += i & -i
+    return flags
+
+
 def validate_claims(raws: list[RawClaim], input_text: str, retrieved: RetrievedTriplets,
                     kg: KnowledgeGraph) -> list[ClaimResult]:
     """Check each raw claim against the input text and the retrieved evidence.
@@ -275,12 +298,14 @@ def validate_claims(raws: list[RawClaim], input_text: str, retrieved: RetrievedT
             label = PredictionLabel.NO_ATTRIBUTION
 
         if start is not None:
-            if any(start < e and s < end for s, e in located):
-                diagnostics.append("span overlaps an earlier claim")
             located.append((start, end))
 
         results.append(ClaimResult(
             span=raw.text_span, start=start, end=end, prediction=label,
             rel_triplets=rel, rationale=raw.rationale,
             diagnostics=tuple(diagnostics)))
-    return results
+    # The overlap flag is a claim's last diagnostic.
+    overlapping = iter(_overlaps_earlier(located))
+    return [replace(c, diagnostics=(*c.diagnostics, "span overlaps an earlier claim"))
+            if c.start is not None and next(overlapping) else c
+            for c in results]

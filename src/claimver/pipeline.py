@@ -19,7 +19,6 @@ import functools
 import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import asdict, replace
 from typing import Any, Callable, Iterator, Optional, Sequence
 
@@ -30,7 +29,7 @@ from .linking import (LinkedEntity, PreprocessHook, TextChunk, _scan, chunk_text
                       preprocess, split_sentences)
 from .parsing import parse_response, validate_claims
 from .report import VerificationReport, build_report
-from .retrieval import RetrievalConfig, RetrievedTriplets, retrieve
+from .retrieval import RetrievalConfig, RetrievedTriplets, _retrieve_labels, retrieve
 from .scoring import (Embedder, ScoredClaim, ScoringConfig, kg_attribution_score,
                       score_claims)
 from .text import replace_surrogates
@@ -52,16 +51,21 @@ def _as_completer(backend) -> Completer:
                     f"(wrap a BackendConfig in ChatBackend): {backend!r}")
 
 
-@contextmanager
-def _stage(name: str, diagnostics: Sequence[str] = (), catch=ClaimverError):
-    """Re-raise a caught failure in the block as PipelineError(name) with the
-    diagnostics so far; a PipelineError from the block passes unchanged."""
-    try:
-        yield
-    except PipelineError:
-        raise
-    except catch as exc:
-        raise PipelineError(name, str(exc), diagnostics) from exc
+class _stage:
+    """Context manager: re-raise a caught failure in the block as
+    PipelineError(name) with the diagnostics so far; a PipelineError from the
+    block passes unchanged. A class rather than a generator, as it runs a few
+    times per chunk or datagen sentence."""
+
+    def __init__(self, name: str, diagnostics: Sequence[str] = (), catch=ClaimverError):
+        self.name, self.diagnostics, self.catch = name, diagnostics, catch
+
+    def __enter__(self):
+        pass
+
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, self.catch) and not isinstance(exc, PipelineError):
+            raise PipelineError(self.name, str(exc), self.diagnostics) from exc
 
 
 def _chunk_seeds(chunk: TextChunk, entities: Sequence[LinkedEntity]) -> list[NodeId]:
@@ -90,21 +94,22 @@ class _Scan:
         return self.entities
 
 
-def _run_chunks(kg: KnowledgeGraph, chunks: Sequence[TextChunk], scan: _Scan,
-                completer: Optional[Completer], retrieval_cfg: RetrievalConfig,
-                prompt_for: Callable[[TextChunk, RetrievedTriplets], PromptBundle],
+def _run_chunks(chunks: Sequence[TextChunk], scan: _Scan, completer: Optional[Completer],
+                evidence_for: Callable[[list[NodeId]], Any],
+                prompt_for: Callable[[TextChunk, Any], PromptBundle],
                 finish: Callable[..., Any]) -> Iterator[Any]:
-    """finish(chunk, retrieved, prompt, diagnostics, response) for every
+    """finish(chunk, evidence, prompt, diagnostics, response) for every
     chunk, yielded in chunk order.
 
-    The calling thread retrieves each chunk's evidence and builds its prompt
-    with prompt_for(chunk, retrieved) as soon as the scan has passed the
-    chunk's end, and sends the chunk's request; then it finishes the chunks
-    in chunk order, each while later requests are in flight. response()
-    returns the model's answer or raises the request's failure; it is None
-    when there is no completer. Only the requests of more than one chunk run
-    in a pool. The first chunk in chunk order that fails decides the error,
-    and requests still queued by then are never sent.
+    The calling thread retrieves each chunk's evidence with
+    evidence_for(seeds) and builds its prompt with prompt_for(chunk,
+    evidence) as soon as the scan has passed the chunk's end, and sends the
+    chunk's request; then it finishes the chunks in chunk order, each while
+    later requests are in flight. response() returns the model's answer or
+    raises the request's failure; it is None when there is no completer.
+    Only the requests of more than one chunk run in a pool. The first chunk
+    in chunk order that fails decides the error, and requests still queued
+    by then are never sent.
     """
     pool = None
     if completer is not None and len(chunks) > 1:
@@ -117,9 +122,9 @@ def _run_chunks(kg: KnowledgeGraph, chunks: Sequence[TextChunk], scan: _Scan,
             diagnostics: list[str] = []
             try:
                 with _stage("triplet-retrieval", diagnostics):
-                    retrieved = retrieve(kg, _chunk_seeds(chunk, entities), retrieval_cfg)
+                    evidence = evidence_for(_chunk_seeds(chunk, entities))
                 with _stage("prompt", diagnostics):
-                    prompt = prompt_for(chunk, retrieved)
+                    prompt = prompt_for(chunk, evidence)
             except PipelineError as exc:
                 failure = exc  # unless an earlier chunk fails below
                 break
@@ -129,7 +134,7 @@ def _run_chunks(kg: KnowledgeGraph, chunks: Sequence[TextChunk], scan: _Scan,
                 response = pool.submit(completer, prompt).result
             else:
                 response = functools.partial(completer, prompt)
-            sent.append((chunk, retrieved, prompt, diagnostics, response))
+            sent.append((chunk, evidence, prompt, diagnostics, response))
         for step in sent:
             yield finish(*step)
     finally:
@@ -202,7 +207,7 @@ def run_pipeline(kg: KnowledgeGraph, text: str, backend,
     try:
         chunks = chunk_text(text, chunk_chars) if chunk_chars else [TextChunk(text, 0)]
         for claims in _run_chunks(
-                kg, chunks, scan, completer, retrieval_cfg,
+                chunks, scan, completer, lambda seeds: retrieve(kg, seeds, retrieval_cfg),
                 lambda chunk, retrieved: build_verification_prompt(chunk.text, retrieved, kg),
                 finish):
             if held is None:
@@ -248,7 +253,8 @@ def iter_datagen_records(kg: KnowledgeGraph, text: str,
     order.
 
     Each record holds the document, the sentence span, the triplets retrieved
-    for that sentence's entities (as label triples), and the rendered prompt;
+    for that sentence's entities (as label triples, read from the edge codes
+    without building paths or triplets), and the rendered prompt;
     with a backend (taken as in run_pipeline) also the model's response, up to
     _PARALLEL_CHUNKS sentence requests in flight at once. Failures are tagged
     with the stage that failed, as in run_pipeline; the records of the
@@ -265,11 +271,11 @@ def iter_datagen_records(kg: KnowledgeGraph, text: str,
             sentences.append(TextChunk(sentence, offset))
         offset += len(sentence)
 
-    def finish(chunk, retrieved, prompt, diagnostics, response):
+    def finish(chunk, labeled, prompt, diagnostics, response):
         record: dict[str, Any] = {
             "full_text": text,
             "text_span": chunk.text.strip(),
-            "triplets": [list(kg.triplet_labels(t)) for t in retrieved.triplets],
+            "triplets": list(map(list, labeled)),
             "prompt": prompt.text,
         }
         if response is not None:
@@ -278,6 +284,7 @@ def iter_datagen_records(kg: KnowledgeGraph, text: str,
         return record
 
     yield from _run_chunks(
-        kg, sentences, _Scan(iter(entities)), completer, retrieval_cfg,
-        lambda chunk, retrieved: build_datagen_prompt(text, chunk.text.strip(), retrieved, kg),
+        sentences, _Scan(iter(entities)), completer,
+        lambda seeds: _retrieve_labels(kg, seeds, retrieval_cfg),
+        lambda chunk, labeled: build_datagen_prompt(text, chunk.text.strip(), labeled),
         finish)

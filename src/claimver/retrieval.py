@@ -5,10 +5,12 @@ simple paths within a hop budget, ties broken lexicographically by node-id
 sequence (Yen, 1971, is the ordering reference). Triplets are collected from
 the returned paths in first-appearance order.
 
-The search runs on the graph's node codes (see KnowledgeGraph). Codes follow
-sorted ids, so code order is id order and every tie breaks as it would on
-ids; ids and Triplet objects are made only for the paths returned, one
-Triplet per edge in a call.
+One search (_search) runs on the graph's node codes (see KnowledgeGraph)
+and returns code paths. Codes follow sorted ids, so code order is id order
+and every tie breaks as it would on ids. retrieve() maps the paths found to
+ids and Triplet objects, one Triplet per edge in a call; _retrieve_labels,
+which datagen uses, reads each distinct edge's label triple straight from
+the code columns and builds neither.
 
 Each pair is searched from its smaller id u toward v by joins of sorted
 neighbor rows: a length-1 path is one bisection in u's row, the length-2
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import combinations, islice
+from itertools import chain, combinations, islice, starmap
 from typing import Iterable
 
 from .kg import KnowledgeGraph, NodeId, Triplet
@@ -112,10 +114,12 @@ def _pair_paths(kg: KnowledgeGraph, u: int, v: int, config: RetrievalConfig,
     shorter neighbor row. From u, u's neighbors are walked in order up to
     the k-th path; from v, every (a, b) with b a neighbor of v and a one of
     u is collected and sorted. Hubs have the smallest ids, so u is mostly
-    the hub. In-process CPU per call: joining always from u took 0.47 ms on
-    datagen-corpus and 36 ms on a verify-hubs document, against 0.15 and
-    6.8 ms by this rule; weighting the rule 2x or 4x toward either end
-    changed neither.
+    the hub, and each join from v probes u's neighbor set. In-process CPU of
+    retrieve at 3 hops, with the joins through neighbor sets: joining always
+    from u took 0.71 ms per datagen-corpus call and 41 ms per verify-hubs
+    document (first 20), against 0.15 and 5.8 ms by this rule. Weighting the
+    rule 2x or 4x toward either end changed neither, when it was measured
+    with the earlier CSR joins.
     """
     neighbor_codes, common = kg._neighbor_codes, kg._common_neighbors
     k, hops = config.max_paths_per_pair, config.max_hops
@@ -153,6 +157,19 @@ def _materialize(kg: KnowledgeGraph, codes: tuple[int, ...],
     return KgPath(nodes=tuple(map(kg._id, codes)), edges=tuple(edges))
 
 
+def _search(kg: KnowledgeGraph, seeds: Iterable[NodeId],
+            config: RetrievalConfig) -> list[tuple[int, ...]]:
+    """The code paths of every unordered pair of the deduplicated, sorted
+    seeds: pairs in order, each pair's paths as _pair_paths gives them."""
+    codes = [kg._code(seed) for seed in sorted(set(seeds))]
+    by_pair: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    for j, v in enumerate(codes[1:], 1):
+        dist = _distances_from(kg, v, config.max_hops - 2) if config.max_hops >= 4 else None
+        for u in codes[:j]:
+            by_pair[u, v] = _pair_paths(kg, u, v, config, dist)
+    return [p for pair in combinations(codes, 2) for p in by_pair[pair]]
+
+
 def retrieve(kg: KnowledgeGraph, seeds: Iterable[NodeId],
              config: RetrievalConfig | None = None) -> RetrievedTriplets:
     """Collect bounded shortest paths for every unordered pair of seeds.
@@ -160,14 +177,15 @@ def retrieve(kg: KnowledgeGraph, seeds: Iterable[NodeId],
     Seeds are deduplicated and sorted; unknown ids raise UnknownNodeError.
     Fewer than two distinct seeds yields an empty result.
     """
-    config = config or RetrievalConfig()
-    codes = [kg._code(seed) for seed in sorted(set(seeds))]
     triplets: dict[int, Triplet] = {}
-    by_pair: dict[tuple[int, int], list[KgPath]] = {}
-    for j, v in enumerate(codes[1:], 1):
-        dist = _distances_from(kg, v, config.max_hops - 2) if config.max_hops >= 4 else None
-        for u in codes[:j]:
-            by_pair[u, v] = [_materialize(kg, p, triplets)
-                             for p in _pair_paths(kg, u, v, config, dist)]
     return RetrievedTriplets(paths=tuple(
-        p for pair in combinations(codes, 2) for p in by_pair[pair]))
+        _materialize(kg, p, triplets) for p in _search(kg, seeds, config or RetrievalConfig())))
+
+
+def _retrieve_labels(kg: KnowledgeGraph, seeds: Iterable[NodeId],
+                     config: RetrievalConfig) -> list[tuple[str, str, str]]:
+    """The label triples of retrieve(kg, seeds, config).triplets, in order,
+    read from the edge codes of the paths found: no path or Triplet is
+    built."""
+    steps = dict.fromkeys(chain.from_iterable(zip(p, p[1:]) for p in _search(kg, seeds, config)))
+    return list(map(kg._edge_labels, dict.fromkeys(starmap(kg._edge_code, steps))))

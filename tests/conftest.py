@@ -114,7 +114,9 @@ class ScriptedServer:
 
     Records every request (method, path, headers, parsed JSON body, client
     port). Dict payloads are sent as JSON, strings verbatim; headers is a
-    dict of extra response headers. An exhausted script repeats its last
+    dict of extra response headers, and with {"Transfer-Encoding":
+    "chunked"} among them the body goes out in 1 KiB chunks instead of
+    after a Content-Length. An exhausted script repeats its last
     entry. Each reply waits delay seconds first; inflight_max is the most
     requests ever handled at once. With keep_alive the server speaks
     HTTP/1.1 and keeps connections open, unless hang_up is set: then it
@@ -188,13 +190,22 @@ class ScriptedServer:
                 status, payload, *extra = server._next()
                 data = (json.dumps(payload) if isinstance(payload, dict) else str(payload))
                 encoded = data.encode("utf-8")
+                headers = extra[0] if extra else {}
+                chunked = headers.get("Transfer-Encoding") == "chunked"
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(encoded)))
-                for name, value in (extra[0] if extra else {}).items():
+                if not chunked:
+                    self.send_header("Content-Length", str(len(encoded)))
+                for name, value in headers.items():
                     self.send_header(name, value)
                 self.end_headers()
-                self.wfile.write(encoded)
+                if chunked:
+                    for at in range(0, len(encoded), 1024):
+                        piece = encoded[at:at + 1024]
+                        self.wfile.write(b"%x\r\n%s\r\n" % (len(piece), piece))
+                    self.wfile.write(b"0\r\n\r\n")
+                else:
+                    self.wfile.write(encoded)
                 if server.hang_up:
                     self.close_connection = True
 

@@ -12,7 +12,9 @@ into a shared path:
 - normalized_finder_oracle: span lookup through a map from every normalized
   character back to its source characters, built for every text;
 - embed_oracle: the hashed bag of tokens, one sha256 and one vector update
-  per token.
+  per token;
+- overlaps_earlier_oracle: validation's overlap flag, each located span
+  checked against every earlier one.
 """
 
 from __future__ import annotations
@@ -210,3 +212,9 @@ def embed_oracle(text: str, dim: int = 1024) -> np.ndarray:
         digest = hashlib.sha256(tok.encode("utf-8")).digest()
         vec[int.from_bytes(digest[:8], "big") % dim] += 1.0
     return vec
+
+
+def overlaps_earlier_oracle(spans: Sequence[tuple[int, int]]) -> list[bool]:
+    """For each (start, end) span in order, whether it overlaps an earlier one."""
+    return [any(start < e and s < end for s, e in spans[:i])
+            for i, (start, end) in enumerate(spans)]

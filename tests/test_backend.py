@@ -20,9 +20,10 @@ from claimver.backend import (BackendConfig, ChatBackend, MockBackend,
                               VERIFICATION_TEMPLATE, build_datagen_prompt,
                               build_verification_prompt, prompt_digest)
 from claimver.cli import main
-from claimver.errors import (BackendAuthError, BackendError, PromptError,
+from claimver.errors import (BackendAuthError, BackendError, PipelineError, PromptError,
                              UnknownPromptError)
 from claimver.kg import KgNode, KnowledgeGraph, Triplet
+from claimver.pipeline import run_pipeline
 from claimver.retrieval import KgPath, RetrievedTriplets, retrieve
 from claimver.scoring import HttpEmbedder
 
@@ -174,6 +175,8 @@ class TestPromptBlocks:
         assert bundle.rendered_input == (f'**Full text:** "{full_text}"\n'
                                          f'**Text span:** "{span}"\n'
                                          f"**Triplets:** {serialized}\n")
+        # Without a graph, the triplets are label triples written as given.
+        assert build_datagen_prompt(full_text, span, labeled) == bundle
 
 
 class TestBackendConfig:
@@ -313,6 +316,94 @@ class TestChatBackend:
                             max_retries=1, backoff_base=0.01, timeout=2)
         with pytest.raises(BackendError):
             ChatBackend(cfg).complete("p")
+
+
+def _chat_body(size: int) -> dict:
+    """A chat reply whose JSON body is size bytes long."""
+    return chat_payload("x" * (size - len(json.dumps(chat_payload("")))))
+
+
+class TestResponseBodyCap:
+    CAP = 4096
+
+    @pytest.fixture(autouse=True)
+    def small_cap(self, monkeypatch):
+        monkeypatch.setattr(claimver.backend, "_MAX_BODY", self.CAP)
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """The amt of every HTTPResponse.read call."""
+        calls = []
+        read = http.client.HTTPResponse.read
+
+        def recorded(self, amt=None):
+            calls.append(amt)
+            return read(self, amt)
+        monkeypatch.setattr(http.client.HTTPResponse, "read", recorded)
+        return calls
+
+    @ENDPOINT_CLIENTS
+    def test_oversize_content_length_refused_before_reading(self, scripted_server, client,
+                                                            reads):
+        send, _, _ = client
+        server = scripted_server([(200, _chat_body(self.CAP + 1))])
+        cfg = BackendConfig(base_url=server.url, model="m", max_retries=3)
+        with pytest.raises(BackendError, match="response body exceeds the 4096-byte limit"):
+            send(cfg)
+        assert len(server.requests) == 1
+        assert reads == []
+
+    def test_oversize_chunked_body_read_to_one_byte_past_the_cap(self, scripted_server, reads):
+        server = scripted_server([(200, _chat_body(3 * self.CAP),
+                                   {"Transfer-Encoding": "chunked"})], keep_alive=True)
+        cfg = BackendConfig(base_url=server.url, model="m", max_retries=3)
+        with pytest.raises(BackendError, match="response body exceeds the 4096-byte limit"):
+            ChatBackend(cfg).complete("p")
+        assert len(server.requests) == 1
+        assert reads == [self.CAP + 1]
+
+    def test_oversize_body_to_close_refused(self, reads):
+        body = json.dumps(_chat_body(self.CAP + 1)).encode()
+        with _listener() as sock:
+            def answer():
+                conn, _ = sock.accept()
+                with conn:
+                    data = b""
+                    while b"\r\n\r\n" not in data:
+                        data += conn.recv(65536)
+                    conn.sendall(b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n" + body)
+            thread = threading.Thread(target=answer, daemon=True)
+            thread.start()
+            cfg = BackendConfig(base_url=f"http://127.0.0.1:{sock.getsockname()[1]}",
+                                model="m", max_retries=0, timeout=5)
+            with pytest.raises(BackendError, match="exceeds the 4096-byte limit"):
+                ChatBackend(cfg).complete("p")
+            thread.join(5)
+        assert reads == [self.CAP + 1]
+
+    @pytest.mark.parametrize("headers", [{}, {"Transfer-Encoding": "chunked"}],
+                             ids=["content-length", "chunked"])
+    def test_body_at_the_cap_read_whole_on_a_kept_connection(self, scripted_server, headers):
+        body = _chat_body(self.CAP)
+        content = body["choices"][0]["message"]["content"]
+        server = scripted_server([(200, body, headers)], keep_alive=True)
+        with ChatBackend(BackendConfig(base_url=server.url, model="m")) as chat:
+            assert chat.complete("p") == chat.complete("q") == content
+        assert len({r["port"] for r in server.requests}) == 1
+
+    def test_pipeline_stage_and_exit_code(self, scripted_server, tsv_kg_path, tmp_path,
+                                          apollo_kg):
+        server = scripted_server([(200, _chat_body(self.CAP + 1),
+                                   {"Transfer-Encoding": "chunked"})])
+        chat = ChatBackend(BackendConfig(base_url=server.url, model="m"))
+        with pytest.raises(PipelineError) as caught:
+            run_pipeline(apollo_kg, APOLLO_TEXT, chat)
+        assert caught.value.stage == "llm-backend"
+        assert "exceeds the 4096-byte limit" in str(caught.value)
+        text = tmp_path / "in.txt"
+        text.write_text(APOLLO_TEXT, encoding="utf-8")
+        assert main(["verify", "--kg", tsv_kg_path, "--input", str(text),
+                     "--backend-url", server.url, "--model", "m"]) == 3
 
 
 class TestMock:

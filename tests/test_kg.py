@@ -677,17 +677,18 @@ class TestNeighborTuples:
     @given(st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
     def test_common_neighbors_match_sets(self, rng):
-        # Rows drawn on both sides of the lengths from which two rows are
-        # intersected on the CSR, with the odd self-loop.
-        short_min, long_min = kg_module._SEARCHSORTED_ROWS
-        ids = [f"N{i:03d}" for i in range(long_min + 40)]
+        # Rows drawn on both sides of the length from which the longer row
+        # is probed through its set, with the odd self-loop.
+        set_row = kg_module._SET_ROW
+        ids = [f"N{i:03d}" for i in range(set_row + 40)]
         hubs = rng.sample(ids, 4)
         triplets = [Triplet(h, "p", o) for h in hubs
-                    for o in rng.sample(ids, rng.randint(short_min - 4, len(ids)))]
+                    for o in rng.sample(ids, rng.randint(set_row - 8, len(ids)))]
         triplets += [Triplet(rng.choice(ids), "q", rng.choice(ids)) for _ in range(60)]
         g = KnowledgeGraph([KgNode(i, i.lower()) for i in ids], triplets)
-        for a in [*hubs, *rng.sample(ids, 4)]:
-            for b in hubs:
+        nodes = [*hubs, *rng.sample(ids, 4)]
+        for a in nodes:
+            for b in nodes:
                 expected = sorted({g._code(n) for n in g.neighbors(a)}
                                   & {g._code(n) for n in g.neighbors(b)})
                 assert g._common_neighbors(g._code(a), g._code(b)) == expected
@@ -715,6 +716,34 @@ class TestNeighborTuples:
         assert not any(t.is_alive() for t in threads)
         expected = [tuple(g._nbr_codes[g._indptr[c]:g._indptr[c + 1]].tolist()) for c in codes]
         assert results == [expected] * 4
+
+    def test_threads_racing_on_first_use_get_equal_sets(self):
+        g = _ring_with_hubs()
+        codes = list(range(len(g.nodes)))
+        hubs = [c for c in codes if len(g._neighbor_codes(c)) >= kg_module._SET_ROW]
+        assert len(hubs) == 3 and g._neighbor_sets == {}
+        barrier = threading.Barrier(4)
+        results = [None] * 4
+
+        def first_use(slot):
+            barrier.wait(timeout=10)
+            results[slot] = [g._common_neighbors(c, h) for c in codes for h in hubs]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=first_use, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        rows = [g._nbr_codes[g._indptr[c]:g._indptr[c + 1]].tolist() for c in codes]
+        expected = [sorted(set(rows[c]) & set(rows[h])) for c in codes for h in hubs]
+        assert results == [expected] * 4
+        assert g._neighbor_sets == {h: frozenset(rows[h]) for h in hubs}
 
     @pytest.mark.parametrize("max_hops", [2, 3])
     def test_retrieve_same_on_fresh_and_fully_built_graphs(self, max_hops):

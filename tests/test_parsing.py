@@ -13,6 +13,7 @@ from claimver.retrieval import RetrievalConfig, RetrievedTriplets, retrieve
 from claimver.text import normalize, normalized_find
 
 from conftest import APOLLO_RESPONSE, APOLLO_TEXT, format_response
+from oracles import overlaps_earlier_oracle
 
 
 # Fragments of the key/value shapes parse_response reads, mixed with noise.
@@ -322,6 +323,33 @@ class TestValidateClaims:
         out = validate_claims(raws, APOLLO_TEXT, apollo_retrieved, apollo_kg)
         assert not any("overlaps" in d for d in out[0].diagnostics)
         assert any("overlaps" in d for d in out[1].diagnostics)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 5)), max_size=14))
+    @example([(2, 3), (5, 1), (1, 6), (2, 3), (4, 0), (3, 2)])
+    def test_overlap_sweep_matches_oracle(self, starts_and_lengths):
+        # Small offsets, so spans often touch, nest and repeat.
+        spans = [(start, start + length) for start, length in starts_and_lengths]
+        assert claimver.parsing._overlaps_earlier(spans) == overlaps_earlier_oracle(spans)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 9), st.integers(1, 4)), min_size=1, max_size=10))
+    def test_overlap_flag_is_the_last_diagnostic(self, picks):
+        # Claims quote runs of the words of a text, some repeated or nested,
+        # and one in three cannot be located.
+        words = "w0 w1 w2 w3 w4 w5 w6 w7 w8 w9 w0 w1".split()
+        text = " ".join(words)
+        raws = [_raw(" ".join(words[first:first + count]) if (first + count) % 3 else "x y",
+                     "Unsure", index=i)
+                for i, (first, count) in enumerate(picks, 1)]
+        out = validate_claims(raws, text, RetrievedTriplets(paths=()), KnowledgeGraph([], []))
+        located = [c for c in out if c.start is not None]
+        flags = overlaps_earlier_oracle([(c.start, c.end) for c in located])
+        for claim, flagged in zip(located, flags):
+            assert claim.diagnostics.count("span overlaps an earlier claim") == flagged
+            if flagged:
+                assert claim.diagnostics[-1] == "span overlaps an earlier claim"
+        assert all("overlaps" not in d for c in out if c.start is None for d in c.diagnostics)
 
     def test_repeated_sentence_anchors_in_claim_order(self, apollo_kg, apollo_retrieved):
         text = "Rome is big. Paris is old. Rome is big."

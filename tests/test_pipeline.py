@@ -21,7 +21,7 @@ from claimver.linking import TextChunk, chunk_text, link_entities
 from claimver.parsing import PredictionLabel
 from claimver.pipeline import iter_datagen_records, run_pipeline
 from claimver.render import render_json
-from claimver.retrieval import RetrievalConfig, retrieve
+from claimver.retrieval import KgPath, RetrievalConfig, retrieve
 from claimver.scoring import ScoringConfig, modified_sigmoid
 
 from conftest import (APOLLO_NODES, APOLLO_RESPONSE, APOLLO_TEXT, APOLLO_TRIPLETS,
@@ -563,6 +563,23 @@ class TestDatagenChunkLoop:
         backend = _datagen_answer if with_backend else None
         assert _drain(iter_datagen_records(kg, text, backend=backend)) == _drain(
             iter_datagen_records_oracle(kg, text, backend=backend))
+
+    @pytest.mark.parametrize("with_backend", [False, True])
+    def test_builds_no_paths_or_triplets(self, with_backend, monkeypatch):
+        # Each sentence's label triples are read from its edge codes.
+        kg = KnowledgeGraph(APOLLO_NODES, APOLLO_TRIPLETS)
+        text = (f"{APOLLO_TEXT} Apollo 11 took Neil Armstrong and Buzz Aldrin to the Moon. "
+                "Buzz Aldrin walked on the Moon with Neil Armstrong.")
+        backend = _datagen_answer if with_backend else None
+        expected = _drain(iter_datagen_records_oracle(kg, text, backend=backend))
+        assert sum(len(r["triplets"]) for r in expected[0]) >= 4
+        built = []
+        triplet = KnowledgeGraph._triplet
+        monkeypatch.setattr(KnowledgeGraph, "_triplet",
+                            lambda self, edge: built.append(edge) or triplet(self, edge))
+        monkeypatch.setattr(KgPath, "__post_init__", built.append)
+        assert _drain(iter_datagen_records(kg, text, backend=backend)) == expected
+        assert built == []
 
     def test_requests_fan_out_and_records_keep_sentence_order(self, apollo_kg):
         lock = threading.Lock()

@@ -233,13 +233,12 @@ class TestRetrieveMatchesOracle:
     @given(st.randoms(use_true_random=False), st.integers(1, 3), st.integers(1, 40))
     def test_large_balls_match_id_level_reference(self, rng, max_hops, max_paths):
         # Hubs H and P25x share a pool. Their rows are drawn on both sides
-        # of the lengths from which two rows are intersected on the CSR
-        # rather than by bisection, and pool codes sort on both sides of
-        # P25x; a few pool edges, a parallel twin and pool seeds add joins
-        # of short rows.
-        short_min, long_min = kg_module._SEARCHSORTED_ROWS
-        pool = [f"P{i:02d}" for i in range(long_min + 26)]
-        small = rng.sample(pool, rng.randint(short_min - 6, short_min + 24))
+        # of the length from which a row is probed through its set rather
+        # than bisected, and pool codes sort on both sides of P25x; a few
+        # pool edges, a parallel twin and pool seeds add joins of short rows.
+        set_row = kg_module._SET_ROW
+        pool = [f"P{i:02d}" for i in range(set_row + 40)]
+        small = rng.sample(pool, rng.randint(set_row - 8, set_row + 24))
         large = rng.sample(pool, rng.randint(len(small) + 2, len(pool)))
         pairs = ([("H", p) for p in large] + [("P25x", p) for p in small]
                  + [tuple(rng.sample(pool, 2)) for _ in range(rng.randint(0, 20))])
