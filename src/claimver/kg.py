@@ -8,17 +8,16 @@ internal whitespace, trim.
 
 from __future__ import annotations
 
-import gc
 import json
 import logging
+import re
 from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import filterfalse
-from operator import attrgetter, itemgetter
+from itertools import filterfalse, islice
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Optional, TextIO, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TextIO, Union
 
 import numpy as np
 
@@ -77,8 +76,9 @@ class KnowledgeGraph:
     report. Adjacency is undirected (each edge is reachable from both
     endpoints); triplet direction is preserved in the stored edges for
     display. Instances are read-only after construction, apart from the
-    neighbor tuples built on first use (below). load_kg fills the store
-    from the code tables it decodes a file into, without this constructor.
+    neighbor tuples built on first use (below). The constructor codes its
+    nodes and triplets into the same _SnapshotDecoder tables that load_kg
+    decodes a file into, and _SnapshotDecoder.finish indexes both.
 
     The store is columnar. A node's code is its position in sorted id
     order, so ordering codes orders ids; labels, descriptions and aliases
@@ -110,22 +110,21 @@ class KnowledgeGraph:
     built on first access.
     """
 
-    def __init__(self, nodes: Iterable[KgNode], triplets: Iterable[Triplet],
-                 load_report: Iterable[str] = ()):
-        ordered = sorted(nodes, key=attrgetter("id"))
-        ids = [n.id for n in ordered]
-        position = dict(zip(ids, range(len(ids))))
-        if len(position) != len(ids):
-            dup = next(a for a, b in zip(ids, ids[1:]) if a == b)
-            raise ValueError(f"duplicate node id {dup!r}")
-        rows = list(triplets)
-        s, o = _endpoint_codes(position, rows)
-        predicates = {q: i for i, q in enumerate(dict.fromkeys(map(itemgetter(1), rows)))}
-        p = _codes(predicates, map(itemgetter(1), rows), len(rows))
-        del rows
-        self._index(ids, position, [n.label for n in ordered],
-                    [n.description for n in ordered], [n.aliases for n in ordered],
-                    list(predicates), s, p, o, load_report)
+    def __init__(self, nodes: Iterable[KgNode], triplets: Iterable[Triplet]):
+        decoder = _SnapshotDecoder()
+        for node in nodes:
+            if node.id in decoder.position:
+                raise ValueError(f"duplicate node id {node.id!r}")
+            decoder.code(node.id, node.label, 0)
+            decoder.descriptions.append(node.description)
+            decoder.aliases.append(node.aliases)
+        known = len(decoder.labels)
+        decoder.read_edge_rows((0, (s, "", p, o, "")) for s, p, o in triplets)
+        if len(decoder.labels) > known:
+            # Codes follow first reference, so the first unknown endpoint in
+            # row order has the first code past the nodes.
+            raise UnknownNodeError(next(islice(decoder.position, known, None)))
+        decoder.finish(self, lenient=False)
 
     def _index(self, ids: list[NodeId], position: dict[NodeId, int], labels: list[str],
                descriptions: list[str], aliases: list[tuple[str, ...]], predicates: list[str],
@@ -359,18 +358,6 @@ def _label_index(ids: list[NodeId], labels: list[str], aliases: list[tuple[str, 
             max(map(len, map(str.split, keys)), default=0), keys, code)
 
 
-def _endpoint_codes(position: dict[NodeId, int],
-                    rows: list[Triplet]) -> tuple[np.ndarray, np.ndarray]:
-    """Codes of each row's subject and object; UnknownNodeError names the
-    first endpoint, in row order, that has no code."""
-    try:
-        return (_codes(position, map(itemgetter(0), rows), len(rows)),
-                _codes(position, map(itemgetter(2), rows), len(rows)))
-    except KeyError:
-        unknown = next(end for s, _, o in rows for end in (s, o) if end not in position)
-        raise UnknownNodeError(unknown) from None
-
-
 def _codes(table: dict, keys: Iterable, count: int) -> np.ndarray:
     """table[k] for each of count keys, as an int32 array (KeyError if absent)."""
     return np.fromiter(map(table.__getitem__, keys), dtype=np.int32, count=count)
@@ -463,13 +450,15 @@ class _SnapshotDecoder:
     read in readlines() blocks: code_clean_block codes a clean TSV block at
     once, and any other block, like every JSONL block, goes through the row
     decoder, which reports each row it rejects. So each line is decoded
-    once, and finish builds the graph.
+    once. KnowledgeGraph(nodes, triplets) fills the same tables from its
+    arguments, and finish indexes a graph from the tables either way.
     """
 
     def __init__(self):
         self.position: dict[NodeId, int] = {}
         self.labels: list[str] = []
-        # Descriptions and aliases by code, from the end of the snapshot on.
+        # Descriptions and aliases by code: from the end of a snapshot on, or
+        # node by node in KnowledgeGraph(nodes, triplets).
         self.descriptions: list[str] = []
         self.aliases: list[tuple[str, ...]] = []
         # The line of the first reference, kept only for codes first seen
@@ -599,9 +588,10 @@ class _SnapshotDecoder:
             if names:
                 aliases[code] = _merge_aliases(aliases[code], names)
 
-    def finish(self, lenient: bool) -> KnowledgeGraph:
-        """The graph of everything read; empties the tables first, so they
-        are freed before the graph is indexed."""
+    def finish(self, graph: KnowledgeGraph, lenient: bool):
+        """Index everything read into graph, a KnowledgeGraph not yet built;
+        empties the tables first, so they are freed before the graph is
+        indexed."""
         position, labels = self.position, self.labels
         ids = sorted(position)
         dangling = [nid for nid in ids if not labels[position[nid]]] if "" in labels else []
@@ -628,10 +618,8 @@ class _SnapshotDecoder:
         del old, new
         for table in (self.position, self.labels, self.descriptions, self.aliases, self.first_ref):
             table.clear()
-        graph = KnowledgeGraph.__new__(KnowledgeGraph)
         graph._index(ids, dict(zip(ids, range(len(ids)))), labels, descriptions, aliases,
                      list(self.predicates), s, p, o, self.report)
-        return graph
 
 
 def _tsv_rows(lines: Iterable[str], start: int = 1) -> _Rows:
@@ -708,6 +696,24 @@ def _node_file(path: Path, nodes_path: str | Path | None) -> Optional[Path]:
     return None
 
 
+# What errors="surrogateescape" decodes a byte that is not UTF-8 to.
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
+
+
+def _read_text(path: Path, read: Callable[[TextIO], None], where: str = ""):
+    """read(lines) over the UTF-8 text of path. Text that is not UTF-8 is a
+    KgLoadError naming its first line, numbered as text mode numbers lines
+    (where follows the number); the file is read again to find that line
+    only after the decode fails, so valid text pays nothing for it."""
+    try:
+        with path.open(encoding="utf-8") as lines:
+            read(lines)
+    except UnicodeDecodeError:
+        with path.open(encoding="utf-8", errors="surrogateescape") as lines:
+            line_no = next(n for n, line in enumerate(lines, 1) if _UNDECODABLE.search(line))
+        raise KgLoadError([f"line {line_no}{where}: not valid UTF-8"]) from None
+
+
 def load_kg(path: str | Path, format: str = "tsv", *,
             nodes_path: str | Path | None = None, lenient: bool = False) -> KnowledgeGraph:
     """Load and index a knowledge-graph snapshot.
@@ -730,7 +736,9 @@ def load_kg(path: str | Path, format: str = "tsv", *,
 
     Rejected rows are reported with their line numbers; by default any rejected
     row fails the load (KgLoadError). With lenient=True they are skipped and
-    recorded in the returned graph's load_report.
+    recorded in the returned graph's load_report. Bytes that are not UTF-8
+    fail the load under either setting, with one KgLoadError that names the
+    first line holding them.
 
     The snapshot is read in readlines() blocks and decoded straight to node
     and predicate codes, with no Triplet or KgNode object. A TSV block is
@@ -742,14 +750,6 @@ def load_kg(path: str | Path, format: str = "tsv", *,
     line numbers do not depend on how a block was decoded. The loaded graph
     builds a KgNode when kg.nodes is looked up and the tuple kg.edges on its
     first access.
-
-    The label index holds a tuple of ids per key, and the node file gives
-    each aliased node a tuple: tens of thousands of containers for a large
-    graph, which would set off about a hundred cyclic garbage collections
-    that free nothing. So the load pauses the cyclic collector while it
-    reads and indexes. That switch is process-global: other threads run
-    without cyclic collection until the load returns, and the collector is
-    re-enabled only if it was enabled on entry.
     """
     path = Path(path)
     if not path.is_file():
@@ -757,19 +757,13 @@ def load_kg(path: str | Path, format: str = "tsv", *,
     if format not in ("tsv", "jsonl"):
         raise ValueError(f"unknown format {format!r} (expected 'tsv' or 'jsonl')")
 
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        decoder = _SnapshotDecoder()
-        with path.open(encoding="utf-8") as lines:
-            decoder.read_edges(lines, tsv=format == "tsv")
-        sidecar = _node_file(path, nodes_path)
-        if sidecar:
-            with sidecar.open(encoding="utf-8") as lines:
-                (decoder.read_tsv_nodes if format == "tsv" else decoder.read_jsonl_nodes)(lines)
-        graph = decoder.finish(lenient)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    decoder = _SnapshotDecoder()
+    _read_text(path, partial(decoder.read_edges, tsv=format == "tsv"))
+    sidecar = _node_file(path, nodes_path)
+    if sidecar:
+        _read_text(sidecar, decoder.read_tsv_nodes if format == "tsv" else decoder.read_jsonl_nodes,
+                   " (node file)")
+    graph = KnowledgeGraph.__new__(KnowledgeGraph)
+    decoder.finish(graph, lenient)
     logger.debug("loaded %d nodes, %d edges from %s", len(graph.nodes), len(graph._s), path)
     return graph

@@ -9,6 +9,7 @@ of the report object; to_json writes that JSON text without building the dicts.
 from __future__ import annotations
 
 import functools
+import json
 from dataclasses import MISSING, dataclass, field, fields
 from json.encoder import encode_basestring
 from typing import (Any, Callable, Iterable, Optional, Sequence, Union, get_args, get_origin,
@@ -65,36 +66,11 @@ def _block(open_: str, items: list[str], close: str, level: int) -> str:
     return open_ + inner + ("," + inner).join(items) + outer + close
 
 
-def _key(k: Any) -> str:
-    if isinstance(k, str):
-        return encode_basestring(k)
-    if isinstance(k, (float, int)) or k is None:
-        return '"' + _dump(k, 0) + '"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
-
-
 def _dump(v: Any, level: int) -> str:
     """v as json.dumps(v, indent=2, ensure_ascii=False) writes it at this
-    indent level, in json.dumps's type-check order. Anything json.dumps cannot
-    encode, a record among them, raises TypeError."""
-    if isinstance(v, str):
-        return encode_basestring(v)
-    if v is None:
-        return "null"
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
-    if isinstance(v, int):
-        return int.__repr__(v)
-    if isinstance(v, float):
-        return _float(v)
-    if isinstance(v, (list, tuple)):
-        return _block("[", [_dump(x, level + 1) for x in v], "]", level)
-    if isinstance(v, dict):
-        return _block("{", [_key(k) + ": " + _dump(x, level + 1) for k, x in v.items()],
-                      "}", level)
-    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+    indent level; JSON text holds a raw newline only between lines. Anything
+    json.dumps cannot encode, a record among them, raises TypeError."""
+    return json.dumps(v, indent=2, ensure_ascii=False).replace("\n", "\n" + "  " * level)
 
 
 _DIRECT = {str: "_str", int: "_int", float: "_float"}

@@ -102,6 +102,12 @@ class TestVerify:
         assert main(_verify_args(str(kg), input_file, refused_url, "--kg-format", "jsonl")) == 2
         assert capsys.readouterr().err.startswith("error: line 2: invalid JSON (maximum recursion")
 
+    def test_kg_not_utf8_exit_2(self, tmp_path, input_file, refused_url, capsys):
+        kg = tmp_path / "kg.tsv"
+        kg.write_bytes(b"A\tAlpha\trel\tB\tBeta\nB\tBeta\trel\tC\tGa\xffmma\n")
+        assert main(_verify_args(str(kg), input_file, refused_url, "--lenient")) == 2
+        assert capsys.readouterr().err == "error: line 2: not valid UTF-8\n"
+
     def test_backend_auth_failure_exit_3(self, tsv_kg_path, input_file, scripted_server):
         server = scripted_server([(401, "denied")])
         assert main(_verify_args(tsv_kg_path, input_file, server.url)) == 3

@@ -1,6 +1,5 @@
 """Knowledge-graph store: construction, indexing, loading, error reporting."""
 
-import gc
 import json
 import random
 import sys
@@ -612,6 +611,54 @@ class TestBlockDecoder:
         assert len(g.edges) == 5
 
 
+# Text a load keeps as given: already stripped. The sampled labels collide
+# after normalization; the drawn text adds any other character.
+_STRIPPED = st.one_of(st.sampled_from(_LABELS + _ALIASES), st.text(max_size=6)).map(str.strip)
+
+
+@st.composite
+def stripped_graphs(draw):
+    """Nodes, triplets and label queries for a graph that a JSONL snapshot
+    and node file carry unchanged: text stripped, labels, predicates and
+    aliases non-empty, aliases distinct after normalization. Triplets repeat,
+    loop and run parallel, and some nodes have no edge."""
+    ids = draw(st.permutations([f"N{i}" for i in range(draw(st.integers(1, 8)))]))
+    names = _STRIPPED.filter(bool)
+    nodes = [KgNode(nid, draw(names), draw(_STRIPPED),
+                    tuple(draw(st.lists(names, unique_by=normalize, max_size=3))))
+             for nid in ids]
+    predicates = st.one_of(st.sampled_from(_PREDICATES).map(str.strip), names)
+    triplets = draw(st.lists(st.builds(Triplet, st.sampled_from(ids), predicates,
+                                       st.sampled_from(ids)), max_size=20))
+    if triplets:
+        triplets += draw(st.lists(st.sampled_from(triplets), max_size=5))
+        triplets = draw(st.permutations(triplets))
+    surfaces = st.sampled_from([s for n in nodes for s in (n.label, *n.aliases)] + ["Zeta"])
+    queries = draw(st.lists(st.tuples(surfaces, predicates, surfaces), max_size=10))
+    return nodes, triplets, queries
+
+
+class TestTwoProducers:
+    @given(stripped_graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_constructor_and_load_build_the_same_store(self, graph):
+        nodes, triplets, queries = graph
+        built = KnowledgeGraph(nodes, triplets)
+        labels = {n.id: n.label for n in nodes}
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "kg.jsonl"
+            path.write_text("".join(
+                json.dumps({"s_id": s, "s_label": labels[s], "p": p, "o_id": o,
+                            "o_label": labels[o]}) + "\n" for s, p, o in triplets))
+            (Path(directory) / "kg.nodes.jsonl").write_text("".join(
+                json.dumps({"id": n.id, "label": n.label, "description": n.description,
+                            "aliases": list(n.aliases)}) + "\n" for n in nodes))
+            loaded = load_kg(path, "jsonl")
+        assert _graph_summary(loaded) == _graph_summary(built)
+        for query in queries:
+            assert loaded.contains_triplet(*query) == built.contains_triplet(*query)
+
+
 class TestViews:
     def test_nodes_is_a_read_only_mapping(self, tsv_kg_path):
         g = load_kg(tsv_kg_path, "tsv")
@@ -792,40 +839,41 @@ class TestRunHeads:
         assert len(sorts) == 1
 
 
-class TestLoadPausesGc:
-    @pytest.fixture(autouse=True)
-    def restore_gc(self):
-        enabled = gc.isenabled()
-        yield
-        (gc.enable if enabled else gc.disable)()
+def _utf8_rows(fmt: str, node_file: bool, ids: list[str]) -> list[bytes]:
+    """One encoded row per id: a snapshot edge from the id to itself, or a
+    node-file row."""
+    if fmt == "tsv":
+        return [(f"{i}\tdescribed" if node_file else f"{i}\t{i}\trel\t{i}\t{i}").encode()
+                for i in ids]
+    return [json.dumps({"id": i, "label": i} if node_file else
+                       {"s_id": i, "s_label": i, "p": "rel", "o_id": i, "o_label": i}).encode()
+            for i in ids]
 
-    def test_paused_during_load_and_restored(self, tsv_kg_path, monkeypatch):
-        # Every file load reaches KnowledgeGraph._index from _SnapshotDecoder.finish.
-        seen = []
-        index = KnowledgeGraph._index
-        monkeypatch.setattr(KnowledgeGraph, "_index",
-                            lambda graph, *columns: seen.append(gc.isenabled())
-                            or index(graph, *columns))
-        gc.enable()
-        load_kg(tsv_kg_path, "tsv")
-        assert seen == [False]
-        assert gc.isenabled()
 
-    def test_restored_after_strict_error(self, tmp_path):
-        path = tmp_path / "bad.tsv"
-        path.write_text("A\tAlpha\trel\tB\t\n", encoding="utf-8")
-        gc.enable()
-        with pytest.raises(KgLoadError):
-            load_kg(path, "tsv")
-        assert gc.isenabled()
-
-    def test_disabled_on_entry_stays_disabled(self, tsv_kg_path, tmp_path):
-        gc.disable()
-        load_kg(tsv_kg_path, "tsv")
-        assert not gc.isenabled()
-        with pytest.raises(KgLoadError):
-            load_kg(tsv_kg_path, "tsv", nodes_path=tmp_path / "none.tsv")
-        assert not gc.isenabled()
+class TestLoadNotUtf8:
+    # Lines end at \n, \r\n and \r, and blank lines count, as the row decoder
+    # numbers lines; 5,000 rows before the bad one put it past the first
+    # readlines() block. A later bad line is not reported.
+    @pytest.mark.parametrize("lenient", [False, True])
+    @pytest.mark.parametrize("node_file", [False, True])
+    @pytest.mark.parametrize("fmt", ["tsv", "jsonl"])
+    @pytest.mark.parametrize("good", [2, 5000])
+    def test_fails_naming_the_first_bad_line(self, tmp_path, fmt, node_file, lenient, good):
+        ids = [f"N{i}" for i in range(good)]
+        rows = _utf8_rows(fmt, node_file, ids)
+        bad = _utf8_rows(fmt, node_file, ["Bad"])[0].replace(b"Bad", b"B\xffa\xc3d")
+        text = (rows[0] + b"\r\n" + b"\r".join(rows[1:]) + b"\n\n" + bad + b"\n"
+                + rows[0] + b"\xff\n")
+        path = tmp_path / f"kg.{fmt}"
+        if node_file:
+            path.write_bytes(b"\n".join(_utf8_rows(fmt, False, ids)) + b"\n")
+            (tmp_path / f"kg.nodes.{fmt}").write_bytes(text)
+        else:
+            path.write_bytes(text)
+        where = " (node file)" if node_file else ""
+        with pytest.raises(KgLoadError) as err:
+            load_kg(path, fmt, lenient=lenient)
+        assert err.value.errors == [f"line {good + 2}{where}: not valid UTF-8"]
 
 
 class TestLoadMemory:

@@ -462,6 +462,16 @@ class TestRenderJsonMatchesDumps:
         with pytest.raises(TypeError):
             render_json(report)
 
+    def test_config_that_contains_itself_raises_value_error(self):
+        config = {"x": 1}
+        config["self"] = [config]
+        report = VerificationReport(input_text="t", entities=(), retrieved_triplets=(),
+                                    claims=(), n=0, kas=0.5, config=config)
+        with pytest.raises(ValueError, match="Circular reference"):
+            render_json_oracle(report)
+        with pytest.raises(ValueError, match="Circular reference"):
+            render_json(report)
+
     def test_record_in_list_field_raises_type_error(self):
         # to_dict converts records in tuples, not in lists.
         inner = TripletRecord("a", "A", "p", "b", "B")
