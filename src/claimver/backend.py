@@ -11,12 +11,10 @@ import math
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from .errors import BackendAuthError, BackendError, PromptError, UnknownPromptError
-from .kg import KnowledgeGraph, Triplet
-from .retrieval import RetrievedTriplets
 from .text import format_triplet, normalized_find
 
 if TYPE_CHECKING:
@@ -155,15 +153,14 @@ def serialize_triplets_bracketed(labeled: Iterable[tuple[str, str, str]]) -> str
     return f"[{inner}]"
 
 
-def build_verification_prompt(text: str, triplets: RetrievedTriplets,
-                              kg: KnowledgeGraph) -> PromptBundle:
-    """Render the verification instruction with the text and its triplets.
-
-    Triplets appear once each, in retrieval order, as (subject label,
-    predicate, object label) lines.
+def build_verification_prompt(text: str,
+                              labeled: Iterable[tuple[str, str, str]]) -> PromptBundle:
+    """Render the verification instruction with the text and its triplets,
+    given as (subject label, predicate, object label) triples: one line
+    each, in the given order.
     """
-    serialized = serialize_triplets(kg.triplet_labels(t) for t in triplets.triplets)
-    return PromptBundle(VERIFICATION_TEMPLATE, f"-Text: {text}\n-Triplets: {serialized}\n")
+    return PromptBundle(VERIFICATION_TEMPLATE,
+                        f"-Text: {text}\n-Triplets: {serialize_triplets(labeled)}\n")
 
 
 def _span_in_text(full_text: str, text_span: str) -> bool:
@@ -177,26 +174,18 @@ def _span_in_text(full_text: str, text_span: str) -> bool:
     return stripped in full_text or normalized_find(full_text, stripped) is not None
 
 
-def build_datagen_prompt(
-        full_text: str, text_span: str,
-        triplets: RetrievedTriplets | Iterable[Triplet] | Iterable[tuple[str, str, str]],
-        kg: KnowledgeGraph | None = None) -> PromptBundle:
-    """Render the span-labeling instruction for one (text, span, triplets) item.
-
-    The span must occur in full_text (trailing sentence punctuation and
-    case/whitespace differences are tolerated). With a kg, triplets are
-    stored triplets (or a RetrievedTriplets), written as their labels; with
-    none, they are (subject label, predicate, object label) triples, as the
-    datagen pipeline reads them from the graph's edge codes.
+def build_datagen_prompt(full_text: str, text_span: str,
+                         labeled: Iterable[tuple[str, str, str]]) -> PromptBundle:
+    """Render the span-labeling instruction for one (text, span, triplets)
+    item, triplets given as (subject label, predicate, object label); the
+    span must occur in full_text (trailing sentence punctuation and
+    case/whitespace differences are tolerated).
     """
     if not _span_in_text(full_text, text_span):
         raise PromptError("text_span must be a substring of full_text")
-    if kg is not None:
-        items = triplets.triplets if isinstance(triplets, RetrievedTriplets) else triplets
-        triplets = map(kg.triplet_labels, items)
     return PromptBundle(DATAGEN_TEMPLATE, f'**Full text:** "{full_text}"\n'
                                           f'**Text span:** "{text_span}"\n'
-                                          f"**Triplets:** {serialize_triplets_bracketed(triplets)}\n")
+                                          f"**Triplets:** {serialize_triplets_bracketed(labeled)}\n")
 
 
 def _default_api_key() -> str:
@@ -216,10 +205,14 @@ class BackendConfig:
     backoff_base: float = 0.5
 
     def __post_init__(self):
-        if not self.base_url:
-            raise ValueError("base_url must be non-empty")
-        if not self.model:
-            raise ValueError("model must be non-empty")
+        # A refusal names the value's type, never the value: it can be the key.
+        accepted = {"str": str, "int": int, "float": (int, float)}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, accepted[f.type]) or isinstance(value, bool):
+                raise ValueError(f"{f.name} must be {f.type}, got {type(value).__name__}")
+            if not value and f.name in ("base_url", "model"):
+                raise ValueError(f"{f.name} must be non-empty")
         if not all(map(math.isfinite, (self.timeout, self.temperature, self.backoff_base))):
             raise ValueError("timeout, temperature and backoff_base must be finite")
         if self.timeout <= 0:

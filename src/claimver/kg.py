@@ -191,8 +191,8 @@ class KnowledgeGraph:
     def _triplet(self, edge: int) -> Triplet:
         """The stored triplet with index edge in the code columns."""
         ids, predicates = self._ids, self._predicates
-        # As Triplet._make does, without its Python-level call: retrieval
-        # materializes every path edge through here.
+        # As Triplet._make does, without its Python-level call: a retrieval
+        # result builds each of its triplets through here.
         return tuple.__new__(Triplet, (ids[self._s.item(edge)], predicates[self._p.item(edge)],
                                        ids[self._o.item(edge)]))
 

@@ -269,8 +269,8 @@ def validate_claims(raws: list[RawClaim], input_text: str, retrieved: RetrievedT
     sentences anchor in claim order, and overlaps are flagged.
     """
     by_labels: dict[tuple[str, str, str], Triplet] = {}
-    for t in retrieved.triplets:
-        by_labels.setdefault(triplet_key(*kg.triplet_labels(t)), t)
+    for labels, t in zip(retrieved.labels, retrieved.triplets):
+        by_labels.setdefault(triplet_key(*labels), t)
     find_normalized = normalized_finder(input_text)
     results: list[ClaimResult] = []
     located: list[tuple[int, int]] = []

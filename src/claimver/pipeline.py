@@ -29,7 +29,7 @@ from .linking import (LinkedEntity, PreprocessHook, TextChunk, _scan, chunk_text
                       preprocess, split_sentences)
 from .parsing import parse_response, validate_claims
 from .report import VerificationReport, build_report
-from .retrieval import RetrievalConfig, RetrievedTriplets, _retrieve_labels, retrieve
+from .retrieval import RetrievalConfig, RetrievedTriplets, retrieve
 from .scoring import (Embedder, ScoredClaim, ScoringConfig, kg_attribution_score,
                       score_claims)
 from .text import replace_surrogates
@@ -183,7 +183,7 @@ def run_pipeline(kg: KnowledgeGraph, text: str, backend,
     if not text:
         raise PipelineError("preprocess", "preprocessing left no text")
 
-    paths = []
+    results: list[RetrievedTriplets] = []
     chunk_diagnostics: list[str] = []
 
     def finish(chunk, retrieved, prompt, diagnostics, response):
@@ -193,7 +193,7 @@ def run_pipeline(kg: KnowledgeGraph, text: str, backend,
         with _stage("response-parser", diagnostics, catch=ResponseParseError):
             raws = parse_response(raw, diagnostics)
         claims = validate_claims(raws, chunk.text, retrieved, kg)
-        paths.extend(retrieved.paths)
+        results.append(retrieved)
         chunk_diagnostics.extend(diagnostics)
         if not chunk.offset:
             return claims
@@ -208,7 +208,7 @@ def run_pipeline(kg: KnowledgeGraph, text: str, backend,
         chunks = chunk_text(text, chunk_chars) if chunk_chars else [TextChunk(text, 0)]
         for claims in _run_chunks(
                 chunks, scan, completer, lambda seeds: retrieve(kg, seeds, retrieval_cfg),
-                lambda chunk, retrieved: build_verification_prompt(chunk.text, retrieved, kg),
+                lambda chunk, retrieved: build_verification_prompt(chunk.text, retrieved.labels),
                 finish):
             if held is None:
                 # A claim's linked mentions all lie in its chunk, so the
@@ -226,7 +226,8 @@ def run_pipeline(kg: KnowledgeGraph, text: str, backend,
 
     entities = scan.until()
     doc_diagnostics = _doc_notes(entities, len(chunks)) + chunk_diagnostics
-    retrieved = RetrievedTriplets(paths=tuple(dict.fromkeys(paths)))
+    retrieved = results[0] if len(results) == 1 else RetrievedTriplets(
+        kg, list(dict.fromkeys(p for r in results for p in r._codes)))
 
     with _stage("scoring", doc_diagnostics):
         if held is not None:
@@ -252,9 +253,9 @@ def iter_datagen_records(kg: KnowledgeGraph, text: str,
     """Span-labeling records for one document, one per sentence, in sentence
     order.
 
-    Each record holds the document, the sentence span, the triplets retrieved
-    for that sentence's entities (as label triples, read from the edge codes
-    without building paths or triplets), and the rendered prompt;
+    Each record holds the document, the sentence span, the triplets
+    retrieve() found for that sentence's entities (as label triples: the
+    result's labels, so no path or Triplet is built), and the rendered prompt;
     with a backend (taken as in run_pipeline) also the model's response, up to
     _PARALLEL_CHUNKS sentence requests in flight at once. Failures are tagged
     with the stage that failed, as in run_pipeline; the records of the
@@ -271,11 +272,11 @@ def iter_datagen_records(kg: KnowledgeGraph, text: str,
             sentences.append(TextChunk(sentence, offset))
         offset += len(sentence)
 
-    def finish(chunk, labeled, prompt, diagnostics, response):
+    def finish(chunk, retrieved, prompt, diagnostics, response):
         record: dict[str, Any] = {
             "full_text": text,
             "text_span": chunk.text.strip(),
-            "triplets": list(map(list, labeled)),
+            "triplets": list(map(list, retrieved.labels)),
             "prompt": prompt.text,
         }
         if response is not None:
@@ -285,6 +286,6 @@ def iter_datagen_records(kg: KnowledgeGraph, text: str,
 
     yield from _run_chunks(
         sentences, _Scan(iter(entities)), completer,
-        lambda seeds: _retrieve_labels(kg, seeds, retrieval_cfg),
-        lambda chunk, labeled: build_datagen_prompt(text, chunk.text.strip(), labeled),
+        lambda seeds: retrieve(kg, seeds, retrieval_cfg),
+        lambda chunk, retrieved: build_datagen_prompt(text, chunk.text.strip(), retrieved.labels),
         finish)

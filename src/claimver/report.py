@@ -240,8 +240,8 @@ class VerificationReport(_Record):
                                  f"run past input_text ({length} characters)")
 
 
-def triplet_record(kg: KnowledgeGraph, t: Triplet) -> TripletRecord:
-    s_label, p, o_label = kg.triplet_labels(t)
+def triplet_record(t: Triplet, labels: tuple[str, str, str]) -> TripletRecord:
+    s_label, p, o_label = labels
     return TripletRecord(s_id=t.subject, s_label=s_label, p=p, o_id=t.object, o_label=o_label)
 
 
@@ -257,11 +257,12 @@ def build_report(kg: KnowledgeGraph, input_text: str,
                  scored: Sequence[ScoredClaim], kas: float,
                  config: dict[str, Any], diagnostics: Iterable[str] = ()) -> VerificationReport:
     """Assemble the report. retrieved_triplets, the path edges and the claims
-    share one TripletRecord per retrieved triplet."""
-    records = {t: triplet_record(kg, t) for t in retrieved.triplets}
+    share one TripletRecord per retrieved triplet, made from its labels."""
+    records = dict(zip(retrieved.triplets, map(triplet_record, retrieved.triplets,
+                                               retrieved.labels)))
 
     def triplets(ts: Iterable[Triplet]) -> tuple[TripletRecord, ...]:
-        return tuple(records.get(t) or triplet_record(kg, t) for t in ts)
+        return tuple(records.get(t) or triplet_record(t, kg.triplet_labels(t)) for t in ts)
 
     def claim_record(sc: ScoredClaim) -> ClaimRecord:
         c = sc.claim

@@ -7,10 +7,10 @@ the returned paths in first-appearance order.
 
 One search (_search) runs on the graph's node codes (see KnowledgeGraph)
 and returns code paths. Codes follow sorted ids, so code order is id order
-and every tie breaks as it would on ids. retrieve() maps the paths found to
-ids and Triplet objects, one Triplet per edge in a call; _retrieve_labels,
-which datagen uses, reads each distinct edge's label triple straight from
-the code columns and builds neither.
+and every tie breaks as it would on ids. retrieve() keeps the code paths in
+a RetrievedTriplets, which reads each distinct edge's label triple once from
+the code columns and maps the paths to ids and Triplet objects only when
+they are asked for.
 
 Each pair is searched from its smaller id u toward v by joins of sorted
 neighbor rows: a length-1 path is one bisection in u's row, the length-2
@@ -25,7 +25,7 @@ cannot reach v in time.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, combinations, islice, starmap
 from typing import Iterable
 
@@ -66,19 +66,47 @@ class KgPath:
             raise ValueError("path nodes must be distinct")
 
 
-@dataclass(frozen=True)
 class RetrievedTriplets:
-    """Paths found for all seed pairs plus their deduplicated triplets."""
+    """The paths for all seed pairs and their distinct triplets, kept as code
+    paths; built by retrieve() and, for a document of several chunks, by
+    run_pipeline. labels (each triplet's subject label, predicate and object
+    label) is read at construction, triplets and paths on first read (a race
+    builds equal tuples). Equal when paths and triplets are; not hashable.
+    """
 
-    paths: tuple[KgPath, ...]
-    triplets: tuple[Triplet, ...] = field(init=False)
+    __slots__ = ("_kg", "_codes", "_steps", "_step_edges", "_edges", "labels", "_triplets",
+                 "_paths")
 
-    def __post_init__(self):
-        seen: dict[Triplet, None] = {}
-        for path in self.paths:
-            for edge in path.edges:
-                seen.setdefault(edge, None)
-        object.__setattr__(self, "triplets", tuple(seen))
+    def __init__(self, kg: KnowledgeGraph, codes: list[tuple[int, ...]]):
+        self._kg, self._codes, self._triplets, self._paths = kg, codes, None, None
+        self._steps = dict.fromkeys(chain.from_iterable(zip(p, p[1:]) for p in codes))
+        self._step_edges = [*starmap(kg._edge_code, self._steps)]
+        self._edges = tuple(dict.fromkeys(self._step_edges))
+        # Tuples here are built from lists, at their final size: CPython's tuple(map(...))
+        # resizes, and resized tuples fill its free lists (datagen-corpus RSS +3.4 MB in 20 s).
+        self.labels: tuple[tuple[str, str, str], ...] = tuple([*map(kg._edge_labels, self._edges)])
+
+    @property
+    def triplets(self) -> tuple[Triplet, ...]:
+        if self._triplets is None:
+            self._triplets = tuple([*map(self._kg._triplet, self._edges)])
+        return self._triplets
+
+    @property
+    def paths(self) -> tuple[KgPath, ...]:
+        if self._paths is None:
+            kg, edge_of = self._kg, dict(zip(self._steps, self._step_edges))
+            triplet = dict(zip(self._edges, self.triplets))
+            self._paths = tuple([
+                KgPath(nodes=tuple([*map(kg._id, p)]),
+                       edges=tuple([triplet[edge_of[step]] for step in zip(p, p[1:])]))
+                for p in self._codes])
+        return self._paths
+
+    def __eq__(self, other):
+        if not isinstance(other, RetrievedTriplets):
+            return NotImplemented
+        return self.paths == other.paths and self.triplets == other.triplets
 
 
 def _distances_from(kg: KnowledgeGraph, source: int, limit: int) -> dict[int, int]:
@@ -144,19 +172,6 @@ def _pair_paths(kg: KnowledgeGraph, u: int, v: int, config: RetrievalConfig,
     return found[:k]
 
 
-def _materialize(kg: KnowledgeGraph, codes: tuple[int, ...],
-                 triplets: dict[int, Triplet]) -> KgPath:
-    """The KgPath of a code path; triplets caches one Triplet per edge."""
-    edges = []
-    for a, b in zip(codes, codes[1:]):
-        edge = kg._edge_code(a, b)
-        triplet = triplets.get(edge)
-        if triplet is None:
-            triplet = triplets[edge] = kg._triplet(edge)
-        edges.append(triplet)
-    return KgPath(nodes=tuple(map(kg._id, codes)), edges=tuple(edges))
-
-
 def _search(kg: KnowledgeGraph, seeds: Iterable[NodeId],
             config: RetrievalConfig) -> list[tuple[int, ...]]:
     """The code paths of every unordered pair of the deduplicated, sorted
@@ -177,15 +192,4 @@ def retrieve(kg: KnowledgeGraph, seeds: Iterable[NodeId],
     Seeds are deduplicated and sorted; unknown ids raise UnknownNodeError.
     Fewer than two distinct seeds yields an empty result.
     """
-    triplets: dict[int, Triplet] = {}
-    return RetrievedTriplets(paths=tuple(
-        _materialize(kg, p, triplets) for p in _search(kg, seeds, config or RetrievalConfig())))
-
-
-def _retrieve_labels(kg: KnowledgeGraph, seeds: Iterable[NodeId],
-                     config: RetrievalConfig) -> list[tuple[str, str, str]]:
-    """The label triples of retrieve(kg, seeds, config).triplets, in order,
-    read from the edge codes of the paths found: no path or Triplet is
-    built."""
-    steps = dict.fromkeys(chain.from_iterable(zip(p, p[1:]) for p in _search(kg, seeds, config)))
-    return list(map(kg._edge_labels, dict.fromkeys(starmap(kg._edge_code, steps))))
+    return RetrievedTriplets(kg, _search(kg, seeds, config or RetrievalConfig()))

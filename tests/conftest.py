@@ -4,6 +4,7 @@ and a scripted local HTTP server for backend tests."""
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -108,6 +109,15 @@ def chat_payload(content: str) -> dict:
     return {"choices": [{"message": {"content": content}}]}
 
 
+class _QuietServer(ThreadingHTTPServer):
+    """Reports a handler's errors, apart from a client that hung up before
+    its reply was written: tests hang up on purpose."""
+
+    def handle_error(self, request, client_address):
+        if not isinstance(sys.exc_info()[1], (BrokenPipeError, ConnectionResetError)):
+            super().handle_error(request, client_address)
+
+
 class ScriptedServer:
     """Local HTTP server that replays a scripted list of (status, payload)
     or (status, payload, headers).
@@ -131,7 +141,7 @@ class ScriptedServer:
         self.hang_up = False
         self.inflight = self.inflight_max = 0
         self._lock = threading.Lock()
-        self.httpd = ThreadingHTTPServer(("127.0.0.1", 0), self._handler(keep_alive))
+        self.httpd = _QuietServer(("127.0.0.1", 0), self._handler(keep_alive))
         # A short poll lets shutdown() return promptly instead of after 0.5 s.
         self._thread = threading.Thread(target=self.httpd.serve_forever,
                                         kwargs={"poll_interval": 0.01}, daemon=True)

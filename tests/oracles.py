@@ -29,11 +29,11 @@ import numpy as np
 
 from claimver.backend import build_datagen_prompt
 from claimver.errors import BackendError, UnknownNodeError
-from claimver.kg import KnowledgeGraph, NodeId
+from claimver.kg import KnowledgeGraph, NodeId, Triplet
 from claimver.linking import PreprocessHook, TextChunk, preprocess, split_sentences
 from claimver.pipeline import _as_completer, _chunk_seeds, _stage
 from claimver.report import VerificationReport
-from claimver.retrieval import KgPath, RetrievalConfig, RetrievedTriplets, retrieve
+from claimver.retrieval import KgPath, RetrievalConfig, retrieve
 from claimver.text import normalize, tokens
 
 
@@ -116,7 +116,10 @@ def _pair_paths_oracle(kg: KnowledgeGraph, u: NodeId, v: NodeId,
 
 
 def retrieve_oracle(kg: KnowledgeGraph, seeds: Iterable[NodeId],
-                    config: RetrievalConfig | None = None) -> RetrievedTriplets:
+                    config: RetrievalConfig | None = None
+                    ) -> tuple[tuple[KgPath, ...], tuple[Triplet, ...]]:
+    """The paths retrieve() finds and their triplets in first-appearance
+    order along the paths."""
     config = config or RetrievalConfig()
     unique = sorted(set(seeds))
     for seed in unique:
@@ -129,8 +132,8 @@ def retrieve_oracle(kg: KnowledgeGraph, seeds: Iterable[NodeId],
             by_pair[u, v] = [
                 KgPath(nodes=p, edges=tuple(kg.edge_between(a, b) for a, b in zip(p, p[1:])))
                 for p in _pair_paths_oracle(kg, u, v, ball, config)]
-    return RetrievedTriplets(paths=tuple(
-        p for pair in combinations(unique, 2) for p in by_pair[pair]))
+    paths = tuple(p for pair in combinations(unique, 2) for p in by_pair[pair])
+    return paths, tuple(dict.fromkeys(e for p in paths for e in p.edges))
 
 
 def iter_datagen_records_oracle(kg: KnowledgeGraph, text: str,
@@ -151,12 +154,13 @@ def iter_datagen_records_oracle(kg: KnowledgeGraph, text: str,
             continue
         with _stage("triplet-retrieval"):
             retrieved = retrieve(kg, _chunk_seeds(chunk, entities), retrieval_cfg)
+        labeled = [kg.triplet_labels(t) for t in retrieved.triplets]
         with _stage("prompt"):
-            prompt = build_datagen_prompt(text, span, retrieved, kg)
+            prompt = build_datagen_prompt(text, span, labeled)
         record: dict[str, Any] = {
             "full_text": text,
             "text_span": span,
-            "triplets": [list(kg.triplet_labels(t)) for t in retrieved.triplets],
+            "triplets": list(map(list, labeled)),
             "prompt": prompt.text,
         }
         if completer is not None:

@@ -304,7 +304,7 @@ def test_criterion_7_end_to_end_determinism(apollo_kg):
         single_text = "Apollo 11 landed on the Moon."
         entities = link_entities(apollo_kg, single_text)
         retrieved = retrieve(apollo_kg, [e.node for e in entities])
-        prompt = build_verification_prompt(single_text, retrieved, apollo_kg)
+        prompt = build_verification_prompt(single_text, retrieved.labels)
         mock = MockBackend()
         mock.add(prompt, '"text_span1": "Apollo 11 landed on the Moon.",\n'
                          '"prediction1": "Attributable",\n'
@@ -323,7 +323,7 @@ def test_criterion_7_end_to_end_determinism(apollo_kg):
         # Same determinism for the two-claim fixture.
         entities = link_entities(apollo_kg, APOLLO_TEXT)
         retrieved = retrieve(apollo_kg, [e.node for e in entities])
-        prompt = build_verification_prompt(APOLLO_TEXT, retrieved, apollo_kg)
+        prompt = build_verification_prompt(APOLLO_TEXT, retrieved.labels)
         mock.add(prompt, APOLLO_RESPONSE)
         a = run_pipeline(apollo_kg, APOLLO_TEXT, mock)
         b = run_pipeline(apollo_kg, APOLLO_TEXT, mock)

@@ -24,7 +24,7 @@ from claimver.errors import (BackendAuthError, BackendError, PipelineError, Prom
                              UnknownPromptError)
 from claimver.kg import KgNode, KnowledgeGraph, Triplet
 from claimver.pipeline import run_pipeline
-from claimver.retrieval import KgPath, RetrievedTriplets, retrieve
+from claimver.retrieval import retrieve
 from claimver.scoring import HttpEmbedder
 
 from conftest import APOLLO_RESPONSE, APOLLO_TEXT, chat_payload
@@ -51,7 +51,7 @@ def einstein_kg():
 class TestVerificationPrompt:
     def test_slots_filled(self, apollo_kg):
         retrieved = retrieve(apollo_kg, ["Q43653", "Q405"])
-        bundle = build_verification_prompt("Apollo 11 landed on the Moon.", retrieved, apollo_kg)
+        bundle = build_verification_prompt("Apollo 11 landed on the Moon.", retrieved.labels)
         assert "-Text: Apollo 11 landed on the Moon.\n" in bundle.rendered_input
         assert "-Triplets: (Apollo 11, landing site, Moon)\n" in bundle.rendered_input
         assert bundle.text.startswith("Analyze text against provided triplets")
@@ -61,12 +61,12 @@ class TestVerificationPrompt:
 
     def test_empty_triplets_section_empty(self, apollo_kg):
         retrieved = retrieve(apollo_kg, [])
-        bundle = build_verification_prompt("Some text.", retrieved, apollo_kg)
+        bundle = build_verification_prompt("Some text.", retrieved.labels)
         assert bundle.rendered_input.endswith("-Triplets: \n")
 
     def test_two_triplets_in_order_once_each(self, apollo_kg):
         retrieved = retrieve(apollo_kg, ["Q1615", "Q43653"])
-        bundle = build_verification_prompt("text", retrieved, apollo_kg)
+        bundle = build_verification_prompt("text", retrieved.labels)
         lines = [ln for ln in bundle.rendered_input.splitlines() if "crew member" in ln or "citizenship" in ln]
         assert lines[0].endswith("(Apollo 11, crew member, Neil Armstrong)")
         body = bundle.text
@@ -75,13 +75,13 @@ class TestVerificationPrompt:
     def test_braces_pass_through_literally(self, apollo_kg):
         retrieved = retrieve(apollo_kg, [])
         text = 'data {"x": 1} and {braces}'
-        bundle = build_verification_prompt(text, retrieved, apollo_kg)
+        bundle = build_verification_prompt(text, retrieved.labels)
         assert f"-Text: {text}\n" in bundle.rendered_input
 
     def test_rendering_is_pure(self, apollo_kg):
         retrieved = retrieve(apollo_kg, ["Q43653", "Q405"])
-        a = build_verification_prompt("Same text.", retrieved, apollo_kg)
-        b = build_verification_prompt("Same text.", retrieved, apollo_kg)
+        a = build_verification_prompt("Same text.", retrieved.labels)
+        b = build_verification_prompt("Same text.", retrieved.labels)
         assert a == b and a.text == b.text
 
     def test_template_has_expected_sections(self):
@@ -95,22 +95,23 @@ class TestDatagenPrompt:
                      "He was awarded the Nobel Prize in Physics for his services to "
                      "Theoretical Physics.")
         span = "He was awarded the Nobel Prize in Physics."
-        bundle = build_datagen_prompt(full_text, span, einstein_kg.edges, einstein_kg)
+        labeled = map(einstein_kg.triplet_labels, einstein_kg.edges)
+        bundle = build_datagen_prompt(full_text, span, labeled)
         assert ('**Triplets:** [("Albert Einstein", "award received", '
                 '"Nobel Prize in Physics")]') in bundle.rendered_input
         assert f'**Full text:** "{full_text}"' in bundle.rendered_input
         assert f'**Text span:** "{span}"' in bundle.rendered_input
 
-    def test_span_equal_to_text(self, einstein_kg):
-        bundle = build_datagen_prompt("Exact.", "Exact.", [], einstein_kg)
+    def test_span_equal_to_text(self):
+        bundle = build_datagen_prompt("Exact.", "Exact.", [])
         assert '**Text span:** "Exact."' in bundle.rendered_input
 
-    def test_span_not_substring(self, einstein_kg):
+    def test_span_not_substring(self):
         with pytest.raises(PromptError):
-            build_datagen_prompt("Some text.", "missing span", [], einstein_kg)
+            build_datagen_prompt("Some text.", "missing span", [])
 
-    def test_empty_triplets_render_empty_list(self, einstein_kg):
-        bundle = build_datagen_prompt("T.", "T.", [], einstein_kg)
+    def test_empty_triplets_render_empty_list(self):
+        bundle = build_datagen_prompt("T.", "T.", [])
         assert "**Triplets:** []" in bundle.rendered_input
 
 
@@ -136,10 +137,8 @@ def _quoted(s):
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-_PLAIN_KG = KnowledgeGraph([KgNode("N0", "L")], [])
-VERIFICATION_INSTRUCTION = build_verification_prompt(
-    "t", RetrievedTriplets(paths=()), _PLAIN_KG).instruction
-DATAGEN_INSTRUCTION = build_datagen_prompt("t", "t", [], _PLAIN_KG).instruction
+VERIFICATION_INSTRUCTION = build_verification_prompt("t", []).instruction
+DATAGEN_INSTRUCTION = build_datagen_prompt("t", "t", []).instruction
 
 
 class TestPromptBlocks:
@@ -149,10 +148,8 @@ class TestPromptBlocks:
     @given(text=_ADVERSARIAL, graph=_labeled_graph())
     def test_verification(self, text, graph):
         kg, triplets = graph
-        retrieved = RetrievedTriplets(
-            paths=tuple(KgPath((t.subject, t.object), (t,)) for t in triplets))
-        bundle = build_verification_prompt(text, retrieved, kg)
         labeled = [kg.triplet_labels(t) for t in triplets]
+        bundle = build_verification_prompt(text, labeled)
         serialized = "\n".join(f"({s}, {p}, {o})" for s, p, o in labeled)
         assert bundle.instruction == VERIFICATION_INSTRUCTION
         assert VERIFICATION_INSTRUCTION.endswith("Input for analysis:\n")
@@ -165,8 +162,8 @@ class TestPromptBlocks:
     def test_datagen(self, head, span, tail, graph):
         kg, triplets = graph
         full_text = head + span + tail
-        bundle = build_datagen_prompt(full_text, span, triplets, kg)
         labeled = [kg.triplet_labels(t) for t in triplets]
+        bundle = build_datagen_prompt(full_text, span, labeled)
         serialized = "[" + ", ".join(
             f"({_quoted(s)}, {_quoted(p)}, {_quoted(o)})" for s, p, o in labeled) + "]"
         assert bundle.instruction == DATAGEN_INSTRUCTION
@@ -175,8 +172,6 @@ class TestPromptBlocks:
         assert bundle.rendered_input == (f'**Full text:** "{full_text}"\n'
                                          f'**Text span:** "{span}"\n'
                                          f"**Triplets:** {serialized}\n")
-        # Without a graph, the triplets are label triples written as given.
-        assert build_datagen_prompt(full_text, span, labeled) == bundle
 
 
 class TestBackendConfig:
@@ -193,12 +188,20 @@ class TestBackendConfig:
     @pytest.mark.parametrize("kwargs", [
         {"timeout": 0}, {"max_retries": -1}, {"temperature": -0.1},
         {"backoff_base": 0}, {"base_url": ""}, {"model": ""},
+        # Values of the wrong type, which would fail only when a request is made.
+        {"max_retries": 2.5}, {"max_retries": True}, {"max_retries": "2"},
+        {"timeout": True}, {"timeout": "5"}, {"temperature": False},
+        {"backoff_base": None}, {"base_url": 5}, {"model": None},
+        {"api_key": 12345}, {"api_key": b"sk-12345"},
     ])
     def test_validation(self, kwargs):
         base = {"base_url": "http://x", "model": "m"}
         base.update(kwargs)
-        with pytest.raises(ValueError):
+        (name, value), = kwargs.items()
+        with pytest.raises(ValueError, match=f"^{name} ") as err:
             BackendConfig(**base)
+        if name == "api_key":
+            assert "12345" not in str(err.value)
 
     @pytest.mark.parametrize("field", ["timeout", "temperature", "backoff_base"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])

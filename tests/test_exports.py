@@ -69,3 +69,18 @@ def test_every_private_definition_is_used():
                 used.add(node.name)
     assert [f"{name}:{node.lineno} {node.name}" for name, tree in trees.items()
             for node in _private_definitions(tree) if node.name not in used] == []
+
+
+def test_backend_imports_neither_the_graph_nor_retrieval():
+    # Prompts are built from label triples, so the backend needs neither.
+    tree = ast.parse((Path(claimver.__file__).parent / "backend.py").read_text(encoding="utf-8"))
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ("claimver." + (node.module or "")).rstrip(".") if node.level else node.module
+            modules.update(f"{base}.{alias.name}" for alias in node.names)
+            modules.add(base)
+    assert "claimver.backend" not in modules and "claimver.errors" in modules
+    assert {"claimver.kg", "claimver.retrieval"}.isdisjoint(modules)

@@ -21,7 +21,7 @@ from claimver.kg import KgNode, KnowledgeGraph, Triplet, load_kg
 from claimver.retrieval import RetrievalConfig, retrieve
 from claimver.text import format_triplet, normalize
 
-from conftest import APOLLO_NODES
+from conftest import APOLLO_NODES, write_apollo_jsonl, write_apollo_tsv
 from graphgen import (contains_triplet_oracle, edge_between_oracle, label_index_oracle,
                       neighbors_oracle)
 
@@ -874,6 +874,73 @@ class TestLoadNotUtf8:
         with pytest.raises(KgLoadError) as err:
             load_kg(path, fmt, lenient=lenient)
         assert err.value.errors == [f"line {good + 2}{where}: not valid UTF-8"]
+
+
+# Edits drawn into the bytes of a valid snapshot or node file: the bytes
+# that end rows, separate fields, quote or bracket JSON, a JSON null, NUL,
+# and bytes that are not UTF-8 (a stray continuation byte, a truncated
+# two-byte sequence, an encoded surrogate).
+_EDITS = (b"\t", b"\r", b"\n", b"\r\n", b"|", b'"', b"'", b"{", b"}", b"null", b"\x00",
+          b"\xff", b"\xc3", b"\xed\xa0\x80")
+
+
+def _apollo_files(fmt: str) -> list[bytes]:
+    """The bytes of the Apollo snapshot in fmt and of its node file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path((write_apollo_tsv if fmt == "tsv" else write_apollo_jsonl)(Path(tmp)))
+        return [path.read_bytes(), path.with_name(f"{path.stem}.nodes{path.suffix}").read_bytes()]
+
+
+_APOLLO_FILES = {fmt: _apollo_files(fmt) for fmt in ("tsv", "jsonl")}
+
+
+@st.composite
+def mutated_snapshots(draw):
+    """(format, snapshot bytes, node file bytes or None): the Apollo graph in
+    either format with a few edits in the snapshot or in its node file."""
+    fmt = draw(st.sampled_from(sorted(_APOLLO_FILES)))
+    files = list(_APOLLO_FILES[fmt])
+    which = draw(st.integers(0, 1))
+    data = bytearray(files[which])
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        data[at:at + draw(st.integers(0, 3))] = draw(st.sampled_from(_EDITS))
+    files[which] = bytes(data)
+    if which == 0 and draw(st.booleans()):
+        files[1] = None  # no node file
+    return fmt, *files
+
+
+def _load_outcome(fmt: str, snapshot: bytes, nodes, lenient: bool):
+    """The summary of the graph the bytes load to, or the errors that fail
+    the load. Any other exception propagates."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"kg.{fmt}"
+        path.write_bytes(snapshot)
+        if nodes is not None:
+            path.with_name(f"kg.nodes.{fmt}").write_bytes(nodes)
+        try:
+            return _graph_summary(load_kg(path, fmt, lenient=lenient))
+        except KgLoadError as err:
+            return err.errors
+
+
+class TestMalformedSnapshots:
+    """Bytes made from a valid snapshot end as a graph or a KgLoadError."""
+
+    @given(mutated_snapshots())
+    @settings(max_examples=300, deadline=None)
+    def test_load_gives_a_graph_or_a_load_error(self, snapshot):
+        for lenient in (False, True):
+            _load_outcome(*snapshot, lenient)  # raises any other exception
+
+    @given(mutated_snapshots(), st.sampled_from((1, 40, 65536)))
+    @settings(max_examples=200, deadline=None)
+    def test_row_decoder_agrees_with_the_clean_block_path(self, snapshot, block_chars):
+        with patch.object(kg_module, "_BLOCK_CHARS", block_chars):
+            for lenient in (False, True):
+                assert _load_outcome(*snapshot, lenient) == _all_rows(
+                    _load_outcome, *snapshot, lenient)
 
 
 class TestLoadMemory:

@@ -9,7 +9,7 @@ from claimver.errors import ResponseParseError
 from claimver.kg import KnowledgeGraph, Triplet
 from claimver.parsing import (ClaimResult, PredictionLabel, RawClaim, parse_response,
                               parse_triplet_field, validate_claims)
-from claimver.retrieval import RetrievalConfig, RetrievedTriplets, retrieve
+from claimver.retrieval import RetrievalConfig, retrieve
 from claimver.text import normalize, normalized_find
 
 from conftest import APOLLO_RESPONSE, APOLLO_TEXT, format_response
@@ -342,7 +342,8 @@ class TestValidateClaims:
         raws = [_raw(" ".join(words[first:first + count]) if (first + count) % 3 else "x y",
                      "Unsure", index=i)
                 for i, (first, count) in enumerate(picks, 1)]
-        out = validate_claims(raws, text, RetrievedTriplets(paths=()), KnowledgeGraph([], []))
+        kg = KnowledgeGraph([], [])
+        out = validate_claims(raws, text, retrieve(kg, []), kg)
         located = [c for c in out if c.start is not None]
         flags = overlaps_earlier_oracle([(c.start, c.end) for c in located])
         for claim, flagged in zip(located, flags):
@@ -376,7 +377,8 @@ class TestValidateClaims:
         text = "".join(sentence + gap for sentence, gap, _ in parts)
         raws = [_raw(sentence.upper() if shout else sentence, "Extrapolatory", index=i)
                 for i, (sentence, _, shout) in enumerate(parts, 1)]
-        out = validate_claims(raws, text, RetrievedTriplets(paths=()), KnowledgeGraph([], []))
+        kg = KnowledgeGraph([], [])
+        out = validate_claims(raws, text, retrieve(kg, []), kg)
         starts = [c.start for c in out]
         assert all(a < b for a, b in zip(starts, starts[1:]))
         for claim, (sentence, _, shout) in zip(out, parts):

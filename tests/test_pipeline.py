@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import claimver.pipeline
+import claimver.retrieval
 
 from claimver.backend import (BackendConfig, ChatBackend, MockBackend,
                               build_verification_prompt)
@@ -21,11 +22,13 @@ from claimver.linking import TextChunk, chunk_text, link_entities
 from claimver.parsing import PredictionLabel
 from claimver.pipeline import iter_datagen_records, run_pipeline
 from claimver.render import render_json
+from claimver.report import build_report
 from claimver.retrieval import KgPath, RetrievalConfig, retrieve
 from claimver.scoring import ScoringConfig, modified_sigmoid
 
 from conftest import (APOLLO_NODES, APOLLO_RESPONSE, APOLLO_TEXT, APOLLO_TRIPLETS,
                       chat_payload)
+from graphgen import hub_graph
 from oracles import iter_datagen_records_oracle
 
 
@@ -33,7 +36,7 @@ from oracles import iter_datagen_records_oracle
 def apollo_backend(apollo_kg):
     entities = link_entities(apollo_kg, APOLLO_TEXT)
     retrieved = retrieve(apollo_kg, [e.node for e in entities])
-    prompt = build_verification_prompt(APOLLO_TEXT, retrieved, apollo_kg)
+    prompt = build_verification_prompt(APOLLO_TEXT, retrieved.labels)
     mock = MockBackend()
     mock.add(prompt, APOLLO_RESPONSE)
     return mock
@@ -137,7 +140,7 @@ class TestChunkedPipeline:
             entities = [e for e in link_entities(kg, text)
                         if chunk.offset <= e.start and e.end <= chunk.offset + len(chunk.text)]
             retrieved = retrieve(kg, list(dict.fromkeys(e.node for e in entities)))
-            mock.add(build_verification_prompt(chunk.text, retrieved, kg), response)
+            mock.add(build_verification_prompt(chunk.text, retrieved.labels), response)
         return mock
 
     def test_claims_concatenated_with_document_offsets(self, apollo_kg):
@@ -234,10 +237,10 @@ def _fail_chunk_zero(stage, monkeypatch):
     """A completer, with the prompt builder patched when stage is "prompt",
     under which chunk 0 of a FAN_OUT_TEXT variant fails at stage."""
     if stage == "prompt":
-        def build(text, retrieved, kg):
+        def build(text, labeled):
             if "trip 0 " in text:
                 raise PromptError("chunk 1 prompt broke")
-            return build_verification_prompt(text, retrieved, kg)
+            return build_verification_prompt(text, labeled)
         monkeypatch.setattr(claimver.pipeline, "build_verification_prompt", build)
 
     def complete(prompt):
@@ -654,3 +657,56 @@ def test_traced_benchmark_stages_are_bound():
     assert spans.PIPELINE_CALLS
     assert [attr for attr, _ in spans.PIPELINE_CALLS
             if not callable(getattr(claimver.pipeline, attr, None))] == []
+
+
+def _hub_text(kg, rng) -> str:
+    """Sentences naming a few nodes of kg each, by label."""
+    ids = list(kg.nodes)
+    return " ".join("Of " + " and ".join(kg.nodes[i].label for i in rng.sample(ids, k)) + "."
+                    for k in (rng.randint(1, min(4, len(ids))) for _ in range(rng.randint(1, 5))))
+
+
+class TestOneRetrievalPath:
+    """Both pipelines retrieve through retrieve(), as claimver.pipeline binds
+    it, and a document's evidence is built from its chunks' results."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False), st.sampled_from([None, 20, 60]))
+    def test_document_evidence_is_the_ordered_union_of_chunk_results(self, rng, chunk_chars):
+        kg = hub_graph(rng)
+        results, documents = [], []
+
+        def recording(*args):
+            results.append(retrieve(*args))
+            return results[-1]
+
+        def report(kg, text, entities, retrieved, *rest):
+            documents.append(retrieved)
+            return build_report(kg, text, entities, retrieved, *rest)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(claimver.pipeline, "retrieve", recording)
+            mp.setattr(claimver.pipeline, "build_report", report)
+            run_pipeline(kg, _hub_text(kg, rng), _na_answer, chunk_chars=chunk_chars)
+        (document,) = documents
+        if len(results) == 1:
+            assert document is results[0]
+        assert document.paths == tuple(dict.fromkeys(p for r in results for p in r.paths))
+        assert document.triplets == tuple(dict.fromkeys(t for r in results for t in r.triplets))
+        assert document.labels == tuple(map(kg.triplet_labels, document.triplets))
+
+    @pytest.mark.parametrize("datagen", [False, True])
+    def test_every_search_goes_through_the_pipeline_binding(self, datagen, monkeypatch):
+        searches, bound = [], []
+        search = claimver.retrieval._search
+        monkeypatch.setattr(claimver.retrieval, "_search",
+                            lambda *args: searches.append(1) or search(*args))
+        monkeypatch.setattr(claimver.pipeline, "retrieve",
+                            lambda *args: bound.append(1) or retrieve(*args))
+        kg = KnowledgeGraph(APOLLO_NODES, APOLLO_TRIPLETS)
+        if datagen:
+            records = list(iter_datagen_records(kg, FAN_OUT_TEXT))
+            assert any(r["triplets"] for r in records)
+        else:
+            run_pipeline(kg, FAN_OUT_TEXT, _na_answer, chunk_chars=60)
+        assert len(searches) == len(bound) > 1

@@ -170,9 +170,8 @@ class TestRenderHtml:
         assert "KAS:" in out
 
     def test_escapes_model_strings(self, apollo_kg):
-        from claimver.retrieval import RetrievedTriplets
         report = build_report(
-            apollo_kg, "plain", [], RetrievedTriplets(paths=()), [], 0.5, {},
+            apollo_kg, "plain", [], retrieve(apollo_kg, []), [], 0.5, {},
             diagnostics=("<script>alert(1)</script>",))
         out = render_html(report)
         assert "<script>" not in out

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from claimver import kg as kg_module, retrieval
 from claimver.errors import UnknownNodeError
 from claimver.kg import KgNode, KnowledgeGraph, Triplet
-from claimver.retrieval import KgPath, RetrievalConfig, RetrievedTriplets, retrieve
+from claimver.retrieval import KgPath, RetrievalConfig, retrieve
 
 from graphgen import enumerate_paths_oracle, hub_graph, random_graph, random_seeds
 from oracles import retrieve_oracle
@@ -138,7 +138,7 @@ class TestRetrieveFixture:
         if max_hops == 3:
             expected += [("U", "X30", "X05", "V"), ("U", "X30", "Y3", "V")]
         assert [p.nodes for p in result.paths] == expected
-        assert result == retrieve_oracle(g, ["U", "V"], cfg)
+        assert (result.paths, result.triplets) == retrieve_oracle(g, ["U", "V"], cfg)
 
 
 class TestOracle:
@@ -225,9 +225,7 @@ class TestRetrieveMatchesOracle:
         seeds = {*by_degree[:2], *random_seeds(rng, kg, max_seeds=4), max(kg.nodes)}
         cfg = RetrievalConfig(max_hops=max_hops, max_paths_per_pair=max_paths)
         got = retrieve(kg, seeds, cfg)
-        expected = retrieve_oracle(kg, seeds, cfg)
-        assert got.paths == expected.paths
-        assert got.triplets == expected.triplets
+        assert (got.paths, got.triplets) == retrieve_oracle(kg, seeds, cfg)
 
     @settings(max_examples=60, deadline=None)
     @given(st.randoms(use_true_random=False), st.integers(1, 3), st.integers(1, 40))
@@ -250,9 +248,7 @@ class TestRetrieveMatchesOracle:
         seeds = ["H", "P25x", *rng.sample(pool, rng.randint(0, 3))]
         cfg = RetrievalConfig(max_hops=max_hops, max_paths_per_pair=max_paths)
         got = retrieve(kg, seeds, cfg)
-        expected = retrieve_oracle(kg, seeds, cfg)
-        assert got.paths == expected.paths
-        assert got.triplets == expected.triplets
+        assert (got.paths, got.triplets) == retrieve_oracle(kg, seeds, cfg)
 
     @settings(max_examples=100, deadline=None)
     @given(st.randoms(use_true_random=False), st.integers(1, 7), st.booleans(), st.booleans())
@@ -281,9 +277,7 @@ class TestRetrieveMatchesOracle:
         assert len(kg.neighbors("V")) < len(kg.neighbors("U"))
         cfg = RetrievalConfig(max_hops=3, max_paths_per_pair=max_paths)
         got = retrieve(kg, ["U", "V"], cfg)
-        expected = retrieve_oracle(kg, ["U", "V"], cfg)
-        assert got.paths == expected.paths
-        assert got.triplets == expected.triplets
+        assert (got.paths, got.triplets) == retrieve_oracle(kg, ["U", "V"], cfg)
 
     @pytest.mark.parametrize("max_hops", [1, 2, 3, 4])
     def test_ball_built_only_from_four_hops(self, monkeypatch, max_hops):
@@ -297,7 +291,8 @@ class TestRetrieveMatchesOracle:
         by_degree = sorted(kg.nodes, key=lambda n: -len(kg.neighbors(n)))
         seeds = [*by_degree[:3], *sorted(kg.nodes)[:3]]
         cfg = RetrievalConfig(max_hops=max_hops, max_paths_per_pair=6)
-        assert retrieve(kg, seeds, cfg) == retrieve_oracle(kg, seeds, cfg)
+        got = retrieve(kg, seeds, cfg)
+        assert (got.paths, got.triplets) == retrieve_oracle(kg, seeds, cfg)
         assert calls == ([] if max_hops <= 3 else [2] * (len(set(seeds)) - 1))
 
     def test_determinism(self, apollo_kg):
@@ -313,5 +308,23 @@ class TestRetrievedTriplets:
                 assert edge in apollo_kg.edges
                 assert {a, b} == {edge.subject, edge.object}
 
-    def test_empty(self):
-        assert RetrievedTriplets(paths=()).triplets == ()
+    def test_empty(self, apollo_kg):
+        result = retrieve(apollo_kg, [])
+        assert result.paths == result.triplets == result.labels == ()
+        with pytest.raises(TypeError):
+            hash(result)  # equality reads the lazily built paths and triplets
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(1, 4), st.integers(1, 6))
+    def test_labels_and_triplet_order_on_hub_graphs(self, rng, max_hops, max_paths):
+        # One result for prompt, validation and report: each triplet's label
+        # triple is read once from its edge code, in triplet order, and the
+        # triplets are the paths' edges in first-appearance order.
+        kg = hub_graph(rng)
+        by_degree = sorted(kg.nodes, key=lambda n: -len(kg.neighbors(n)))
+        seeds = {*by_degree[:2], *random_seeds(rng, kg, max_seeds=4)}
+        cfg = RetrievalConfig(max_hops=max_hops, max_paths_per_pair=max_paths)
+        got = retrieve(kg, seeds, cfg)
+        assert got.labels == tuple(map(kg.triplet_labels, got.triplets))
+        assert got.triplets == tuple(dict.fromkeys(e for p in got.paths for e in p.edges))
+        assert (got.paths, got.triplets) == retrieve_oracle(kg, seeds, cfg)
