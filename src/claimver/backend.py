@@ -223,6 +223,9 @@ class BackendConfig:
             raise ValueError(f"temperature must be >= 0, got {self.temperature}")
         if self.backoff_base <= 0:
             raise ValueError(f"backoff_base must be > 0, got {self.backoff_base}")
+        for name in ("timeout", "backoff_base"):  # socket.settimeout and time.sleep refuse more
+            if (value := getattr(self, name)) > threading.TIMEOUT_MAX:
+                raise ValueError(f"{name} must be <= {threading.TIMEOUT_MAX}, got {value}")
         # A header value http.client can send; the key itself is never echoed.
         if any(ch in "\r\n" or ch > "\xff" for ch in self.api_key):
             raise ValueError("api_key must be latin-1 text without CR or LF")

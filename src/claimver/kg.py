@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TextIO, U
 import numpy as np
 
 from .errors import KgLoadError, UnknownNodeError
-from .text import format_triplet, normalize
+from .text import format_triplet, max_word_spans, normalize
 
 logger = logging.getLogger(__name__)
 
@@ -121,8 +121,7 @@ class KnowledgeGraph:
         known = len(decoder.labels)
         decoder.read_edge_rows((0, (s, "", p, o, "")) for s, p, o in triplets)
         if len(decoder.labels) > known:
-            # Codes follow first reference, so the first unknown endpoint in
-            # row order has the first code past the nodes.
+            # The first unknown endpoint in row order took the first code past the nodes.
             raise UnknownNodeError(next(islice(decoder.position, known, None)))
         decoder.finish(self, lenient=False)
 
@@ -171,10 +170,9 @@ class KnowledgeGraph:
         # index keys, so an alias-only key has a code that no edge uses.
         self.label_index, self.max_label_tokens, self._label_keys, label_code = _label_index(
             ids, labels, aliases)
-        self._predicate_codes: dict[str, int] = {}
-        to_normalized = np.array(
-            [self._predicate_codes.setdefault(normalize(q), len(self._predicate_codes))
-             for q in predicates], dtype=np.int32)
+        numbering = _Numbering()
+        to_normalized = _codes(numbering, map(normalize, predicates), len(predicates))
+        self._predicate_codes = dict(numbering)
         columns = label_code[s], to_normalized[p], label_code[o]
         self._triplet_edges = _run_heads(*columns).astype(np.int32)
         self._triplet_columns = tuple(c[self._triplet_edges] for c in columns)
@@ -207,10 +205,7 @@ class KnowledgeGraph:
         return node_id in self._position
 
     def label_of(self, node_id: NodeId) -> str:
-        try:
-            return self._labels[self._position[node_id]]
-        except KeyError:
-            raise UnknownNodeError(node_id) from None
+        return self._labels[self._code(node_id)]
 
     def triplet_labels(self, t: Triplet) -> tuple[str, str, str]:
         """A stored triplet as (subject label, predicate, object label)."""
@@ -318,16 +313,16 @@ class _NodeTable(Mapping):
 
 def _label_index(ids: list[NodeId], labels: list[str], aliases: list[tuple[str, ...]]
                  ) -> tuple[dict[str, tuple[NodeId, ...]], int, list[str], np.ndarray]:
-    """The label index of nodes sorted by id, its longest key in tokens, its
-    keys in sorted order, and the position in that order of each node's
-    normalized label (int32).
+    """The label index of nodes sorted by id, the most words a match of one of
+    its keys can span (max_word_spans), its keys in sorted order, and the
+    position in that order of each node's normalized label (int32).
 
     One pass in id order appends each key's owners in id order; a node whose
     label and alias share a key is listed once. A key's first owner is
     stored as a 1-tuple, the final form of most keys, and only a key that
     gains a second owner collects them in a list; a list for every key
     would raise the peak memory of a 50k-node load by about 3 MB. The keys
-    are then sorted once, and the token counts and label positions read off
+    are then sorted once, and the word bounds and label positions read off
     them. A label that normalizes to "" has a position but no entry in the
     index.
     """
@@ -355,20 +350,22 @@ def _label_index(ids: list[NodeId], labels: list[str], aliases: list[tuple[str, 
     keys = sorted(index)
     code = _codes(dict(zip(keys, range(len(keys)))), primary, len(primary))
     return ({key: index[key] for key in keys if key},
-            max(map(len, map(str.split, keys)), default=0), keys, code)
+            max(map(max_word_spans, keys), default=0), keys, code)
 
 
 def _codes(table: dict, keys: Iterable, count: int) -> np.ndarray:
-    """table[k] for each of count keys, as an int32 array (KeyError if absent)."""
+    """table[k] for each of count keys, as an int32 array."""
     return np.fromiter(map(table.__getitem__, keys), dtype=np.int32, count=count)
 
 
-def _add_codes(table: dict, keys: Iterable) -> list:
-    """Give each of the distinct keys not yet in table the next free code;
-    the new keys, in order."""
-    new = list(filterfalse(table.__contains__, keys))
-    table.update(zip(new, range(len(table), len(table) + len(new))))
-    return new
+class _Numbering(dict):
+    """A dict in which table[key] gives a missing key the next code,
+    len(table): a key's code is the number of distinct keys before it. get()
+    and `in` add nothing."""
+
+    def __missing__(self, key) -> int:
+        code = self[key] = len(self)
+        return code
 
 
 def _rank(keys: list[str], key: str) -> Optional[int]:
@@ -445,17 +442,17 @@ _BLOCK_CHARS = 1 << 16
 class _SnapshotDecoder:
     """The code tables that a snapshot and its node file are decoded into.
 
-    A node's code is its position in order of first reference, and its label
-    is "" until a row gives one; the first label given wins. The snapshot is
-    read in readlines() blocks: code_clean_block codes a clean TSV block at
-    once, and any other block, like every JSONL block, goes through the row
-    decoder, which reports each row it rejects. So each line is decoded
-    once. KnowledgeGraph(nodes, triplets) fills the same tables from its
-    arguments, and finish indexes a graph from the tables either way.
+    position and predicates are _Numbering tables, so a node's code is its
+    position in order of first reference; its label is "" until a row gives
+    one, and the first label given wins. The snapshot is read in readlines()
+    blocks: code_clean_block codes a clean TSV block at once, and any other
+    block, like every JSONL block, goes row by row, reporting each row it
+    rejects, so each line is decoded once. KnowledgeGraph(nodes, triplets)
+    fills the same tables, and finish indexes a graph from them either way.
     """
 
     def __init__(self):
-        self.position: dict[NodeId, int] = {}
+        self.position: dict[NodeId, int] = _Numbering()
         self.labels: list[str] = []
         # Descriptions and aliases by code: from the end of a snapshot on, or
         # node by node in KnowledgeGraph(nodes, triplets).
@@ -464,7 +461,7 @@ class _SnapshotDecoder:
         # The line of the first reference, kept only for codes first seen
         # without a label: a dangling reference is reported at that line.
         self.first_ref: dict[int, int] = {}
-        self.predicates: dict[str, int] = {}
+        self.predicates: dict[str, int] = _Numbering()
         # The s, p and o code columns of each block, joined into one when the
         # snapshot ends, so the per-block arrays are freed before the node file.
         self.blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
@@ -499,19 +496,18 @@ class _SnapshotDecoder:
         if "" in fields:
             return False
         ends, names, preds = fields[0::5] + fields[3::5], fields[1::5] + fields[4::5], fields[2::5]
-        first = dict(zip(ends, names))
         known = len(self.labels)
-        new = _add_codes(self.position, first)
-        self.labels.extend(map(first.__getitem__, new))
         codes = list(map(self.position.__getitem__, ends))
+        both = np.array(codes, dtype=np.int32)
+        if len(self.position) > known:  # new ids hold the top codes, so the last heads
+            heads = _run_heads(both)[known - len(self.position):]
+            self.labels.extend(map(names.__getitem__, heads.tolist()))
         # An id with two spellings, or a known one with another label or none yet.
         if list(map(self.labels.__getitem__, codes)) != names:
-            for node_id in new:
-                del self.position[node_id]
+            for _ in range(len(self.position) - known):
+                self.position.popitem()
             del self.labels[known:]
             return False
-        _add_codes(self.predicates, dict.fromkeys(preds))
-        both = np.array(codes, dtype=np.int32)
         self.blocks.append((both[:len(preds)], _codes(self.predicates, preds, len(preds)),
                             both[len(preds):]))
         return True
@@ -526,16 +522,15 @@ class _SnapshotDecoder:
                 continue
             s_id, s_label, pred, o_id, o_label = row
             s.append(code(s_id, s_label, line_no))
-            p.append(predicates.setdefault(pred, len(predicates)))
+            p.append(predicates[pred])
             o.append(code(o_id, o_label, line_no))
         self.blocks.append(tuple(np.array(c, dtype=np.int32) for c in (s, p, o)))
 
     def code(self, node_id: NodeId, label: str, line: int) -> int:
         """The code of a node id that a line names with a label ("" for
         none); a known label that normalizes differently is reported."""
-        code = self.position.get(node_id)
-        if code is None:
-            code = self.position[node_id] = len(self.labels)
+        code = self.position[node_id]
+        if code == len(self.labels):  # a new id
             self.labels.append(label)
             if not label:
                 self.first_ref[code] = line

@@ -47,8 +47,9 @@ def link_entities(kg: KnowledgeGraph, text: str) -> list[LinkedEntity]:
 
     Matching is case-insensitive, aligned to word boundaries, non-overlapping,
     and scans left to right; at each position the longest matching surface
-    wins. Ambiguous surfaces resolve to the smallest node id with the rest
-    kept as alternates.
+    wins, tried at up to kg.max_label_tokens words (word_spans runs, which
+    bound every match). Ambiguous surfaces resolve to the smallest node id
+    with the rest kept as alternates.
     """
     return list(_scan(kg, text))
 
@@ -60,18 +61,15 @@ def _scan(kg: KnowledgeGraph, text: str) -> Iterator[LinkedEntity]:
     max_tokens = kg.max_label_tokens
     i = 0
     while i < len(spans):
-        matched = None
+        start = spans[i][0]
         for length in range(min(max_tokens, len(spans) - i), 0, -1):
-            start = spans[i][0]
             end = spans[i + length - 1][1]
             candidates = kg.label_index.get(normalize(text[start:end]))
             if candidates:
-                matched = (length, start, end, candidates)
                 break
-        if matched is None:
+        else:
             i += 1
             continue
-        length, start, end, candidates = matched
         if len(candidates) > 1:
             logger.debug("ambiguous mention %r -> %s", text[start:end], candidates)
         yield LinkedEntity(

@@ -41,6 +41,7 @@ _PARSED_LABELS = {
     "contradictory": PredictionLabel.CONTRADICTORY,
 }
 
+# In RawClaim's field order.
 _KEYS = ("text_span", "prediction", "triplets", "rationale")
 
 _KEY_RE = re.compile(
@@ -145,13 +146,7 @@ def parse_response(raw: str, diagnostics: Optional[list[str]] = None) -> list[Ra
         missing = [k for k in _KEYS if k not in bucket]
         if missing:
             sink.append(f"claim {index} missing {', '.join(missing)}; padded with NA")
-        claims.append(RawClaim(
-            index=index,
-            text_span=bucket.get("text_span", "NA"),
-            prediction=bucket.get("prediction", "NA"),
-            triplets_field=bucket.get("triplets", "NA"),
-            rationale=bucket.get("rationale", "NA"),
-        ))
+        claims.append(RawClaim(index, *(bucket.get(k, "NA") for k in _KEYS)))
     return claims
 
 

@@ -36,6 +36,15 @@ def word_spans(s: str) -> list[tuple[int, int]]:
     return [(m.start(), m.end()) for m in _WORD_RE.finditer(s)]
 
 
+def max_word_spans(key: str) -> int:
+    """The most word_spans a text span normalizing to key can hold: key's word
+    runs plus its "ι"s, since U+0345, the one non-word character that folds
+    to word characters, folds to "ι" and so can join the words around it."""
+    # A key of word characters and spaces has one run per word (most keys: no regex).
+    words = key.split() if key.replace(" ", "").isalnum() else _WORD_RE.findall(key)
+    return len(words) + key.count("\u03b9")
+
+
 def _find_words(folded: str, words: list[str], start: int,
                 starts: list[int] | None) -> tuple[int, int] | None:
     """First text span (lo, hi) at or after text offset start whose folded

@@ -11,6 +11,8 @@ into a shared path:
   each retrieved, prompted and sent before the next one starts;
 - normalized_finder_oracle: span lookup through a map from every normalized
   character back to its source characters, built for every text;
+- link_entities_oracle: the linker scan with no bound on a match's length,
+  each word trying every span up to the end of the text;
 - embed_oracle: the hashed bag of tokens, one sha256 and one vector update
   per token;
 - overlaps_earlier_oracle: validation's overlap flag, each located span
@@ -30,11 +32,12 @@ import numpy as np
 from claimver.backend import build_datagen_prompt
 from claimver.errors import BackendError, UnknownNodeError
 from claimver.kg import KnowledgeGraph, NodeId, Triplet
-from claimver.linking import PreprocessHook, TextChunk, preprocess, split_sentences
+from claimver.linking import (LinkedEntity, PreprocessHook, TextChunk, preprocess,
+                              split_sentences)
 from claimver.pipeline import _as_completer, _chunk_seeds, _stage
 from claimver.report import VerificationReport
 from claimver.retrieval import KgPath, RetrievalConfig, retrieve
-from claimver.text import normalize, tokens
+from claimver.text import normalize, tokens, word_spans
 
 
 def render_json_oracle(report: VerificationReport) -> str:
@@ -208,6 +211,24 @@ def normalized_finder_oracle(text: str) -> Callable[..., tuple[int, int] | None]
             pos = j + 1
 
     return find
+
+
+def link_entities_oracle(kg: KnowledgeGraph, text: str) -> list[LinkedEntity]:
+    spans = word_spans(text)
+    found = []
+    i = 0
+    while i < len(spans):
+        for j in range(len(spans), i, -1):  # the longest span first
+            start, end = spans[i][0], spans[j - 1][1]
+            owners = kg.label_index.get(normalize(text[start:end]))
+            if owners:
+                found.append(LinkedEntity(text[start:end], start, end, owners[0],
+                                          tuple(owners[1:])))
+                i = j
+                break
+        else:
+            i += 1
+    return found
 
 
 def embed_oracle(text: str, dim: int = 1024) -> np.ndarray:

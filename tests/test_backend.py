@@ -193,6 +193,9 @@ class TestBackendConfig:
         {"timeout": True}, {"timeout": "5"}, {"temperature": False},
         {"backoff_base": None}, {"base_url": 5}, {"model": None},
         {"api_key": 12345}, {"api_key": b"sk-12345"},
+        # Waits past threading.TIMEOUT_MAX, which the socket layer and
+        # time.sleep refuse only when a request or a retry is made.
+        {"timeout": 1e10}, {"backoff_base": 1e10},
     ])
     def test_validation(self, kwargs):
         base = {"base_url": "http://x", "model": "m"}

@@ -1,5 +1,5 @@
 """The package's public surface, claimver.__all__, the imports of its
-modules, and its private definitions."""
+modules and of these tests, and its private definitions."""
 
 import ast
 import types
@@ -40,8 +40,8 @@ def _unused_imports(path: Path) -> list[str]:
 
 def test_no_module_imports_a_name_it_never_uses():
     package = Path(claimver.__file__).parent
-    assert [entry for path in sorted(package.glob("*.py"))
-            for entry in _unused_imports(path)] == []
+    paths = sorted(package.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+    assert [entry for path in paths for entry in _unused_imports(path)] == []
 
 
 def _private_definitions(tree: ast.Module):

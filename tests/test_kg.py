@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import sys
 import tempfile
 import threading
@@ -208,7 +209,9 @@ class TestStoreAgainstOracle:
     def test_label_index_matches_brute_force(self, kg):
         expected = label_index_oracle(kg)
         assert list(kg.label_index.items()) == list(expected.items())
-        assert kg.max_label_tokens == max((len(k.split()) for k in expected), default=0)
+        # Each key's \w runs plus its "ι"s: U+0345 between two words folds to "ι".
+        assert kg.max_label_tokens == max(
+            (len(re.findall(r"\w+", k)) + k.count("\u03b9") for k in expected), default=0)
 
     @given(aliased_graphs(), st.lists(st.tuples(st.sampled_from(_QUERY_LABELS),
                                                 st.sampled_from(_QUERY_PREDICATES),
@@ -609,6 +612,33 @@ class TestBlockDecoder:
         assert calls == [lines[2:4]]
         assert g.load_report == ("skipped: line 4: expected 5 tab-separated columns, got 1",)
         assert len(g.edges) == 5
+
+    def test_rejected_block_leaves_the_tables(self):
+        decoder = kg_module._SnapshotDecoder()
+        assert decoder.code_clean_block(["A\tAlpha\trel\tB\tBeta\n"])
+
+        def tables():
+            return (list(decoder.position.items()), list(decoder.labels),
+                    list(decoder.predicates.items()), len(decoder.blocks))
+
+        before = tables()
+        # C and D are coded before A's second spelling fails the label check.
+        assert not decoder.code_clean_block(["C\tGamma\tnew\tD\tDelta\n",
+                                             "A\tALPHA\tnew\tC\tGamma\n"])
+        assert tables() == before
+        # The next new id takes the next code, as if the block was never seen.
+        assert decoder.code_clean_block(["A\tAlpha\tnew\tE\tEpsilon\n"])
+        assert list(decoder.position.items()) == [("A", 0), ("B", 1), ("E", 2)]
+        assert decoder.labels == ["Alpha", "Beta", "Epsilon"]
+        assert list(decoder.predicates.items()) == [("rel", 0), ("new", 1)]
+
+    def test_loaded_tables_add_nothing_on_lookup(self, tsv_kg_path):
+        g = load_kg(tsv_kg_path, "tsv")
+        assert type(g._position) is dict and type(g._predicate_codes) is dict
+        with pytest.raises(UnknownNodeError):
+            g.label_of("Qx")
+        assert g.contains_triplet("Moon", "no such predicate", "Moon") is None
+        assert "Qx" not in g._position and "no such predicate" not in g._predicate_codes
 
 
 # Text a load keeps as given: already stripped. The sampled labels collide

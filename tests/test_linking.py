@@ -1,5 +1,7 @@
 """Text helpers, entity linking, and chunking."""
 
+import re
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -7,10 +9,15 @@ from hypothesis import strategies as st
 from claimver.kg import KgNode, KnowledgeGraph, Triplet
 from claimver.linking import (chunk_text, link_entities, preprocess,
                               split_sentences)
-from claimver.text import (normalize, normalized_find, normalized_finder, tokens,
-                           word_spans)
+from claimver.text import (max_word_spans, normalize, normalized_find, normalized_finder,
+                           tokens, word_spans)
 
-from oracles import normalized_finder_oracle
+from oracles import link_entities_oracle, normalized_finder_oracle
+
+
+# Characters whose case folding changes length ("İ", "ß", "ﬁ") or joins two
+# words (U+0345 folds to "ι"), punctuation inside labels, and odd whitespace.
+_LINK_ALPHABET = "ab \u0130\u00df\ufb01\u0345./-\t\u3000"
 
 
 class TestNormalize:
@@ -26,6 +33,13 @@ class TestNormalize:
     def test_word_spans_cover_words(self):
         text = "He said hi."
         assert [text[a:b] for a, b in word_spans(text)] == ["He", "said", "hi"]
+
+    @given(st.one_of(st.text(), st.text(_LINK_ALPHABET + "_\u03b9")))
+    @example("u.s. army")
+    @example("a_b c")
+    @settings(max_examples=300, deadline=None)
+    def test_max_word_spans_counts_runs_and_iotas(self, key):
+        assert max_word_spans(key) == len(re.findall(r"\w+", key)) + key.count("\u03b9")
 
 
 class TestNormalizedFind:
@@ -165,6 +179,33 @@ class TestLinkEntities:
 
     def test_empty_text(self, linking_kg):
         assert link_entities(linking_kg, "") == []
+
+    def test_labels_with_inner_punctuation(self):
+        # "U.S. Army" is one whitespace token but three words to the scan.
+        kg = KnowledgeGraph([KgNode("A", "U.S. Army"), KgNode("B", "Paris France"),
+                             KgNode("C", "AC/DC")], [])
+        found = link_entities(kg, "The U.S. Army went to Paris France. AC/DC too.")
+        assert [(e.mention, e.node) for e in found] == [
+            ("U.S. Army", "A"), ("Paris France", "B"), ("AC/DC", "C")]
+
+
+@st.composite
+def _labelled_texts(draw):
+    labels = draw(st.lists(st.text(_LINK_ALPHABET, min_size=1, max_size=8),
+                           min_size=1, max_size=6))
+    kg = KnowledgeGraph([KgNode(f"n{i}", label) for i, label in enumerate(labels)], [])
+    pieces = st.one_of(st.sampled_from(labels), st.text(_LINK_ALPHABET, max_size=4))
+    return kg, "".join(draw(st.lists(pieces, max_size=8)))
+
+
+class TestLinkEntitiesMatchesOracle:
+    @given(_labelled_texts())
+    @example((KnowledgeGraph([KgNode("A", "a\u0345b"), KgNode("B", "a")], []), "a\u0345b a"))
+    @example((KnowledgeGraph([KgNode("A", "a.b-a/b"), KgNode("B", "A.B")], []), "a.b-a/b a.b"))
+    @settings(max_examples=300, deadline=None)
+    def test_drawn_labels_and_texts(self, case):
+        kg, text = case
+        assert link_entities(kg, text) == link_entities_oracle(kg, text)
 
 
 class TestSplitSentences:

@@ -19,11 +19,10 @@ from claimver.backend import (BackendConfig, ChatBackend, MockBackend,
 from claimver.errors import BackendError, PipelineError, PromptError
 from claimver.kg import KgNode, KnowledgeGraph, Triplet
 from claimver.linking import TextChunk, chunk_text, link_entities
-from claimver.parsing import PredictionLabel
 from claimver.pipeline import iter_datagen_records, run_pipeline
 from claimver.render import render_json
 from claimver.report import build_report
-from claimver.retrieval import KgPath, RetrievalConfig, retrieve
+from claimver.retrieval import KgPath, retrieve
 from claimver.scoring import ScoringConfig, modified_sigmoid
 
 from conftest import (APOLLO_NODES, APOLLO_RESPONSE, APOLLO_TEXT, APOLLO_TRIPLETS,

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from claimver.linking import link_entities
-from claimver.parsing import PredictionLabel, RawClaim, validate_claims
+from claimver.parsing import PredictionLabel, validate_claims
 from claimver.render import render, render_ansi, render_html, render_json
 import claimver.report
 from claimver.report import (ClaimRecord, EntityRecord, PathRecord, TripletRecord,

@@ -20,7 +20,7 @@ from claimver.scoring import (AttributionResult, FallbackEmbedder,
                               modified_sigmoid, score_claims,
                               semantic_similarity, triplets_match_score)
 
-from conftest import APOLLO_TEXT, chat_payload
+from conftest import APOLLO_TEXT
 from oracles import embed_oracle
 
 # Independently derived with a 50-digit evaluation of 1/(1+exp(-g*x)).
