@@ -442,7 +442,8 @@ class _EndpointClient:
                 continue
             try:
                 return json.loads(data)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
+                # Not JSON, an integer longer than int() converts, or nesting too deep.
                 raise BackendError(f"malformed endpoint response: {exc}") from exc
         raise BackendError(
             f"{self._kind} failed after {cfg.max_retries + 1} attempts: {last_error}")

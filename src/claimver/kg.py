@@ -15,7 +15,7 @@ from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import filterfalse, islice
+from itertools import chain, filterfalse, islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TextIO, Union
 
@@ -81,11 +81,17 @@ class KnowledgeGraph:
     decodes a file into, and _SnapshotDecoder.finish indexes both.
 
     The store is columnar. A node's code is its position in sorted id
-    order, so ordering codes orders ids; labels, descriptions and aliases
-    are lists indexed by code, and the distinct edges are int32 code columns
-    in file order. Adjacency is CSR over the codes: _indptr bounds each
-    node's entries, _nbr_codes (int32) holds the neighbor codes in sorted
-    order and _first_edge the first edge in file order to each neighbor.
+    order, so ordering codes orders ids, and a code is found by bisecting
+    the id list (an id that is not a str has none). Ids and labels are lists
+    of str indexed by code, which retrieval, the linker and prompt building
+    read on every document without decoding anything. Descriptions and
+    aliases, read only when kg.nodes builds a KgNode, are each one UTF-8
+    buffer with int64 offsets (see _NodeTable), decoded on that read; a
+    lone surrogate passes through them. The distinct edges are int32 code
+    columns in file order. Adjacency is CSR over the codes: _indptr bounds
+    each node's entries, _nbr_codes (int32) holds the neighbor codes in
+    sorted order and _first_edge the first edge in file order to each
+    neighbor.
     Each distinct-row pass (repeated triplets, adjacency pairs, triplet
     index keys) sorts one packed integer key per row (see _run_heads).
     Retrieval works on codes through _code, _id, _neighbor_codes,
@@ -94,20 +100,23 @@ class KnowledgeGraph:
     sorted id tuple on each call. _neighbor_codes builds a node's tuple of
     neighbor codes from its CSR row the first time it is asked and keeps it
     in _adjacency, which starts as all None; every tuple takes its ints from
-    _code_ints, which holds _position's own int objects, so the store keeps
-    one int object per code. _common_neighbors intersects two nodes' rows
-    for retrieval's joins, probing a long row through a frozenset of it that
-    it builds on first use and keeps in _neighbor_sets. Two threads that
-    race on one node build equal tuples or sets, and storing into a list or
-    a dict is atomic, so neither cache needs a lock.
+    _code_ints, so the store keeps one int object per code.
+    _common_neighbors intersects two nodes' rows for retrieval's joins,
+    probing a long row through a frozenset of it that it builds on first use
+    and keeps in _neighbor_sets. Two threads that race on one node build
+    equal tuples or sets, and storing into a list or a dict is atomic, so
+    neither cache needs a lock.
 
-    The label index is built in one pass over the nodes in id order, so
-    each key's owners arrive in id order; its sorted keys also code the
-    labels in the triplet index, which is three int32 code columns sorted
-    together and searched with np.searchsorted. Python objects are built
-    only when a lookup asks: kg.nodes is a read-only mapping that makes a
-    KgNode on access, and kg.edges, the tuple of Triplet in file order, is
-    built on first access.
+    The label index codes each normalized label and alias by its position
+    in sorted key order (_label_codes, one dict) and keeps each key's owner
+    codes, in id order, as a run of one int32 array (see _LabelIndex); the
+    linker looks keys up through kg.label_index.get, which builds owner ids
+    only for a hit. The same key codes code the labels in the triplet
+    index, which is three int32 code columns sorted together and searched
+    with np.searchsorted. Python objects are built only when a lookup asks:
+    kg.nodes and kg.label_index are read-only mappings that make a KgNode or
+    an owner tuple on access, and kg.edges, the tuple of Triplet in file
+    order, is built on first access.
     """
 
     def __init__(self, nodes: Iterable[KgNode], triplets: Iterable[Triplet]):
@@ -125,23 +134,21 @@ class KnowledgeGraph:
             raise UnknownNodeError(next(islice(decoder.position, known, None)))
         decoder.finish(self, lenient=False)
 
-    def _index(self, ids: list[NodeId], position: dict[NodeId, int], labels: list[str],
-               descriptions: list[str], aliases: list[tuple[str, ...]], predicates: list[str],
-               s: np.ndarray, p: np.ndarray, o: np.ndarray, load_report: Iterable[str]):
-        """Build the store. ids are sorted and distinct, position maps each to
-        its code in code order, and the node columns are indexed by code. s,
-        p and o code each triplet in file order, repeats included."""
-        self._ids, self._position, self._labels = ids, position, labels
-        self._predicates = predicates
-        self.nodes: Mapping[NodeId, KgNode] = _NodeTable(ids, position, labels,
-                                                         descriptions, aliases)
+    def _index(self, ids: list[NodeId], labels: list[str], nodes: _NodeTable,
+               label_index: _LabelIndex, label_code: np.ndarray, max_label_tokens: int,
+               predicates: list[str], s: np.ndarray, p: np.ndarray, o: np.ndarray,
+               load_report: Iterable[str]):
+        """Build the store. ids are sorted and distinct, labels are indexed by
+        code, nodes and label_index are the views over them, and label_code
+        (int32) holds each node's normalized label's code in label_index.
+        s, p and o code the distinct triplets in file order."""
+        self._ids, self._labels, self._predicates = ids, labels, predicates
+        self.nodes: Mapping[NodeId, KgNode] = nodes
+        self.label_index = label_index
+        self._label_codes = label_index._codes
+        self.max_label_tokens = max_label_tokens
 
-        # Codes are 1:1 with ids and predicates, so a repeated triplet is a
-        # repeated row; the first in file order is kept.
-        keep = np.zeros(len(s), dtype=bool)
-        keep[_run_heads(s, p, o)] = True
-        self._s, self._p, self._o = s, p, o = s[keep], p[keep], o[keep]
-        del keep
+        self._s, self._p, self._o = s, p, o
         self.load_report = (*load_report, *(
             f"self-loop triplet kept: {format_triplet(*self._triplet(e))}"
             for e in np.flatnonzero(s == o).tolist()))
@@ -158,9 +165,9 @@ class KnowledgeGraph:
         self._nbr_codes = others[heads]
         del ends, others, heads
         # Each node's tuple of neighbor codes is built by _neighbor_codes on
-        # first use; all tuples take their ints from this list, which holds
-        # position's own int objects, so there is one per code.
-        self._code_ints = list(position.values())
+        # first use; all tuples take their ints from this list, so there is
+        # one int object per code.
+        self._code_ints = list(range(len(ids)))
         self._adjacency: list[Optional[tuple[int, ...]]] = [None] * len(ids)
         self._neighbor_sets: dict[int, frozenset[int]] = {}
 
@@ -168,8 +175,6 @@ class KnowledgeGraph:
         # sorted together, with the first edge in file order per key. A
         # normalized label is coded by its position among the sorted label
         # index keys, so an alias-only key has a code that no edge uses.
-        self.label_index, self.max_label_tokens, self._label_keys, label_code = _label_index(
-            ids, labels, aliases)
         numbering = _Numbering()
         to_normalized = _codes(numbering, map(normalize, predicates), len(predicates))
         self._predicate_codes = dict(numbering)
@@ -202,7 +207,7 @@ class KnowledgeGraph:
                 labels[self._o.item(edge)])
 
     def __contains__(self, node_id: NodeId) -> bool:
-        return node_id in self._position
+        return _find(self._ids, node_id) is not None
 
     def label_of(self, node_id: NodeId) -> str:
         return self._labels[self._code(node_id)]
@@ -217,10 +222,10 @@ class KnowledgeGraph:
 
     def _code(self, node_id: NodeId) -> int:
         """The code of a node id."""
-        try:
-            return self._position[node_id]
-        except KeyError:
-            raise UnknownNodeError(node_id) from None
+        code = _find(self._ids, node_id)
+        if code is None:
+            raise UnknownNodeError(node_id)
+        return code
 
     def _id(self, code: int) -> NodeId:
         """The node id with a code."""
@@ -262,7 +267,7 @@ class KnowledgeGraph:
 
     def edge_between(self, a: NodeId, b: NodeId) -> Triplet:
         """Canonical stored edge joining two adjacent nodes (first in file order)."""
-        codes = self._position.get(a), self._position.get(b)
+        codes = _find(self._ids, a), _find(self._ids, b)
         edge = None if None in codes else self._edge_code(*codes)
         if edge is None:
             raise KeyError(f"no edge between {a!r} and {b!r}")
@@ -272,8 +277,8 @@ class KnowledgeGraph:
                          object_label: str) -> Optional[Triplet]:
         """The stored triplet whose labels match the candidate, if any."""
         s_key, p_key, o_key = triplet_key(subject_label, predicate, object_label)
-        codes = (_rank(self._label_keys, s_key), self._predicate_codes.get(p_key),
-                 _rank(self._label_keys, o_key))
+        codes = (self._label_codes.get(s_key), self._predicate_codes.get(p_key),
+                 self._label_codes.get(o_key))
         if None in codes:
             return None
         # int32 keys: Python ints would make searchsorted cast the whole column.
@@ -285,21 +290,63 @@ class KnowledgeGraph:
         return self._triplet(self._triplet_edges.item(lo)) if lo < hi else None
 
 
+def _find(ids: list[NodeId], node_id) -> Optional[int]:
+    """The code of node_id, its position in the sorted list ids, or None if it
+    is not there; an id that is not a str is never there."""
+    if isinstance(node_id, str):
+        i = bisect_left(ids, node_id)
+        if i < len(ids) and ids[i] == node_id:
+            return i
+    return None
+
+
+def _pack(strings: list[str]) -> tuple[bytes, np.ndarray]:
+    """strings as one UTF-8 buffer, in which lone surrogates pass through,
+    and the int64 offsets that bound each: string i is buffer[ends[i]:ends[i + 1]]."""
+    parts = [string.encode("utf-8", "surrogatepass") for string in strings]
+    buffer = b"".join(parts)
+    ends = np.zeros(len(strings) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, parts), dtype=np.int64, count=len(parts)), out=ends[1:])
+    return buffer, ends
+
+
+def _unpack(buffer: bytes, ends: np.ndarray, i: int) -> str:
+    """String i of a _pack buffer."""
+    return buffer[ends.item(i):ends.item(i + 1)].decode("utf-8", "surrogatepass")
+
+
 class _NodeTable(Mapping):
     """Read-only id -> KgNode view of a graph's node columns, in id order;
-    each lookup builds its KgNode."""
+    each lookup builds its KgNode.
 
-    __slots__ = ("_ids", "_position", "_labels", "_descriptions", "_aliases")
+    Ids and labels are the graph's lists. Descriptions are one _pack buffer,
+    and aliases another, of every node's aliases in code order, which node
+    code c's run from alias_starts[c] to alias_starts[c + 1]; a lookup
+    decodes its node's text.
+    """
 
-    def __init__(self, ids: list[NodeId], position: dict[NodeId, int], labels: list[str],
-                 descriptions: list[str], aliases: list[tuple[str, ...]]):
-        self._ids, self._position, self._labels = ids, position, labels
-        self._descriptions, self._aliases = descriptions, aliases
+    __slots__ = ("_ids", "_labels", "_descriptions", "_description_ends", "_aliases",
+                 "_alias_ends", "_alias_starts")
+
+    def __init__(self, ids: list[NodeId], labels: list[str], descriptions: tuple[bytes, np.ndarray],
+                 aliases: list[tuple[str, ...]]):
+        self._ids, self._labels = ids, labels
+        self._descriptions, self._description_ends = descriptions
+        self._aliases, self._alias_ends = _pack(list(chain.from_iterable(aliases)))
+        self._alias_starts = np.zeros(len(aliases) + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, aliases), dtype=np.int64, count=len(aliases)),
+                  out=self._alias_starts[1:])
 
     def __getitem__(self, node_id: NodeId) -> KgNode:
-        code = self._position[node_id]
-        return KgNode(self._ids[code], self._labels[code], self._descriptions[code],
-                      self._aliases[code])
+        code = _find(self._ids, node_id)
+        if code is None:
+            raise KeyError(node_id)
+        first, end = self._alias_starts.item(code), self._alias_starts.item(code + 1)
+        # Most nodes have no aliases: skip the generator for them.
+        aliases = (tuple(_unpack(self._aliases, self._alias_ends, i) for i in range(first, end))
+                   if first < end else ())
+        return KgNode(self._ids[code], self._labels[code],
+                      _unpack(self._descriptions, self._description_ends, code), aliases)
 
     def __iter__(self) -> Iterator[NodeId]:
         return iter(self._ids)
@@ -308,49 +355,92 @@ class _NodeTable(Mapping):
         return len(self._ids)
 
     def __contains__(self, node_id) -> bool:
-        return node_id in self._position
+        return _find(self._ids, node_id) is not None
+
+
+class _LabelIndex(Mapping):
+    """Read-only normalized label or alias -> owner ids view, in sorted key
+    order; each lookup builds its tuple of ids, in id order.
+
+    codes maps each key to its position in sorted key order, the key ""
+    of a label that normalizes to nothing included; key code k's owners are
+    the node codes owner_codes[owner_ends[k]:owner_ends[k + 1]] (both
+    int32), and "" has none, so it is not in the view.
+    """
+
+    __slots__ = ("_ids", "_codes", "_owner_ends", "_owner_codes")
+
+    def __init__(self, ids: list[NodeId], codes: dict[str, int], owner_ends: np.ndarray,
+                 owner_codes: np.ndarray):
+        self._ids, self._codes = ids, codes
+        self._owner_ends, self._owner_codes = owner_ends, owner_codes
+
+    def get(self, key: str, default=None):
+        """The owner ids of key, in id order, or default. The linker's tries
+        mostly miss, and a miss here builds nothing and raises nothing."""
+        code = self._codes.get(key)
+        if code is None:
+            return default
+        first, end = self._owner_ends.item(code), self._owner_ends.item(code + 1)
+        if end - first == 1:  # most keys: no slice to build
+            return (self._ids[self._owner_codes.item(first)],)
+        # The key "" has no owners.
+        return tuple(map(self._ids.__getitem__, self._owner_codes[first:end].tolist())) or default
+
+    def __getitem__(self, key: str) -> tuple[NodeId, ...]:
+        owners = self.get(key)
+        if owners is None:
+            raise KeyError(key)
+        return owners
+
+    def __iter__(self) -> Iterator[str]:
+        return filter(None, self._codes)
+
+    def __len__(self) -> int:
+        return len(self._codes) - ("" in self._codes)
 
 
 def _label_index(ids: list[NodeId], labels: list[str], aliases: list[tuple[str, ...]]
-                 ) -> tuple[dict[str, tuple[NodeId, ...]], int, list[str], np.ndarray]:
-    """The label index of nodes sorted by id, the most words a match of one of
-    its keys can span (max_word_spans), its keys in sorted order, and the
-    position in that order of each node's normalized label (int32).
+                 ) -> tuple[_LabelIndex, np.ndarray, int]:
+    """The label index of the nodes with codes in id order, the code in it
+    of each node's normalized label (int32), and the most words a match of
+    a key can span (max_word_spans).
 
-    One pass in id order appends each key's owners in id order; a node whose
-    label and alias share a key is listed once. A key's first owner is
-    stored as a 1-tuple, the final form of most keys, and only a key that
-    gains a second owner collects them in a list; a list for every key
-    would raise the peak memory of a 50k-node load by about 3 MB. The keys
-    are then sorted once, and the word bounds and label positions read off
-    them. A label that normalizes to "" has a position but no entry in the
-    index.
+    Every normalized label, then every normalized alias, is listed with its
+    node's code, so the node codes of one key arrive in id order; the keys
+    are sorted and coded once, and one sort of (key, node) code pairs groups
+    each key's owners and lists a node whose label and alias share a key
+    once. A label that normalizes to "" has a code but no owners.
+
+    The keys stay one dict of str and the owners are int32 runs, so a hit
+    decodes nothing: the owner tuple is built from the id list. Ids and
+    labels stay lists of str rather than buffers because the linker, every
+    retrieved triplet and every prompt read them, and a decode per read
+    would cost more than the memory it saves; the node descriptions and
+    aliases, read only when kg.nodes builds a KgNode, are the buffers (see
+    _NodeTable), decoded on that read.
     """
-    primary = list(map(normalize, labels))
-    index: dict[str, Union[tuple[NodeId, ...], list[NodeId]]] = {}
-    shared = []  # the keys with a second owner, whose owners are a list
-    for nid, label, names in zip(ids, primary, aliases):
-        keys = (label,)
+    keys = list(map(normalize, labels))
+    for code, names in enumerate(aliases):
         if names:
-            folded = [normalize(a) for a in names]
+            folded = list(map(normalize, names))
             if len(set(folded)) != len(folded):
-                raise ValueError(f"node {nid!r} has duplicate aliases after case-folding")
-            keys += tuple(folded)
-        for key in keys:
-            owners = index.get(key)
-            if owners is None:
-                index[key] = (nid,)
-            elif owners[-1] != nid:
-                if type(owners) is tuple:
-                    owners = index[key] = list(owners)
-                    shared.append(key)
-                owners.append(nid)
-    for key in shared:
-        index[key] = tuple(index[key])
-    keys = sorted(index)
-    code = _codes(dict(zip(keys, range(len(keys)))), primary, len(primary))
-    return ({key: index[key] for key in keys if key},
-            max(map(max_word_spans, keys), default=0), keys, code)
+                raise ValueError(f"node {ids[code]!r} has duplicate aliases after case-folding")
+            keys += folded
+    sorted_keys = sorted(set(keys))
+    codes = dict(zip(sorted_keys, range(len(sorted_keys))))
+    key_codes = _codes(codes, keys, len(keys))
+    del keys
+    # Each label's node, then each alias's.
+    node_codes = np.arange(len(labels), dtype=np.int32)
+    node_codes = np.concatenate((node_codes, np.repeat(node_codes, np.fromiter(
+        map(len, aliases), dtype=np.int64, count=len(aliases)))))
+    heads = _run_heads(key_codes, node_codes)
+    if sorted_keys[:1] == [""]:  # code 0: no owners
+        heads = heads[key_codes[heads] != 0]
+    ends = np.searchsorted(key_codes[heads], np.arange(len(sorted_keys) + 1)).astype(np.int32)
+    index = _LabelIndex(ids, codes, ends, node_codes[heads])
+    return index, key_codes[:len(labels)], max(map(max_word_spans, sorted_keys), default=0)
 
 
 def _codes(table: dict, keys: Iterable, count: int) -> np.ndarray:
@@ -366,12 +456,6 @@ class _Numbering(dict):
     def __missing__(self, key) -> int:
         code = self[key] = len(self)
         return code
-
-
-def _rank(keys: list[str], key: str) -> Optional[int]:
-    """Position of key in the sorted list keys, or None if absent."""
-    i = bisect_left(keys, key)
-    return i if i < len(keys) and keys[i] == key else None
 
 
 def _run_heads(*columns: np.ndarray) -> np.ndarray:
@@ -584,8 +668,9 @@ class _SnapshotDecoder:
                 aliases[code] = _merge_aliases(aliases[code], names)
 
     def finish(self, graph: KnowledgeGraph, lenient: bool):
-        """Index everything read into graph, a KnowledgeGraph not yet built;
-        empties the tables first, so they are freed before the graph is
+        """Index everything read into graph, a KnowledgeGraph not yet built.
+        The tables are emptied, repeated triplets dropped and the node views
+        built first, so what they held is freed before the edges are
         indexed."""
         position, labels = self.position, self.labels
         ids = sorted(position)
@@ -608,12 +693,23 @@ class _SnapshotDecoder:
         new[old] = np.arange(len(ids), dtype=np.int32)
         s, o = new[s], new[o]
         labels = list(map(labels.__getitem__, old))
-        descriptions = list(map(self.descriptions.__getitem__, old))
+        # Packed now, so their strings are freed before the label index is built.
+        descriptions = _pack(list(map(self.descriptions.__getitem__, old)))
         aliases = list(map(self.aliases.__getitem__, old))
         del old, new
         for table in (self.position, self.labels, self.descriptions, self.aliases, self.first_ref):
             table.clear()
-        graph._index(ids, dict(zip(ids, range(len(ids)))), labels, descriptions, aliases,
+        # Codes are 1:1 with ids and predicates, so a repeated triplet is a
+        # repeated row; the first in file order is kept. Done here, so the
+        # columns with repeats are freed before the graph is indexed.
+        keep = np.zeros(len(s), dtype=bool)
+        keep[_run_heads(s, p, o)] = True
+        s, p, o = s[keep], p[keep], o[keep]
+        del keep
+        label_index, label_code, max_label_tokens = _label_index(ids, labels, aliases)
+        nodes = _NodeTable(ids, labels, descriptions, aliases)
+        del aliases
+        graph._index(ids, labels, nodes, label_index, label_code, max_label_tokens,
                      list(self.predicates), s, p, o, self.report)
 
 

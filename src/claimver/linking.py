@@ -59,12 +59,13 @@ def _scan(kg: KnowledgeGraph, text: str) -> Iterator[LinkedEntity]:
     a caller can stop the scan at any offset and resume it later."""
     spans = word_spans(text)
     max_tokens = kg.max_label_tokens
+    lookup = kg.label_index.get
     i = 0
     while i < len(spans):
         start = spans[i][0]
         for length in range(min(max_tokens, len(spans) - i), 0, -1):
             end = spans[i + length - 1][1]
-            candidates = kg.label_index.get(normalize(text[start:end]))
+            candidates = lookup(normalize(text[start:end]))
             if candidates:
                 break
         else:

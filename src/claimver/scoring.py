@@ -108,7 +108,8 @@ class HttpEmbedder(_EndpointClient):
         payload = self._post("/embeddings", {"model": self.config.model, "input": [text]})
         try:
             return np.asarray(payload["data"][0]["embedding"], dtype=np.float64)
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+        except (ValueError, KeyError, IndexError, TypeError, OverflowError) as exc:
+            # OverflowError: an integer too large for a float.
             raise BackendError(f"malformed embedding response: {exc}") from exc
 
 

@@ -289,6 +289,15 @@ class TestChatBackend:
         with pytest.raises(BackendError):
             ChatBackend(cfg).complete("p")
 
+    @ENDPOINT_CLIENTS
+    def test_too_deeply_nested_body(self, scripted_server, client):
+        send, _, _ = client
+        server = scripted_server([(200, "[" * 200_000)])
+        cfg = BackendConfig(base_url=server.url, model="m", max_retries=3)
+        with pytest.raises(BackendError, match="^malformed endpoint response: maximum recursion"):
+            send(cfg)
+        assert len(server.requests) == 1
+
     def test_429_retried_then_succeeds(self, scripted_server):
         server = scripted_server([(429, "slow down"), (200, chat_payload("ok"))])
         cfg = BackendConfig(base_url=server.url, model="m", backoff_base=0.01)

@@ -116,6 +116,14 @@ class TestVerify:
         server = scripted_server([(500, "boom")])
         assert main(_verify_args(tsv_kg_path, input_file, server.url)) == 3
 
+    def test_too_deeply_nested_response_exit_3(self, tsv_kg_path, input_file, scripted_server,
+                                               capsys):
+        server = scripted_server([(200, "[" * 200_000)])
+        assert main(_verify_args(tsv_kg_path, input_file, server.url)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "malformed endpoint response" in err
+        assert "Traceback" not in err
+
     def test_unparseable_response_exit_4(self, tsv_kg_path, input_file, scripted_server):
         server = scripted_server([(200, chat_payload("no structured keys"))])
         assert main(_verify_args(tsv_kg_path, input_file, server.url)) == 4

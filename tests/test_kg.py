@@ -1,8 +1,10 @@
 """Knowledge-graph store: construction, indexing, loading, error reporting."""
 
 import json
+import pickle
 import random
 import re
+import string
 import sys
 import tempfile
 import threading
@@ -19,10 +21,11 @@ from hypothesis import strategies as st
 from claimver.errors import KgLoadError, UnknownNodeError
 from claimver import kg as kg_module
 from claimver.kg import KgNode, KnowledgeGraph, Triplet, load_kg
+from claimver.linking import link_entities
 from claimver.retrieval import RetrievalConfig, retrieve
 from claimver.text import format_triplet, normalize
 
-from conftest import APOLLO_NODES, write_apollo_jsonl, write_apollo_tsv
+from conftest import APOLLO_NODES, APOLLO_TEXT, write_apollo_jsonl, write_apollo_tsv
 from graphgen import (contains_triplet_oracle, edge_between_oracle, label_index_oracle,
                       neighbors_oracle)
 
@@ -634,11 +637,19 @@ class TestBlockDecoder:
 
     def test_loaded_tables_add_nothing_on_lookup(self, tsv_kg_path):
         g = load_kg(tsv_kg_path, "tsv")
-        assert type(g._position) is dict and type(g._predicate_codes) is dict
+        before = _tables(g)
         with pytest.raises(UnknownNodeError):
             g.label_of("Qx")
+        with pytest.raises(KeyError):
+            g.edge_between("Qx", "Q405")
+        assert "Qx" not in g and "Qx" not in g.nodes and g.nodes.get("Qx") is None
         assert g.contains_triplet("Moon", "no such predicate", "Moon") is None
-        assert "Qx" not in g._position and "no such predicate" not in g._predicate_codes
+        assert g.contains_triplet("no such label", "landing site", "Moon") is None
+        assert g.contains_triplet("Apollo 11", "landing site", "Moon") is not None
+        assert g.nodes["Q405"].label == "Moon" and g.label_of("Q405") == "Moon"
+        assert g.label_index.get("jupiter") is None and g.label_index["moon"] == ("Q405",)
+        assert link_entities(g, APOLLO_TEXT)
+        assert _tables(g) == before
 
 
 # Text a load keeps as given: already stripped. The sampled labels collide
@@ -708,11 +719,70 @@ class TestViews:
         assert type(edges) is tuple and all(type(t) is Triplet for t in edges)
         assert edges == _all_rows(load_kg, tsv_kg_path, "tsv").edges
 
+    def test_unknown_and_non_str_ids_miss(self, tsv_kg_path):
+        g = load_kg(tsv_kg_path, "tsv")
+        for node_id in ("Qx", "", "Q40", "Q4050", 405, None, 4.05, b"Q405", ("Q405",)):
+            assert node_id not in g and node_id not in g.nodes
+            assert g.nodes.get(node_id) is None
+            with pytest.raises(KeyError):
+                g.nodes[node_id]
+            for lookup in (g.label_of, g.neighbors):
+                with pytest.raises(UnknownNodeError) as err:
+                    lookup(node_id)
+                assert err.value.node_id == node_id
+            for pair in ((node_id, "Q405"), ("Q405", node_id)):
+                with pytest.raises(KeyError):
+                    g.edge_between(*pair)
+
+        class Id(str):
+            pass
+
+        assert Id("Q405") in g and g.label_of(Id("Q405")) == "Moon"
+
     def test_instances_keep_a_dict(self, tsv_kg_path):
         # The traced benchmark patches kg.neighbors on the instance.
         g = load_kg(tsv_kg_path, "tsv")
         assert "neighbors" not in vars(g)
         assert g.edges is g.edges
+
+
+def _tables(g: KnowledgeGraph) -> dict:
+    """Each container that the graph and its node and label views hold,
+    pickled."""
+    return {(type(owner).__name__, name): pickle.dumps(value)
+            for owner in (g, g.nodes, g.label_index)
+            for name in getattr(owner, "__slots__", None) or vars(owner)
+            if isinstance(value := getattr(owner, name), (dict, list, tuple, bytes, np.ndarray))}
+
+
+# Text that the node text buffers must give back as it was: any characters,
+# lone surrogates among them, ASCII alone (one byte per character), and
+# strings ending in NUL.
+_ANY_TEXT = st.one_of(
+    st.text(st.one_of(st.characters(), st.sampled_from(["\ud800", "\udc80", "\udfff"]))),
+    st.text(string.printable),
+    st.text().map(lambda t: t + "\x00"))
+
+
+class TestNodeText:
+    @given(st.lists(_ANY_TEXT, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_pack_round_trip(self, strings):
+        buffer, ends = kg_module._pack(strings)
+        assert ends.dtype == np.int64 and len(ends) == len(strings) + 1
+        assert [kg_module._unpack(buffer, ends, i) for i in range(len(strings))] == strings
+
+    @given(st.lists(st.tuples(_ANY_TEXT.filter(bool), _ANY_TEXT.filter(bool), _ANY_TEXT,
+                              st.lists(_ANY_TEXT, unique_by=normalize, max_size=3)),
+                    unique_by=lambda row: row[0], min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_nodes_round_trip(self, rows):
+        nodes = [KgNode(nid, label, description, tuple(aliases))
+                 for nid, label, description, aliases in rows]
+        g = KnowledgeGraph(nodes, [Triplet(nodes[0].id, "rel", nodes[-1].id)])
+        assert list(g.nodes) == sorted(n.id for n in nodes)
+        assert all(g.nodes[n.id] == n and g.label_of(n.id) == n.label for n in nodes)
+        assert list(g.label_index.items()) == list(label_index_oracle(g).items())
 
 
 def _ring_with_hubs(n: int = 600) -> KnowledgeGraph:
@@ -741,15 +811,6 @@ class TestNeighborTuples:
             for nbr in g._neighbor_codes(code):
                 assert shared.setdefault(nbr, nbr) is nbr
         assert max(shared) > 256
-
-    def test_id_table_shares_the_code_ints(self, tmp_path):
-        ring = _ring_with_hubs()
-        path = tmp_path / "ring.tsv"
-        path.write_text("".join(f"{t.subject}\tnode {t.subject}\t{t.predicate}\t"
-                                f"{t.object}\tnode {t.object}\n" for t in ring.edges))
-        for g in (ring, load_kg(path)):
-            assert len(g.nodes) > 256
-            assert all(g._position[i] is g._code_ints[g._position[i]] for i in g.nodes)
 
     @given(st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
@@ -973,6 +1034,35 @@ class TestMalformedSnapshots:
                     _load_outcome, *snapshot, lenient)
 
 
+def _write_skewed_graph(directory: Path, node_row=None) -> Path:
+    """A TSV graph in directory of 16000 edges over 4000 nodes, E0 to E3999,
+    whose subjects skew to low numbers, and its node file of node_row(i) for
+    each node i when node_row is given; the graph file's path."""
+    rng = random.Random(7)
+    n_nodes, n_edges = 4000, 16000
+    directory.mkdir(exist_ok=True)
+    path = directory / "graph.tsv"
+    path.write_text("".join(
+        f"E{s}\tEntity {s}\trel {rng.randrange(20)}\tE{o}\tEntity {o}\n"
+        for s, o in ((int(n_nodes * rng.random() ** 2), i % n_nodes)
+                     for i in range(n_edges))), encoding="utf-8")
+    if node_row is not None:
+        (directory / "graph.nodes.tsv").write_text(
+            "".join(map(node_row, range(n_nodes))), encoding="utf-8")
+    return path
+
+
+def _traced_load(path: Path) -> tuple[KnowledgeGraph, int, int]:
+    """The graph at path, and the memory its load retained and its traced peak."""
+    tracemalloc.start()
+    try:
+        graph = load_kg(path, "tsv")
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return graph, retained, peak
+
+
 class TestLoadMemory:
     # Peak traced memory over memory retained after the load. The columnar
     # store, with neighbor tuples built on first use, gives about 1.19 on
@@ -984,25 +1074,26 @@ class TestLoadMemory:
 
     def test_peak_stays_near_retained(self, tmp_path, tsv_kg_path):
         load_kg(tsv_kg_path, "tsv")  # first-call set-up stays out of the trace
-        rng = random.Random(7)
-        n_nodes, n_edges = 4000, 16000
-        path = tmp_path / "graph.tsv"
-        rows = []
-        for i in range(n_edges):
-            s, o = int(n_nodes * rng.random() ** 2), i % n_nodes
-            rows.append(f"E{s}\tEntity {s}\trel {rng.randrange(20)}\tE{o}\tEntity {o}\n")
-        path.write_text("".join(rows), encoding="utf-8")
-        (tmp_path / "graph.nodes.tsv").write_text(
-            "".join(f"E{i}\tnode {i}\tEnt {i}|E-{i}\n" for i in range(0, n_nodes, 4)),
-            encoding="utf-8")
-        tracemalloc.start()
-        try:
-            graph = load_kg(path, "tsv")
-            retained, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(graph.nodes) == n_nodes
+        path = _write_skewed_graph(
+            tmp_path, lambda i: f"E{i}\tnode {i}\tEnt {i}|E-{i}\n" if i % 4 == 0 else "")
+        graph, retained, peak = _traced_load(path)
+        assert len(graph.nodes) == 4000
         assert peak / retained < self.PEAK_OVER_RETAINED
+
+    # Memory that giving every node a description and three aliases adds to
+    # the graph, over the memory the graph retains without them: about 1.42
+    # with the text kept as Python strings and tuples per node, 0.97 with
+    # descriptions and aliases each kept as one UTF-8 buffer (Python 3.11).
+    NODE_TEXT_OVER_PLAIN = 1.2
+
+    def test_node_text_kept_in_buffers(self, tmp_path, tsv_kg_path):
+        load_kg(tsv_kg_path, "tsv")  # first-call set-up stays out of the trace
+        _, plain, _ = _traced_load(_write_skewed_graph(tmp_path / "plain"))
+        graph, with_text, _ = _traced_load(_write_skewed_graph(
+            tmp_path / "text",
+            lambda i: f"E{i}\tgenerated entity {i} of a test graph\tEnt {i}|E-{i}|Thing {i}\n"))
+        assert graph.nodes["E7"].aliases == ("Ent 7", "E-7", "Thing 7")
+        assert (with_text - plain) / plain < self.NODE_TEXT_OVER_PLAIN
 
 
 class TestDeterminism:

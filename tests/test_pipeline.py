@@ -1,6 +1,7 @@
 """End-to-end pipeline orchestration with the mock backend."""
 
 import importlib.util
+import json
 import re
 import threading
 import time
@@ -21,7 +22,7 @@ from claimver.kg import KgNode, KnowledgeGraph, Triplet
 from claimver.linking import TextChunk, chunk_text, link_entities
 from claimver.pipeline import iter_datagen_records, run_pipeline
 from claimver.render import render_json
-from claimver.report import build_report
+from claimver.report import VerificationReport, build_report
 from claimver.retrieval import KgPath, retrieve
 from claimver.scoring import ScoringConfig, modified_sigmoid
 
@@ -709,3 +710,50 @@ class TestOneRetrievalPath:
         else:
             run_pipeline(kg, FAN_OUT_TEXT, _na_answer, chunk_chars=60)
         assert len(searches) == len(bound) > 1
+
+
+# What a model might put in a claim field: spans of APOLLO_TEXT, the graph's
+# triplets and junk ones, labels, and arbitrary text.
+_REPLY_VALUES = st.one_of(
+    st.sampled_from([
+        "Apollo 11 landed on the Moon.", "Neil Armstrong was a French citizen.",
+        "Apollo 11", "landed on the", "(Apollo 11, landing site, Moon)",
+        "(Neil Armstrong, country of citizenship, United States)",
+        "(Apollo 11, landing site, Moon), (Moon, orbits, Mars)", "(Moon, orbits)", "()",
+        "Attributable", "Contradictory", "Extrapolatory", "NoAttribution", "NA", ""]),
+    st.text(max_size=30))
+_REPLY_KEYS = ("text_span", "prediction", "triplets", "rationale")
+
+
+@st.composite
+def model_replies(draw) -> str:
+    """Claim groups at random indices, repeats included, as numbered
+    key/value lines: each value quoted as JSON or sent bare, and now and
+    then a field left out."""
+    lines = []
+    for index in draw(st.lists(st.integers(0, 4), max_size=5)):
+        for key in _REPLY_KEYS:
+            value, quoted, present = draw(st.tuples(_REPLY_VALUES, st.booleans(),
+                                                    st.integers(0, 9)))
+            if present:
+                shown = json.dumps(value, ensure_ascii=False) if quoted else value
+                lines.append(f'"{key}{index}": {shown},')
+    return "\n".join(lines)
+
+
+_STAGES = {"input", "preprocess", "triplet-retrieval", "prompt", "llm-backend",
+           "response-parser", "scoring"}
+
+
+class TestModelReplies:
+    @given(model_replies(), st.sampled_from([None, 7, 20, 40]))
+    @settings(max_examples=200, deadline=None)
+    def test_reply_ends_as_a_stage_error_or_a_report_that_round_trips(self, reply, chunk_chars):
+        kg = KnowledgeGraph(APOLLO_NODES, APOLLO_TRIPLETS)
+        try:
+            report = run_pipeline(kg, APOLLO_TEXT, lambda prompt: reply, chunk_chars=chunk_chars)
+        except PipelineError as err:
+            assert err.stage in _STAGES
+            return
+        blob = render_json(report)
+        assert render_json(VerificationReport.from_dict(json.loads(blob))) == blob

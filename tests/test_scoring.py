@@ -352,6 +352,12 @@ class TestHttpEmbedder:
             _embedder(server.url).embed("hello")
 
 
+    def test_integer_too_large_for_a_float(self, scripted_server):
+        server = scripted_server([(200, '{"data": [{"embedding": [1, %s]}]}' % ("9" * 401))])
+        with pytest.raises(BackendError, match="^malformed embedding response"):
+            _embedder(server.url).embed("hello")
+
+
 class TestFallbackEmbedder:
     class _Failing:
         def __init__(self):
@@ -369,6 +375,13 @@ class TestFallbackEmbedder:
         assert np.array_equal(a, b)
         assert failing.attempts == 1
         assert fb.degraded
+
+    def test_switches_on_an_integer_too_large_for_a_float(self, scripted_server):
+        server = scripted_server([(200, '{"data": [{"embedding": [%s]}]}' % ("9" * 401))])
+        fb = FallbackEmbedder(_embedder(server.url), HashedBagEmbedder(dim=64))
+        assert np.array_equal(fb.embed("moon"), HashedBagEmbedder(dim=64).embed("moon"))
+        assert fb.degraded
+        assert len(server.requests) == 1
 
     def test_primary_used_when_healthy(self):
         fb = FallbackEmbedder(HashedBagEmbedder(dim=64))
